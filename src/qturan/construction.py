@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import ceil, floor
-from typing import Iterable, Iterator, Mapping
+from typing import Iterator, Mapping
 
 from . import cube
 from .cube import CapacityError, LayerId, bit_indices
@@ -177,41 +177,120 @@ def sample_assignment(n: int, r: int, seed: int) -> VectorAssignment:
     return VectorAssignment(n=n, r=r, anchor=anchor, vectors=vectors)
 
 
-def _survivor_sets(
-    n: int, r: int, anchor_bits: int, vector_bits: list[int]
-) -> tuple[set[int], set[int]]:
-    lower = set()
-    for mask in cube.subsets_of_size(n, r - 1):
-        rows = [anchor_bits]
-        rows.extend(vector_bits[i] for i in bit_indices(mask))
-        if rank_bits(rows) == r:
-            lower.add(mask)
-    upper = set()
-    for mask in cube.subsets_of_size(n, r):
-        if rank_bits(vector_bits[i] for i in bit_indices(mask)) == r:
-            upper.add(mask)
-    return lower, upper
+def _leaf_edges(candidates: int, h: int, g: int) -> int:
+    """Edges below the last choice of a lower subset: each index i in
+    candidates ends it, with g turned into g ^ h where g is odd on v_i."""
+    flips = (candidates & g).bit_count()
+    return (candidates.bit_count() - flips) * g.bit_count() + flips * (g ^ h).bit_count()
 
 
-def _edge_count_sets(n: int, lower: Iterable[int], upper: set[int]) -> int:
-    total = 0
-    for x in lower:
-        for j in range(n):
-            bit = 1 << j
-            if not x & bit and (x | bit) in upper:
-                total += 1
-    return total
+def _layer_scan(
+    n: int, r: int, anchor_bits: int, vector_bits: list[int], collect: bool = False
+) -> tuple[int, list[int], set[int]]:
+    """Edge count of the layer graph, plus both survivor sets when collect is set.
+
+    A depth-first walk over the (r-1)-subsets x in increasing index order
+    keeps a basis of the functionals that vanish on the anchor and on the
+    prefix, and one functional g with g(anchor) = 1 that vanishes on the
+    prefix.  Each functional h is held as its image mask, bit j being
+    h(v_j), so "h is odd on v_i" is bit i and every update is a word XOR.
+    A prefix dies as soon as no basis functional is odd on its newest
+    vector, so the leaves are exactly the lower survivors.  At a leaf the
+    kernel of g is span(x), hence x + {j} is an upper survivor iff
+    g(v_j) = 1: the leaf contributes popcount(g) edges, and every upper
+    survivor is reached because the anchor is nonzero.  Counting alone
+    sums the last two levels without visiting them.
+    """
+    cube.require_capacity(n)
+    columns = [0] * r
+    for j, v in enumerate(vector_bits):
+        for b in bit_indices(v):
+            columns[b] |= 1 << j
+    pivot_bit = (anchor_bits & -anchor_bits).bit_length() - 1
+    g0 = columns[pivot_bit]
+    basis0 = [
+        columns[b] ^ g0 if anchor_bits >> b & 1 else columns[b] for b in range(r) if b != pivot_bit
+    ]
+    lower: list[int] = []
+    upper: set[int] = set()
+    edges = 0
+
+    def walk(first: int, mask: int, basis: list[int], g: int) -> None:
+        nonlocal edges
+        left = len(basis)
+        if left == 0:  # r = 1: the empty set is the only lower vertex
+            edges += g.bit_count()
+            if collect:
+                lower.append(mask)
+                upper.update(mask | 1 << j for j in bit_indices(g))
+            return
+        # index i can start the rest of the subset only if i <= n - left
+        candidates = 0
+        for h in basis:
+            candidates |= h
+        candidates &= (1 << (n - left + 1)) - (1 << first)
+        if left == 1:
+            h = basis[0]
+            candidates &= h
+            if not collect:
+                edges += _leaf_edges(candidates, h, g)
+                return
+            while candidates:
+                low = candidates & -candidates
+                candidates ^= low
+                leaf = mask | low
+                odd = g ^ h if g & low else g
+                edges += odd.bit_count()
+                lower.append(leaf)
+                while odd:
+                    bit = odd & -odd
+                    upper.add(leaf | bit)
+                    odd ^= bit
+            return
+        if left == 2 and not collect:
+            h1, h2 = basis
+            while candidates:
+                low = candidates & -candidates
+                candidates ^= low
+                if h1 & low:
+                    pivot, h = h1, h2 ^ h1 if h2 & low else h2
+                else:
+                    pivot, h = h2, h1
+                edges += _leaf_edges(h & -(low << 1), h, g ^ pivot if g & low else g)
+            return
+        while candidates:
+            low = candidates & -candidates
+            candidates ^= low
+            for at, pivot in enumerate(basis):
+                if pivot & low:
+                    break
+            # the functionals before the pivot are even on v_i already
+            rest = [h ^ pivot if h & low else h for h in basis[at + 1 :]]
+            rest.extend(basis[:at])
+            walk(low.bit_length(), mask | low, rest, g ^ pivot if g & low else g)
+
+    walk(0, 0, basis0, g0)
+    return edges, lower, upper
 
 
 def build_layer_graph(a: VectorAssignment) -> LayerSubgraph:
     """Materialize the induced subgraph on the surviving vertex sets."""
-    lower, upper = _survivor_sets(a.n, a.r, a.anchor.bits, [v.bits for v in a.vectors])
+    _, lower, upper = _layer_scan(
+        a.n, a.r, a.anchor.bits, [v.bits for v in a.vectors], collect=True
+    )
     return LayerSubgraph(LayerId(a.n, a.r), frozenset(lower), frozenset(upper))
 
 
 def edge_count(g: LayerSubgraph) -> int:
     """Number of inclusion pairs between the surviving sides."""
-    return _edge_count_sets(g.layer.n, g.lower, set(g.upper))
+    n, upper = g.layer.n, g.upper
+    total = 0
+    for x in g.lower:
+        for j in range(n):
+            bit = 1 << j
+            if not x & bit and (x | bit) in upper:
+                total += 1
+    return total
 
 
 def edge_pairs(g: LayerSubgraph) -> Iterator[tuple[int, int]]:
@@ -317,8 +396,7 @@ def exact_expected_edges(n: int, r: int) -> Fraction:
     nonzero = list(range(1, 1 << r))
     total = 0
     for vector_bits in product(nonzero, repeat=n):
-        lower, upper = _survivor_sets(n, r, anchor_bits, list(vector_bits))
-        total += _edge_count_sets(n, lower, upper)
+        total += _layer_scan(n, r, anchor_bits, list(vector_bits))[0]
     return Fraction(total, states)
 
 
@@ -358,18 +436,19 @@ def find_good_assignment(n: int, r: int, seed: int, max_trials: int = 512) -> Se
         raise ValueError(f"max_trials must be >= 1, got {max_trials}")
     _, c_hi = constant_c_enclosure()
     threshold = c_hi / 2 * cube.layer_edge_count(LayerId(n, r))
-    best: SearchResult | None = None
+    # trials only count edges; the returned trial alone is materialized
+    best_edges, best_trial, best = -1, 0, None
     for trial in range(max_trials):
         a = sample_assignment(n, r, derive_seed(seed, trial))
-        g = build_layer_graph(a)
-        e = edge_count(g)
-        result = SearchResult(a, g, e, trial + 1, threshold)
+        e, _, _ = _layer_scan(n, r, a.anchor.bits, [v.bits for v in a.vectors])
         if Fraction(e) > threshold:
-            return result
-        if best is None or e > best.edges:
-            best = result
-    assert best is not None
-    raise TrialsExhausted(n, r, max_trials, best)
+            return SearchResult(a, build_layer_graph(a), e, trial + 1, threshold)
+        if e > best_edges:
+            best_edges, best_trial, best = e, trial + 1, a
+    if best is None:
+        raise RuntimeError("the trial loop ran no trial")
+    result = SearchResult(best, build_layer_graph(best), best_edges, best_trial, threshold)
+    raise TrialsExhausted(n, r, max_trials, result)
 
 
 # ---------------------------------------------------------------------------
@@ -392,21 +471,17 @@ def parse_assignment(text: str) -> VectorAssignment:
         n, r = int(fields["n"]), int(fields["r"])
     except (KeyError, ValueError) as exc:
         raise ValueError(f"bad assignment header: {lines[0]!r}") from exc
+    if n < 1:
+        raise ValueError(f"bad ground-set size in header: {n}")
     if len(lines) != n + 2:
         raise ValueError(f"expected v0 plus {n} vector lines, got {len(lines) - 1}")
     vectors = []
-    anchor = None
     for expect_idx, line in enumerate(lines[1:]):
         parts = line.split()
         if len(parts) != 2 or parts[0] != f"v{expect_idx}":
             raise ValueError(f"expected 'v{expect_idx} <hex>', got {line!r}")
-        vec = GF2Vec(int(parts[1], 16), r)
-        if expect_idx == 0:
-            anchor = vec
-        else:
-            vectors.append(vec)
-    assert anchor is not None
-    return VectorAssignment(n=n, r=r, anchor=anchor, vectors=tuple(vectors))
+        vectors.append(GF2Vec(int(parts[1], 16), r))
+    return VectorAssignment(n=n, r=r, anchor=vectors[0], vectors=tuple(vectors[1:]))
 
 
 def format_layer_graph(g: LayerSubgraph) -> str:

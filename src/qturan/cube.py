@@ -27,6 +27,7 @@ __all__ = [
     "CapacityError",
     "LayerId",
     "enumeration_cap",
+    "require_capacity",
     "bit_indices",
     "are_adjacent",
     "subsets_of_size",
@@ -57,6 +58,13 @@ def enumeration_cap() -> int:
     if cap < 1:
         raise ValueError(f"{CAPACITY_ENV} must be >= 1, got {cap}")
     return cap
+
+
+def require_capacity(n: int) -> None:
+    """Raise CapacityError when enumerating subsets of an n-set exceeds the cap."""
+    cap = enumeration_cap()
+    if n > cap:
+        raise CapacityError(f"enumeration over n={n} exceeds cap {cap}")
 
 
 @dataclass(frozen=True)
@@ -92,9 +100,7 @@ def subsets_of_size(n: int, k: int) -> Iterator[int]:
     """All masks of k-subsets of an n-set, in increasing mask order."""
     if n < 0 or k < 0 or k > n:
         raise ValueError(f"invalid subset size {k} for ground set of {n}")
-    cap = enumeration_cap()
-    if n > cap:
-        raise CapacityError(f"enumeration over n={n} exceeds cap {cap}")
+    require_capacity(n)
     if k == 0:
         yield 0
         return
@@ -133,9 +139,7 @@ def cube_edges(n: int) -> Iterator[tuple[int, int]]:
     """All edges of Q_n as (x, x | bit) pairs, ordered by (x, flipped bit)."""
     if n < 1:
         raise ValueError(f"ground-set size must be >= 1, got {n}")
-    cap = enumeration_cap()
-    if n > cap:
-        raise CapacityError(f"enumeration over n={n} exceeds cap {cap}")
+    require_capacity(n)
     for x in range(1 << n):
         for j in range(n):
             if not (x >> j) & 1:

@@ -1,10 +1,14 @@
 """Independent brute-force reference implementations used as test oracles.
 
 Everything here is deliberately naive and stays clear of the library's own
-elimination / backtracking code paths.
+elimination / backtracking code paths, except the layer survivor reference,
+which ranks every subset separately with gf2.rank_bits: it is the per-subset
+code the one-pass layer scan in construction replaced.
 """
 
 from itertools import combinations, permutations
+
+from qturan.gf2 import rank_bits
 
 
 def span_bits(vectors):
@@ -84,3 +88,27 @@ def induced_cube_edges(n, vertices):
             if y != x and y in vert_set:
                 out.append((x, y))
     return out
+
+
+def survivor_sets(n, r, anchor_bits, vector_bits):
+    """Lower and upper survivors of a layer, one rank computation per subset."""
+    lower = set()
+    for subset in combinations(range(n), r - 1):
+        if rank_bits([anchor_bits] + [vector_bits[i] for i in subset]) == r:
+            lower.add(sum(1 << i for i in subset))
+    upper = set()
+    for subset in combinations(range(n), r):
+        if rank_bits(vector_bits[i] for i in subset) == r:
+            upper.add(sum(1 << i for i in subset))
+    return lower, upper
+
+
+def edge_count_sets(n, lower, upper):
+    """Inclusion pairs between the two sides, probing upper once per candidate."""
+    total = 0
+    for x in lower:
+        for j in range(n):
+            bit = 1 << j
+            if not x & bit and (x | bit) in upper:
+                total += 1
+    return total

@@ -87,6 +87,35 @@ class TestColoringValidation:
         colors[(3, 0)] = 1  # bit 0 already set in 3
         assert not verify_coloring(ColoringCertificate(2, colors))
 
+    def test_messages_and_their_order(self):
+        colors = {(4, 0): 1, (0, 0): 5, (3, 1): 0, (0, 3): 2, (2, 2): 0, "x": 0}
+        colors.update({edge_key(x, y): 0 for x, y in cube_edges(3) if x >= 4})
+        problems = coloring_problems(ColoringCertificate(3, colors))
+        assert problems == [
+            "edge (0, 0) has color 5, expected 0..2",
+            "key (3, 1) is not an edge of Q_3",
+            "key (0, 3) is not an edge of Q_3",
+            "key x is not an edge of Q_3",
+            "edge (0x0, coord 1) is missing",
+            "edge (0x0, coord 2) is missing",
+            "edge (0x1, coord 1) is missing",
+            "edge (0x1, coord 2) is missing",
+            "edge (0x2, coord 0) is missing",
+            "edge (0x3, coord 2) is missing",
+        ]
+        assert coloring_problems(ColoringCertificate(3, colors), limit=3) == problems[:3]
+
+    def test_full_coverage_needs_no_edge_enumeration(self, monkeypatch):
+        cert = monochromatic_certificate(5)
+
+        def unused(n):
+            raise AssertionError("cube_edges called for a complete certificate")
+
+        monkeypatch.setattr(bnd.cube, "cube_edges", unused)
+        assert coloring_problems(cert) == []
+        cert.colors[(1, 0)] = 0  # not an edge: bit 0 is set in the base
+        assert coloring_problems(cert) == ["key (1, 0) is not an edge of Q_5"]
+
     def test_monochromatic_is_valid(self):
         assert verify_coloring(monochromatic_certificate(3))
         with pytest.raises(ValueError):

@@ -57,6 +57,17 @@ class TestConstruct:
         assert code == 3
         assert "cap" in err
 
+    def test_capacity_override_below_n(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("QT_CAPACITY", "10")
+        code, _, err = run(
+            ["construct", "--n", "12", "--r", "5", "--out", str(tmp_path)], capsys
+        )
+        assert code == 3
+        assert "exceeds cap 10" in err
+        code, out, _ = run(["pipeline", "--n", "12"], capsys)
+        assert code == 3
+        assert out == ""
+
     def test_exhaustion_exit_code(self, tmp_path, capsys):
         # seed 0, trial 0 draws equal vectors at n=2, r=2
         code, _, err = run(
@@ -122,6 +133,12 @@ class TestVerify:
         code1, out1, _ = run(["verify", str(path), "--target", "c6", "--workers", "2"], capsys)
         code2, out2, _ = run(["verify", str(path), "--target", "c6"], capsys)
         assert (code1, out1) == (code2, out2)
+
+    def test_comment_mentioning_lower_is_an_edge_list(self, tmp_path, capsys):
+        path = tmp_path / "path.txt"
+        path.write_text("# qn n=3\n# lower bound check\n0 1\n1 3\n")
+        code, out, err = run(["verify", str(path), "--target", "c4"], capsys)
+        assert (code, out, err) == (0, "c4-free\n", "")
 
     def test_bad_file_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "junk.txt"
@@ -201,6 +218,27 @@ class TestStats:
     def test_bad_spec(self, capsys):
         code, _, err = run(["stats", "--r", "0"], capsys)
         assert code == 2
+
+
+class TestWorkersDefault:
+    def workers(self):
+        parser = cli.build_parser()
+        return [
+            parser.parse_args(["verify", "x", "--target", "c6"]).workers,
+            parser.parse_args(["pipeline", "--n", "4"]).workers,
+        ]
+
+    def test_follows_cpu_affinity(self, monkeypatch):
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {3}, raising=False)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
+        assert self.workers() == [1, 1]
+
+    def test_falls_back_to_cpu_count(self, monkeypatch):
+        monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 5)
+        assert self.workers() == [5, 5]
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+        assert self.workers() == [1, 1]
 
 
 class TestUsage:

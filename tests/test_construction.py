@@ -33,7 +33,7 @@ from qturan.construction import (
 from qturan.cube import CapacityError, LayerId, cube_edge_count, layer_edge_count
 from qturan.gf2 import GF2Vec
 
-from oracles import is_basis_by_span
+from oracles import edge_count_sets, is_basis_by_span, survivor_sets
 
 # High-precision value of prod_{k>=1}(1 - 2^-k), frozen from a 60-digit
 # partial-product run with 200 factors.
@@ -174,6 +174,82 @@ class TestLayerGraph:
             LayerSubgraph(LayerId(3, 2), frozenset({0b11}), frozenset())
         with pytest.raises(ValueError):
             LayerSubgraph(LayerId(3, 2), frozenset(), frozenset({0b1}))
+
+
+def _spanning_and_degenerate(n, r, seed):
+    """A seeded assignment, and one whose vectors lie in a subspace of F_2^r
+    of dimension about r/2 that may or may not contain the anchor."""
+    a = sample_assignment(n, r, seed)
+    rng = random.Random(seed)
+    dim = max(1, r // 2)
+    subspace = [v.bits for v in a.vectors[:dim]]
+    vectors = []
+    for _ in range(n):
+        bits = 0
+        while not bits:
+            bits = 0
+            for v in subspace:
+                if rng.getrandbits(1):
+                    bits ^= v
+        vectors.append(GF2Vec(bits, r))
+    return a, VectorAssignment(n, r, a.anchor, tuple(vectors))
+
+
+class TestLayerScan:
+    """The one-pass layer scan against the per-subset rank reference."""
+
+    def assert_matches_oracle(self, a):
+        bits = [v.bits for v in a.vectors]
+        lower, upper = survivor_sets(a.n, a.r, a.anchor.bits, bits)
+        edges = edge_count_sets(a.n, lower, upper)
+        count, _, _ = con._layer_scan(a.n, a.r, a.anchor.bits, bits)
+        collected, scan_lower, scan_upper = con._layer_scan(
+            a.n, a.r, a.anchor.bits, bits, collect=True
+        )
+        assert count == collected == edges, (a.n, a.r)
+        assert sorted(scan_lower) == sorted(lower), (a.n, a.r)
+        assert scan_upper == upper, (a.n, a.r)
+        g = build_layer_graph(a)
+        assert (g.lower, g.upper) == (frozenset(lower), frozenset(upper))
+
+    def test_every_small_layer(self):
+        for n in range(1, 11):
+            for r in range(1, n + 1):
+                for seed in range(3):
+                    for a in _spanning_and_degenerate(n, r, derive_seed(n * 100 + r, seed)):
+                        self.assert_matches_oracle(a)
+
+    def test_anchor_outside_the_span(self):
+        # every vector lies in span(e1, e2), which misses the anchor e0
+        vectors = tuple(GF2Vec(bits, 3) for bits in (0b010, 0b100, 0b110, 0b010, 0b100))
+        a = VectorAssignment(5, 3, GF2Vec.unit(0, 3), vectors)
+        self.assert_matches_oracle(a)
+        assert build_layer_graph(a).upper == frozenset()
+
+    def test_other_anchor(self):
+        for seed in range(20):
+            a = sample_assignment(8, 4, seed)
+            anchor = GF2Vec(random.Random(seed).randrange(1, 16), 4)
+            self.assert_matches_oracle(VectorAssignment(8, 4, anchor, a.vectors))
+
+    @pytest.mark.parametrize("n", [14, 16])
+    def test_large_odd_layers(self, n):
+        for r in range(1, n + 1, 2):
+            a = sample_assignment(n, r, derive_seed(n, r))
+            bits = [v.bits for v in a.vectors]
+            lower, upper = survivor_sets(n, r, a.anchor.bits, bits)
+            count, _, _ = con._layer_scan(n, r, a.anchor.bits, bits)
+            assert count == edge_count_sets(n, lower, upper), (n, r)
+
+    def test_capacity(self, monkeypatch):
+        monkeypatch.setenv("QT_CAPACITY", "5")
+        a = sample_assignment(6, 3, 0)
+        with pytest.raises(CapacityError):
+            con._layer_scan(6, 3, a.anchor.bits, [v.bits for v in a.vectors])
+        with pytest.raises(CapacityError):
+            build_layer_graph(a)
+        with pytest.raises(CapacityError):
+            find_good_assignment(6, 3, 0)
 
 
 class TestUnionGraph:
@@ -322,6 +398,8 @@ class TestGoodAssignment:
         bound = 0.1443940475 * layer_edge_count(LayerId(10, 3))
         assert result.edges > bound
         assert Fraction(result.edges) > result.threshold
+        assert result.graph == build_layer_graph(result.assignment)
+        assert result.edges == edge_count(result.graph)
 
     def test_exhaustion_carries_best(self):
         # seed 0, trial 0 draws two equal vectors at n=2, r=2: zero edges
@@ -330,6 +408,21 @@ class TestGoodAssignment:
         err = info.value
         assert err.trials == 1
         assert err.best.edges == 0
+
+    @pytest.mark.parametrize(
+        "n,r,seed,counts", [(6, 4, 2, [5, 6, 8]), (5, 4, 25, [0, 2, 2])]
+    )
+    def test_exhaustion_materializes_the_first_best_trial(self, n, r, seed, counts):
+        with pytest.raises(TrialsExhausted) as info:
+            find_good_assignment(n, r, seed, max_trials=3)
+        best = info.value.best
+        assert counts == [
+            edge_count(build_layer_graph(sample_assignment(n, r, derive_seed(seed, t))))
+            for t in range(3)
+        ]
+        assert best.edges == max(counts) == edge_count(best.graph)
+        assert best.trials == counts.index(max(counts)) + 1
+        assert best.graph == build_layer_graph(best.assignment)
 
     def test_bad_trials(self):
         with pytest.raises(ValueError):
@@ -363,6 +456,8 @@ class TestTextFormats:
             parse_assignment("# gf2-assignment n=2 r=2\nv0 1\nv1 1\n")  # missing v2
         with pytest.raises(ValueError):
             parse_assignment("# gf2-assignment n=1 r=1\nv9 1\nv1 1\n")
+        with pytest.raises(ValueError):
+            parse_assignment("# gf2-assignment n=-1 r=1\n")  # no v0 line
 
     def test_layer_graph_round_trip(self):
         g = build_layer_graph(sample_assignment(6, 3, 4))
