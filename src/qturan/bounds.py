@@ -384,7 +384,10 @@ def parse_coloring(text: str) -> ColoringCertificate:
     lines = text.splitlines()
     if not lines or not lines[0].startswith("# qn-coloring n="):
         raise ValueError("coloring file must start with '# qn-coloring n=<n>'")
-    n = int(lines[0].split("=", 1)[1])
+    try:
+        n = int(lines[0].split("=", 1)[1])
+    except ValueError as exc:
+        raise ValueError(f"bad coloring header: {lines[0]!r}") from exc
     if n < 1:
         raise ValueError(f"bad ground-set size in header: {n}")
     colors: dict[tuple[int, int], int] = {}
@@ -396,9 +399,10 @@ def parse_coloring(text: str) -> ColoringCertificate:
         parts = stripped.split()
         if len(parts) != 3:
             raise ValueError(f"line {lineno}: expected '<hex-mask> <coord> <color>', got {line!r}")
-        base = int(parts[0], 16)
-        coord = int(parts[1])
-        color = int(parts[2])
+        try:
+            base, coord, color = int(parts[0], 16), int(parts[1]), int(parts[2])
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: bad hex mask or number in {line!r}") from exc
         if not 0 <= coord < n or base >> n or (base >> coord) & 1:
             raise ValueError(f"line {lineno}: (0x{base:x}, {coord}) is not an edge of Q_{n}")
         if color not in range(COLOR_COUNT):

@@ -283,24 +283,27 @@ def build_layer_graph(a: VectorAssignment) -> LayerSubgraph:
 
 def edge_count(g: LayerSubgraph) -> int:
     """Number of inclusion pairs between the surviving sides."""
-    n, upper = g.layer.n, g.upper
+    full, upper = (1 << g.layer.n) - 1, g.upper
     total = 0
     for x in g.lower:
-        for j in range(n):
-            bit = 1 << j
-            if not x & bit and (x | bit) in upper:
+        free = full ^ x
+        while free:
+            bit = free & -free
+            free ^= bit
+            if (x | bit) in upper:
                 total += 1
     return total
 
 
 def edge_pairs(g: LayerSubgraph) -> Iterator[tuple[int, int]]:
     """The implicit edges, ordered by (lower mask, upper mask)."""
-    n = g.layer.n
-    upper = set(g.upper)
+    full, upper = (1 << g.layer.n) - 1, g.upper
     for x in sorted(g.lower):
-        for j in range(n):
-            bit = 1 << j
-            if not x & bit and (x | bit) in upper:
+        free = full ^ x
+        while free:
+            bit = free & -free
+            free ^= bit
+            if (x | bit) in upper:
                 yield x, x | bit
 
 
@@ -501,7 +504,10 @@ def parse_layer_graph(text: str) -> LayerSubgraph:
     lines = text.splitlines()
     if not lines or not lines[0].startswith("# qn n="):
         raise ValueError("layer file must start with a '# qn n=<n>' header")
-    n = int(lines[0].split("=", 1)[1])
+    try:
+        n = int(lines[0].split("=", 1)[1])
+    except ValueError as exc:
+        raise ValueError(f"bad layer-file header: {lines[0]!r}") from exc
     r = None
     section = "edges"
     edges = []
@@ -512,7 +518,10 @@ def parse_layer_graph(text: str) -> LayerSubgraph:
         if not stripped:
             continue
         if stripped.startswith("# layer r="):
-            r = int(stripped.split("=", 1)[1])
+            try:
+                r = int(stripped.split("=", 1)[1])
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: bad layer line {line!r}") from exc
             continue
         if stripped == "# lower":
             section = "lower"
@@ -523,14 +532,17 @@ def parse_layer_graph(text: str) -> LayerSubgraph:
         if stripped.startswith("#"):
             continue
         parts = stripped.split()
-        if section == "edges":
-            if len(parts) != 2:
-                raise ValueError(f"line {lineno}: expected an edge, got {line!r}")
-            edges.append((int(parts[0], 16), int(parts[1], 16)))
-        else:
-            if len(parts) != 1:
-                raise ValueError(f"line {lineno}: expected a vertex mask, got {line!r}")
-            (lower if section == "lower" else upper).add(int(parts[0], 16))
+        if section == "edges" and len(parts) != 2:
+            raise ValueError(f"line {lineno}: expected an edge, got {line!r}")
+        if section != "edges" and len(parts) != 1:
+            raise ValueError(f"line {lineno}: expected a vertex mask, got {line!r}")
+        try:
+            if section == "edges":
+                edges.append((int(parts[0], 16), int(parts[1], 16)))
+            else:
+                (lower if section == "lower" else upper).add(int(parts[0], 16))
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: bad hex mask in {line!r}") from exc
     if r is None:
         raise ValueError("layer file is missing its '# layer r=<r>' line")
     g = LayerSubgraph(LayerId(n, r), frozenset(lower), frozenset(upper))

@@ -11,9 +11,17 @@ Two independent routes for 6-cycles inside a layer:
 The generic search breaks symmetry canonically (cycles start at their
 smallest vertex; the second vertex is smaller than the last) and prunes by
 Hamming distance back to the start, which is a lower bound on remaining
-graph distance, so pruning never loses a cycle.  Scans are splittable over
-start vertices; the witness with the lowest canonical order always wins,
-so results do not depend on the worker count.
+graph distance.  Its last two levels are bitset tests against closing sets
+fixed once per start s.  A cycle closes through a neighbor of s above s,
+and such closers must number at least two; the C6- path ends at a vertex
+above s at Hamming distance 1 from it.  The vertex before the end must be
+a neighbor of one of these, so candidates for it are cut to that
+neighborhood (which also implies the Hamming bound there), and the end is
+the lowest bit of one word AND.  Pruning only drops branches that cannot
+close, and candidates are still tried in ascending order, so no cycle is
+lost and the first witness is the one the plain DFS finds.  Scans are
+splittable over start vertices; the witness with the lowest canonical
+order always wins, so results do not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -207,8 +215,8 @@ class C6Obstruction:
 # Generic backtracking searches
 
 
-def _adjacency_bits(graph: CubeSubgraph) -> tuple[list[int], list[int]]:
-    """Vertex masks (ascending) and per-vertex neighbor sets as index bitmasks."""
+def _adjacency_bits(graph: CubeSubgraph) -> tuple[list[int], dict[int, int], list[int]]:
+    """Vertex masks (ascending), their indices, and neighbor sets as index bitmasks."""
     masks = list(graph.vertices)
     pos = {m: i for i, m in enumerate(masks)}
     adj = [0] * len(masks)
@@ -223,45 +231,64 @@ def _adjacency_bits(graph: CubeSubgraph) -> tuple[list[int], list[int]]:
             i, k = pos[x], pos[y]
             adj[i] |= 1 << k
             adj[k] |= 1 << i
-    return masks, adj
+    return masks, pos, adj
+
+
+def _neighborhood(adj: list[int], members: int) -> int:
+    """The union of the neighbor sets of the vertices in an index bitmask."""
+    out = 0
+    while members:
+        low = members & -members
+        out |= adj[low.bit_length() - 1]
+        members ^= low
+    return out
 
 
 def _first_cycle_in_range(
     graph: CubeSubgraph, start_lo: int, start_hi: int, length: int
 ) -> tuple[int, ...] | None:
-    masks, adj = _adjacency_bits(graph)
+    masks, _, adj = _adjacency_bits(graph)
     count = len(masks)
+    last = length - 2  # the last position chosen by a loop; position length-1 closes
 
-    def extend(path: list[int], visited: int, start: int, above: int) -> list[int] | None:
-        v = path[-1]
-        if len(path) == length - 1:
-            cand = adj[v] & adj[start] & above & ~visited
+    def extend(
+        path: list[int], visited: int, start_mask: int, above: int, closers: int, reach: int
+    ) -> list[int] | None:
+        pos_next = len(path)
+        cand = adj[path[-1]] & above & ~visited
+        if pos_next == last:
+            # the closing vertex is a neighbor of the start above path[1],
+            # so only neighbors of closers can precede it
+            after_first = -1 << (path[1] + 1)
+            cand &= reach
             while cand:
                 low = cand & -cand
-                w = low.bit_length() - 1
                 cand ^= low
-                if w > path[1]:
-                    return path + [w]
+                w = low.bit_length() - 1
+                close = adj[w] & closers & after_first & ~visited
+                if close:
+                    return path + [w, (close & -close).bit_length() - 1]
             return None
-        pos_next = len(path)
         check_dist = 2 * pos_next > length
-        start_mask = masks[start]
         budget = length - pos_next
-        cand = adj[v] & above & ~visited
         while cand:
             low = cand & -cand
             w = low.bit_length() - 1
             cand ^= low
             if check_dist and (masks[w] ^ start_mask).bit_count() > budget:
                 continue
-            found = extend(path + [w], visited | low, start, above)
+            found = extend(path + [w], visited | low, start_mask, above, closers, reach)
             if found is not None:
                 return found
         return None
 
     for s in range(start_lo, min(start_hi, count)):
         above = -1 << (s + 1)
-        found = extend([s], 1 << s, s, above)
+        closers = adj[s] & above
+        if closers & (closers - 1) == 0:  # the cycle needs two closers
+            continue
+        reach = _neighborhood(adj, closers)
+        found = extend([s], 1 << s, masks[s], above, closers, reach)
         if found is not None:
             return tuple(masks[i] for i in found)
     return None
@@ -274,34 +301,45 @@ def _cycle_scan_task(args: tuple[CubeSubgraph, int, int, int]) -> tuple[int, ...
 def _first_c6_minus_in_range(
     graph: CubeSubgraph, start_lo: int, start_hi: int
 ) -> tuple[int, ...] | None:
-    masks, adj = _adjacency_bits(graph)
+    masks, pos, adj = _adjacency_bits(graph)
     count = len(masks)
-
-    def extend(path: list[int], visited: int, start_mask: int, above: int) -> list[int] | None:
-        pos_next = len(path)
-        cand = adj[path[-1]] & ~visited
-        if pos_next == 5:
-            cand &= above
-        while cand:
-            low = cand & -cand
-            w = low.bit_length() - 1
-            cand ^= low
-            dist = (masks[w] ^ start_mask).bit_count()
-            if dist > 6 - pos_next:
-                continue
-            if pos_next == 5:
-                if dist == 1:
-                    return path + [w]
-                continue
-            found = extend(path + [w], visited | low, start_mask, above)
-            if found is not None:
-                return found
-        return None
-
+    flips = [1 << j for j in range(graph.n)]
     for s in range(start_lo, min(start_hi, count)):
-        found = extend([s], 1 << s, masks[s], -1 << (s + 1))
-        if found is not None:
-            return tuple(masks[i] for i in found)
+        # v5 ends the path: a vertex above s at Hamming distance 1 from it,
+        # whether or not the graph joins the two; v4 is a neighbor of one.
+        # v1..v3 need no Hamming test: three steps stay within distance 3.
+        start_mask = masks[s]
+        ends = 0
+        for flip in flips:
+            k = pos.get(start_mask ^ flip)
+            if k is not None and k > s:
+                ends |= 1 << k
+        if not ends:
+            continue
+        reach = _neighborhood(adj, ends)
+        c1 = adj[s]
+        while c1:
+            b1 = c1 & -c1
+            c1 ^= b1
+            seen1 = 1 << s | b1
+            c2 = adj[b1.bit_length() - 1] & ~seen1
+            while c2:
+                b2 = c2 & -c2
+                c2 ^= b2
+                seen2 = seen1 | b2
+                c3 = adj[b2.bit_length() - 1] & ~seen2
+                while c3:
+                    b3 = c3 & -c3
+                    c3 ^= b3
+                    seen3 = seen2 | b3
+                    c4 = adj[b3.bit_length() - 1] & reach & ~seen3
+                    while c4:
+                        b4 = c4 & -c4
+                        c4 ^= b4
+                        close = adj[b4.bit_length() - 1] & ends & ~seen3
+                        if close:
+                            steps = (b1, b2, b3, b4, close & -close)
+                            return (start_mask, *(masks[b.bit_length() - 1] for b in steps))
     return None
 
 

@@ -1,9 +1,11 @@
 """Independent brute-force reference implementations used as test oracles.
 
 Everything here is deliberately naive and stays clear of the library's own
-elimination / backtracking code paths, except the layer survivor reference,
-which ranks every subset separately with gf2.rank_bits: it is the per-subset
-code the one-pass layer scan in construction replaced.
+elimination / backtracking code paths, with two exceptions kept as the code
+that faster kernels replaced.  The layer survivor reference ranks every
+subset separately with gf2.rank_bits, as before the one-pass layer scan.
+The DFS references search cycles and C6- paths one vertex per call, as
+before the detector's closing sets, and must return the same witnesses.
 """
 
 from itertools import combinations, permutations
@@ -112,3 +114,98 @@ def edge_count_sets(n, lower, upper):
             if not x & bit and (x | bit) in upper:
                 total += 1
     return total
+
+
+def _index_adjacency(graph):
+    """Ascending vertex masks and neighbor sets as index bitmasks, from a CubeSubgraph."""
+    masks = list(graph.vertices)
+    pos = {m: i for i, m in enumerate(masks)}
+    edges = graph.edges if graph.edges is not None else induced_cube_edges(graph.n, masks)
+    adj = [0] * len(masks)
+    for x, y in edges:
+        i, k = pos[x], pos[y]
+        adj[i] |= 1 << k
+        adj[k] |= 1 << i
+    return masks, adj
+
+
+def first_cycle_dfs(graph, start_lo, start_hi, length):
+    """Canonically first cycle of the given length, one DFS call per vertex.
+
+    The generic search before closing sets: starts ascend, every vertex
+    lies above the start, the last one lies above the second, and a
+    Hamming bound back to the start prunes the second half of the walk.
+    """
+    masks, adj = _index_adjacency(graph)
+    count = len(masks)
+
+    def extend(path, visited, start, above):
+        v = path[-1]
+        if len(path) == length - 1:
+            cand = adj[v] & adj[start] & above & ~visited
+            while cand:
+                low = cand & -cand
+                w = low.bit_length() - 1
+                cand ^= low
+                if w > path[1]:
+                    return path + [w]
+            return None
+        pos_next = len(path)
+        check_dist = 2 * pos_next > length
+        start_mask = masks[start]
+        budget = length - pos_next
+        cand = adj[v] & above & ~visited
+        while cand:
+            low = cand & -cand
+            w = low.bit_length() - 1
+            cand ^= low
+            if check_dist and (masks[w] ^ start_mask).bit_count() > budget:
+                continue
+            found = extend(path + [w], visited | low, start, above)
+            if found is not None:
+                return found
+        return None
+
+    for s in range(start_lo, min(start_hi, count)):
+        above = -1 << (s + 1)
+        found = extend([s], 1 << s, s, above)
+        if found is not None:
+            return tuple(masks[i] for i in found)
+    return None
+
+
+def first_c6_minus_dfs(graph, start_lo, start_hi):
+    """Canonically first 5-edge path whose endpoints differ in one bit.
+
+    The path search before closing sets: the start is the smaller endpoint,
+    and every candidate is tested for Hamming distance to it.
+    """
+    masks, adj = _index_adjacency(graph)
+    count = len(masks)
+
+    def extend(path, visited, start_mask, above):
+        pos_next = len(path)
+        cand = adj[path[-1]] & ~visited
+        if pos_next == 5:
+            cand &= above
+        while cand:
+            low = cand & -cand
+            w = low.bit_length() - 1
+            cand ^= low
+            dist = (masks[w] ^ start_mask).bit_count()
+            if dist > 6 - pos_next:
+                continue
+            if pos_next == 5:
+                if dist == 1:
+                    return path + [w]
+                continue
+            found = extend(path + [w], visited | low, start_mask, above)
+            if found is not None:
+                return found
+        return None
+
+    for s in range(start_lo, min(start_hi, count)):
+        found = extend([s], 1 << s, masks[s], -1 << (s + 1))
+        if found is not None:
+            return tuple(masks[i] for i in found)
+    return None

@@ -251,3 +251,35 @@ class TestUsage:
         with pytest.raises(SystemExit) as info:
             cli.main([])
         assert info.value.code == 2
+
+
+class TestParseErrors:
+    """A bad number in an input file names its line and exits 2."""
+
+    LAYER = "# qn n=2\n1 3\n# layer r={r}\n# lower\n1\n# upper\n{upper}\n"
+
+    def test_bad_coloring_mask(self, tmp_path, capsys):
+        path = tmp_path / "coloring.txt"
+        path.write_text("# qn-coloring n=2\nzz 1 0\n")
+        code, out, err = run(["pipeline", "--n", "2", "--coloring", str(path)], capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: line 2: bad hex mask or number in 'zz 1 0'\n"
+
+    def test_bad_layer_line(self, tmp_path, capsys):
+        path = tmp_path / "layer.txt"
+        path.write_text(self.LAYER.format(r="x", upper="3"))
+        code, out, err = run(["verify", str(path), "--target", "c6"], capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: line 3: bad layer line '# layer r=x'\n"
+
+    def test_bad_upper_mask(self, tmp_path, capsys):
+        path = tmp_path / "layer.txt"
+        path.write_text(self.LAYER.format(r="2", upper="3g"))
+        code, out, err = run(["verify", str(path), "--target", "c6"], capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: line 7: bad hex mask in '3g'\n"
+
+    def test_good_layer_still_parses(self, tmp_path, capsys):
+        path = tmp_path / "layer.txt"
+        path.write_text(self.LAYER.format(r="2", upper="3"))
+        assert run(["verify", str(path), "--target", "c6"], capsys) == (0, "c6-free\n", "")

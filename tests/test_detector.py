@@ -26,9 +26,16 @@ from qturan.detector import (
     subgraph_of_union,
     witness_line,
 )
+from qturan.detector import _first_c6_minus_in_range, _first_cycle_in_range
 from qturan.gf2 import GF2Vec
 
-from oracles import has_c6_minus_naive, has_cycle_naive, induced_cube_edges
+from oracles import (
+    first_c6_minus_dfs,
+    first_cycle_dfs,
+    has_c6_minus_naive,
+    has_cycle_naive,
+    induced_cube_edges,
+)
 
 
 def full_layer(n, r):
@@ -45,6 +52,45 @@ def random_layer_subgraph(n, r, rng):
     lower = frozenset(v for v in cube.layer_vertices(layer, "lower") if rng.random() < 0.5)
     upper = frozenset(v for v in cube.layer_vertices(layer, "upper") if rng.random() < 0.5)
     return LayerSubgraph(layer, lower, upper)
+
+
+def random_cube_subgraph(rng):
+    """An induced or explicit subgraph of Q_3..Q_7 with varied density."""
+    n = rng.randint(3, 7)
+    density = rng.choice([0.3, 0.5, 0.7, 0.9])
+    verts = [v for v in range(1 << n) if rng.random() < density]
+    if rng.random() < 0.5:
+        return CubeSubgraph.induced(n, verts)
+    keep = rng.choice([0.5, 0.8, 1.0])
+    edges = [e for e in induced_cube_edges(n, verts) if rng.random() < keep]
+    return CubeSubgraph.explicit(n, verts, edges)
+
+
+def ring(base, flips):
+    """The walk from base that flips the given coordinates in turn."""
+    out = [base]
+    for j in flips[:-1]:
+        out.append(out[-1] ^ (1 << j))
+    assert out[-1] ^ (1 << flips[-1]) == base
+    return out
+
+
+def planted_graph(walks, closed, n=10):
+    """Low filler (a straight path and isolated vertices) plus the given walks.
+
+    The filler holds no cycle and no 5-edge path with endpoints at Hamming
+    distance 1, so every witness lies among the planted, higher vertices.
+    The walks are closed into cycles, or left open as C6- paths.
+    """
+    filler = [0, 1, 3, 7, 15, 31, 63]
+    verts = set(filler) | set(range(64, 64 + 13))
+    edges = list(zip(filler, filler[1:]))
+    for walk in walks:
+        verts |= set(walk)
+        edges += list(zip(walk, walk[1:]))
+        if closed:
+            edges.append((walk[-1], walk[0]))
+    return CubeSubgraph.explicit(n, verts, edges)
 
 
 class TestCubeSubgraph:
@@ -182,6 +228,71 @@ class TestFindCycleGeneric:
         g2 = subgraph_of_layer(build_layer_graph(sample_assignment(7, 3, 1)))
         assert find_cycle_generic(g1, 6, workers=2) == find_cycle_generic(g1, 6)
         assert find_cycle_generic(g2, 6, workers=3) == find_cycle_generic(g2, 6)
+
+
+class TestClosingSets:
+    """The closing-set searches return exactly the plain DFS's first witness."""
+
+    def test_random_subgraphs_match_the_dfs(self):
+        rng = random.Random(8000)
+        outcomes = set()
+        for _ in range(400):
+            g = random_cube_subgraph(rng)
+            count = len(g.vertices)
+            lo = rng.randint(0, count)
+            hi = rng.randint(lo, count + 2)
+            for length in (4, 6, 8, 10):
+                w = find_cycle_generic(g, length)
+                expected = first_cycle_dfs(g, 0, count, length)
+                assert (None if w is None else w.vertices) == expected
+                assert _first_cycle_in_range(g, lo, hi, length) == first_cycle_dfs(
+                    g, lo, hi, length
+                )
+                outcomes.add((length, expected is None))
+            w = find_c6_minus(g)
+            expected = first_c6_minus_dfs(g, 0, count)
+            assert (None if w is None else w.vertices) == expected
+            assert _first_c6_minus_in_range(g, lo, hi) == first_c6_minus_dfs(g, lo, hi)
+            outcomes.add(("c6minus", expected is None))
+        # both free and non-free graphs were checked for every search
+        assert len(outcomes) == 10
+
+    @pytest.mark.parametrize("n", [12, 14])
+    def test_seeded_odd_layers_match_the_dfs(self, n):
+        for r in range(1, n + 1, 2):
+            a = sample_assignment(n, r, derive_seed(n, r))
+            sub = subgraph_of_layer(build_layer_graph(a))
+            count = len(sub.vertices)
+            for length in (6, 10):
+                w = find_cycle_generic(sub, length)
+                expected = first_cycle_dfs(sub, 0, count, length)
+                assert (None if w is None else w.vertices) == expected
+            w = find_c6_minus(sub)
+            assert (None if w is None else w.vertices) == first_c6_minus_dfs(sub, 0, count)
+
+
+class TestWorkerSplit:
+    @pytest.mark.parametrize("target", ["c6", "c6minus", "c10"])
+    def test_first_witness_starts_in_a_later_range(self, target):
+        flips = (0, 1, 2, 3, 4) * 2 if target == "c10" else (4, 5, 6) * 2
+        first, second = ring(1 << 9, flips), ring(3 << 8, flips)
+        g = planted_graph([first, second], closed=target != "c6minus")
+        count = len(g.vertices)
+        index = {v: i for i, v in enumerate(g.vertices)}
+        # the first witness starts past the first range for 2 and 3 workers,
+        # and a later one starts in the third range
+        assert index[first[0]] >= -(-count // 2)
+        assert -(-count // 3) <= index[first[0]] < 2 * -(-count // 3) <= index[second[0]]
+        if target == "c6minus":
+            assert find_cycle_generic(g, 6) is None
+            expected = first_c6_minus_dfs(g, 0, count)
+            witnesses = [find_c6_minus(g, workers=w) for w in (1, 2, 3)]
+        else:
+            length = int(target[1:])
+            expected = first_cycle_dfs(g, 0, count, length)
+            witnesses = [find_cycle_generic(g, length, workers=w) for w in (1, 2, 3)]
+        assert expected[0] == first[0]
+        assert [w.vertices for w in witnesses] == [expected] * 3
 
 
 class TestFindC6Minus:
