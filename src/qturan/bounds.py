@@ -12,6 +12,13 @@ The 3-coloring of E(Q_n) driving the final bound is an external input.  It
 is verified for shape (every edge colored exactly once) and its color
 classes are checked for C10-freeness; nothing about it is trusted or
 reconstructed here.
+
+In memory a certificate holds one byte per edge of Q_n, n * 2^(n-1) bytes
+in all (512 KiB at n=16).  Edge (base, coord) sits in slot
+coord * 2^(n-1) + (base with bit coord deleted), so every slot is an edge:
+a byte string of the right length that holds only 0, 1 and 2 is a complete
+certificate, which three bytes.count() calls check.  UNSET marks an edge
+the input left out.
 """
 
 from __future__ import annotations
@@ -46,6 +53,7 @@ __all__ = [
     "SuiteResult",
     "SuiteExhausted",
     "edge_key",
+    "edge_slot",
     "monochromatic_certificate",
     "coloring_problems",
     "verify_coloring",
@@ -64,6 +72,8 @@ COLOR_COUNT = 3
 
 EXHAUSTIVE_COLORING_MAX_N = 3
 
+UNSET = 0xFF
+
 
 def edge_key(x: int, y: int) -> tuple[int, int]:
     """Canonical key of a Q_n edge: (smaller endpoint, flipped coordinate)."""
@@ -73,54 +83,51 @@ def edge_key(x: int, y: int) -> tuple[int, int]:
     return base, (x ^ y).bit_length() - 1
 
 
+def edge_slot(n: int, base: int, coord: int) -> int:
+    """Index of the Q_n edge (base, base | 1 << coord) in ColoringCertificate.colors."""
+    return coord << (n - 1) | (base >> (coord + 1)) << coord | base & ((1 << coord) - 1)
+
+
 @dataclass(frozen=True)
 class ColoringCertificate:
-    """A 3-coloring of E(Q_n), keyed by (smaller endpoint, coordinate)."""
+    """A 3-coloring of E(Q_n): colors[edge_slot(n, base, coord)] is the color
+    of edge (base, coord), or UNSET where the input left that edge out."""
 
     n: int
-    colors: Mapping[tuple[int, int], int]
+    colors: bytes
 
 
 def monochromatic_certificate(n: int, color: int = 0) -> ColoringCertificate:
     if color not in range(COLOR_COUNT):
         raise ValueError(f"color must be in [0, {COLOR_COUNT}), got {color}")
-    return ColoringCertificate(n, {edge_key(x, y): color for x, y in cube.cube_edges(n)})
-
-
-def _is_edge_key(n: int, key) -> bool:
-    """True iff key is (base, coord) with coord < n and bit coord clear in base < 2^n."""
-    if not isinstance(key, tuple) or len(key) != 2:
-        return False
-    base, coord = key
-    if not isinstance(base, int) or not isinstance(coord, int):
-        return False
-    return 0 <= coord < n and 0 <= base and not base >> n and not base >> coord & 1
+    cube.require_capacity(n)
+    return ColoringCertificate(n, bytes([color]) * cube_edge_count(n))
 
 
 def coloring_problems(cert: ColoringCertificate, limit: int = 10) -> list[str]:
     """Human-readable list of defects; empty iff the certificate is valid.
 
-    Keys are distinct, so the certificate covers E(Q_n) exactly when its
-    valid keys number n * 2^(n-1); the edges are enumerated to name the
-    missing ones only when the count falls short.
+    A certificate of the right length is valid exactly when every byte is a
+    color.  Counting the color bytes checks that without a copy, which
+    bytes.translate() would make.  The edges are enumerated only to name the
+    unset and out-of-range slots, in (base, coord) order, when there are some.
     """
+    size = cube_edge_count(cert.n)
+    if len(cert.colors) != size:
+        return [f"certificate has {len(cert.colors)} colors, Q_{cert.n} has {size} edges"][:limit]
+    if sum(cert.colors.count(color) for color in range(COLOR_COUNT)) == size:
+        return []
     problems = []
-    covered = 0
-    for key, color in cert.colors.items():
-        if not _is_edge_key(cert.n, key):
-            problems.append(f"key {key} is not an edge of Q_{cert.n}")
-            continue
-        covered += 1
-        if color not in range(COLOR_COUNT):
-            problems.append(f"edge {key} has color {color}, expected 0..{COLOR_COUNT - 1}")
-    if covered < cube_edge_count(cert.n):
-        for base, top in cube.cube_edges(cert.n):
-            if len(problems) >= limit:
-                break
-            coord = (base ^ top).bit_length() - 1
-            if (base, coord) not in cert.colors:
-                problems.append(f"edge (0x{base:x}, coord {coord}) is missing")
-    return problems[:limit]
+    for base, top in cube.cube_edges(cert.n):
+        if len(problems) >= limit:
+            break
+        coord = (base ^ top).bit_length() - 1
+        color = cert.colors[edge_slot(cert.n, base, coord)]
+        if color == UNSET:
+            problems.append(f"edge (0x{base:x}, coord {coord}) is missing")
+        elif color >= COLOR_COUNT:
+            problems.append(f"edge ({base}, {coord}) has color {color}, expected 0..{COLOR_COUNT - 1}")
+    return problems
 
 
 def verify_coloring(cert: ColoringCertificate) -> bool:
@@ -199,13 +206,13 @@ class PipelineOutcome:
     report: DensityReport | None
 
 
-def _color_classes(
-    union: UnionGraph, cert: ColoringCertificate
-) -> list[list[tuple[int, int]]]:
+def _color_classes(union: UnionGraph, colors: bytes) -> list[list[tuple[int, int]]]:
+    """The union's edges split by their certificate color, in edge_pairs order."""
+    n = union.n
     classes: list[list[tuple[int, int]]] = [[] for _ in range(COLOR_COUNT)]
     for g in union.layers.values():
         for x, y in edge_pairs(g):
-            classes[cert.colors[edge_key(x, y)]].append((x, y))
+            classes[colors[edge_slot(n, x, (x ^ y).bit_length() - 1)]].append((x, y))
     return classes
 
 
@@ -221,7 +228,7 @@ def c10_pipeline(
     all_vertices = set()
     for g in union.layers.values():
         all_vertices |= set(g.lower) | set(g.upper)
-    classes = _color_classes(union, cert)
+    classes = _color_classes(union, cert.colors)
     counts = tuple(len(edges) for edges in classes)
     free = []
     witnesses = {}
@@ -246,14 +253,10 @@ def c10_pipeline(
 
 
 def _first_c10_in_classes(
-    union: UnionGraph, colors: Mapping[tuple[int, int], int], vertices: set[int]
+    union: UnionGraph, colors: bytes, vertices: set[int]
 ) -> CycleWitness | None:
     """A C10 in the lowest color class that holds one, or None when all are C10-free."""
-    classes: list[list[tuple[int, int]]] = [[] for _ in range(COLOR_COUNT)]
-    for g in union.layers.values():
-        for x, y in edge_pairs(g):
-            classes[colors[edge_key(x, y)]].append((x, y))
-    for edges in classes:
+    for edges in _color_classes(union, colors):
         if len(edges) < 10:
             continue
         sub = CubeSubgraph.explicit(union.n, vertices, edges)
@@ -276,30 +279,34 @@ def search_coloring_small_n(
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
     n = union.n
-    keys = sorted(edge_key(x, y) for x, y in cube.cube_edges(n))
+    # in (base, coord) order, which orders both the enumeration and the random draws
+    slots = [edge_slot(n, x, (x ^ y).bit_length() - 1) for x, y in cube.cube_edges(n)]
+    colors = bytearray(len(slots))
     vertices = set()
     for g in union.layers.values():
         vertices |= set(g.lower) | set(g.upper)
     if n <= EXHAUSTIVE_COLORING_MAX_N:
         evaluated = 0
-        for combo in iter_product(range(COLOR_COUNT), repeat=len(keys)):
-            colors = dict(zip(keys, combo))
+        for combo in iter_product(range(COLOR_COUNT), repeat=len(slots)):
+            for slot, color in zip(slots, combo):
+                colors[slot] = color
             evaluated += 1
             if _first_c10_in_classes(union, colors, vertices) is None:
-                return ColoringCertificate(n, colors)
+                return ColoringCertificate(n, bytes(colors))
             if evaluated >= budget:
                 return None
         return None
     rng = random.Random(seed)
-    colors = {key: rng.randrange(COLOR_COUNT) for key in keys}
+    for slot in slots:
+        colors[slot] = rng.randrange(COLOR_COUNT)
     for _ in range(budget):
         witness = _first_c10_in_classes(union, colors, vertices)
         if witness is None:
-            return ColoringCertificate(n, dict(colors))
+            return ColoringCertificate(n, bytes(colors))
         cycle = witness.vertices
         i = rng.randrange(len(cycle))
-        key = edge_key(cycle[i], cycle[(i + 1) % len(cycle)])
-        colors[key] = (colors[key] + 1 + rng.randrange(COLOR_COUNT - 1)) % COLOR_COUNT
+        slot = edge_slot(n, *edge_key(cycle[i], cycle[(i + 1) % len(cycle)]))
+        colors[slot] = (colors[slot] + 1 + rng.randrange(COLOR_COUNT - 1)) % COLOR_COUNT
     return None
 
 
@@ -374,13 +381,38 @@ def density_report_suite(
 
 
 def format_coloring(cert: ColoringCertificate) -> str:
-    lines = [f"# qn-coloring n={cert.n}"]
-    for (base, coord), color in sorted(cert.colors.items()):
-        lines.append(f"{base:x} {coord} {color}")
+    """The certificate as text, one line per colored edge in (base, coord) order."""
+    n = cert.n
+    lines = [f"# qn-coloring n={n}"]
+    for base, top in cube.cube_edges(n):
+        coord = (base ^ top).bit_length() - 1
+        color = cert.colors[edge_slot(n, base, coord)]
+        if color != UNSET:
+            lines.append(f"{base:x} {coord} {color}")
     return "\n".join(lines) + "\n"
 
 
+def _coloring_line(lineno: int, line: str) -> tuple[int, int, int] | None:
+    """(base, coord, color) of any data line, or None for a blank or comment line."""
+    stripped = line.strip()
+    if not stripped or stripped.startswith("#"):
+        return None
+    parts = stripped.split()
+    if len(parts) != 3:
+        raise ValueError(f"line {lineno}: expected '<hex-mask> <coord> <color>', got {line!r}")
+    try:
+        return int(parts[0], 16), int(parts[1]), int(parts[2])
+    except ValueError as exc:
+        raise ValueError(f"line {lineno}: bad hex mask or number in {line!r}") from exc
+
+
 def parse_coloring(text: str) -> ColoringCertificate:
+    """Read a coloring file, checking every line; edges it leaves out stay UNSET.
+
+    A canonical line, with coord and color written as format_coloring
+    writes them, is read with two dict lookups and one int(); every other
+    line goes through _coloring_line, which accepts whatever int() does.
+    """
     lines = text.splitlines()
     if not lines or not lines[0].startswith("# qn-coloring n="):
         raise ValueError("coloring file must start with '# qn-coloring n=<n>'")
@@ -390,26 +422,32 @@ def parse_coloring(text: str) -> ColoringCertificate:
         raise ValueError(f"bad coloring header: {lines[0]!r}") from exc
     if n < 1:
         raise ValueError(f"bad ground-set size in header: {n}")
-    colors: dict[tuple[int, int], int] = {}
+    cube.require_capacity(n)
+    colors = bytearray([UNSET]) * cube_edge_count(n)
+    coord_of = {str(j): j for j in range(n)}
+    color_of = {str(k): k for k in range(COLOR_COUNT)}
     duplicates = []
     for lineno, line in enumerate(lines[1:], start=2):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        parts = stripped.split()
-        if len(parts) != 3:
-            raise ValueError(f"line {lineno}: expected '<hex-mask> <coord> <color>', got {line!r}")
-        try:
-            base, coord, color = int(parts[0], 16), int(parts[1]), int(parts[2])
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: bad hex mask or number in {line!r}") from exc
+        parts = line.split()
+        try:  # int() rejects a first token that starts a comment with '#'
+            base, coord, color = int(parts[0], 16), coord_of[parts[1]], color_of[parts[2]]
+            canonical = len(parts) == 3
+        except (IndexError, KeyError, ValueError):
+            canonical = False
+        if not canonical:
+            entry = _coloring_line(lineno, line)
+            if entry is None:
+                continue
+            base, coord, color = entry
         if not 0 <= coord < n or base >> n or (base >> coord) & 1:
             raise ValueError(f"line {lineno}: (0x{base:x}, {coord}) is not an edge of Q_{n}")
         if color not in range(COLOR_COUNT):
             raise ValueError(f"line {lineno}: color must be 0..{COLOR_COUNT - 1}, got {color}")
-        if (base, coord) in colors:
+        # edge_slot(n, base, coord), inlined: a call per line costs a fifth of the loop
+        slot = coord << (n - 1) | (base >> (coord + 1)) << coord | base & ((1 << coord) - 1)
+        if colors[slot] != UNSET:
             duplicates.append(f"line {lineno}: duplicate edge (0x{base:x}, {coord})")
-        colors[(base, coord)] = color
+        colors[slot] = color
     if duplicates:
         raise ValueError("; ".join(duplicates))
-    return ColoringCertificate(n, colors)
+    return ColoringCertificate(n, bytes(colors))

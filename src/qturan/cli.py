@@ -91,6 +91,8 @@ def _cmd_pipeline(args) -> int:
     certificate = None
     if args.coloring is not None:
         certificate = bounds.parse_coloring(Path(args.coloring).read_text())
+        if certificate.n != args.n:
+            raise ValueError(f"certificate is for n={certificate.n}, union graph has n={args.n}")
     try:
         suite = bounds.density_report_suite(
             args.n,

@@ -1,11 +1,13 @@
 """Independent brute-force reference implementations used as test oracles.
 
 Everything here is deliberately naive and stays clear of the library's own
-elimination / backtracking code paths, with two exceptions kept as the code
-that faster kernels replaced.  The layer survivor reference ranks every
+elimination / backtracking code paths, with three exceptions kept as the
+code that faster kernels replaced.  The layer survivor reference ranks every
 subset separately with gf2.rank_bits, as before the one-pass layer scan.
 The DFS references search cycles and C6- paths one vertex per call, as
 before the detector's closing sets, and must return the same witnesses.
+The coloring references parse and validate a certificate as a dict keyed
+by (base, coord), as before the one-byte-per-edge layout.
 """
 
 from itertools import combinations, permutations
@@ -209,3 +211,83 @@ def first_c6_minus_dfs(graph, start_lo, start_hi):
         if found is not None:
             return tuple(masks[i] for i in found)
     return None
+
+
+def parse_coloring_dict(text):
+    """Coloring text to (n, {(base, coord): color}), one dict entry per line.
+
+    The parser before the one-byte-per-edge certificate; the library's
+    parser must accept the same texts, with the same colors, and raise the
+    same messages.
+    """
+    lines = text.splitlines()
+    if not lines or not lines[0].startswith("# qn-coloring n="):
+        raise ValueError("coloring file must start with '# qn-coloring n=<n>'")
+    try:
+        n = int(lines[0].split("=", 1)[1])
+    except ValueError as exc:
+        raise ValueError(f"bad coloring header: {lines[0]!r}") from exc
+    if n < 1:
+        raise ValueError(f"bad ground-set size in header: {n}")
+    colors = {}
+    duplicates = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        parts = stripped.split()
+        if len(parts) != 3:
+            raise ValueError(f"line {lineno}: expected '<hex-mask> <coord> <color>', got {line!r}")
+        try:
+            base, coord, color = int(parts[0], 16), int(parts[1]), int(parts[2])
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: bad hex mask or number in {line!r}") from exc
+        if not 0 <= coord < n or base >> n or (base >> coord) & 1:
+            raise ValueError(f"line {lineno}: (0x{base:x}, {coord}) is not an edge of Q_{n}")
+        if color not in range(3):
+            raise ValueError(f"line {lineno}: color must be 0..2, got {color}")
+        if (base, coord) in colors:
+            duplicates.append(f"line {lineno}: duplicate edge (0x{base:x}, {coord})")
+        colors[(base, coord)] = color
+    if duplicates:
+        raise ValueError("; ".join(duplicates))
+    return n, colors
+
+
+def coloring_dict_problems(n, colors, limit=10):
+    """Defects of a {(base, coord): color} coloring of E(Q_n); empty iff valid.
+
+    The validator before the one-byte-per-edge certificate: non-edge keys
+    and bad colors in key order, then the missing edges in (base, coord)
+    order.
+    """
+    problems = []
+    covered = 0
+    for key, color in colors.items():
+        base, coord = key
+        if not (0 <= coord < n and 0 <= base and not base >> n and not base >> coord & 1):
+            problems.append(f"key {key} is not an edge of Q_{n}")
+            continue
+        covered += 1
+        if color not in range(3):
+            problems.append(f"edge {key} has color {color}, expected 0..2")
+    if covered < n << (n - 1):
+        for base, coord in ((b, j) for b in range(1 << n) for j in range(n)):
+            if len(problems) >= limit:
+                break
+            if not base >> coord & 1 and (base, coord) not in colors:
+                problems.append(f"edge (0x{base:x}, coord {coord}) is missing")
+    return problems[:limit]
+
+
+def coloring_bytes(n, colors, unset=0xFF):
+    """A {(base, coord): color} map in the certificate's byte layout.
+
+    Slots run coordinate by coordinate; within coordinate j they follow the
+    bases with bit j clear in increasing order.  Edges absent from the map
+    hold `unset`.
+    """
+    order = [
+        (base, coord) for coord in range(n) for base in range(1 << n) if not base >> coord & 1
+    ]
+    return bytes(colors.get(key, unset) for key in order)

@@ -1,16 +1,21 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qturan import bounds as bnd
 from qturan.bounds import (
+    UNSET,
     ColoringCertificate,
     SuiteExhausted,
     c10_pipeline,
     coloring_problems,
     density_report_suite,
     edge_key,
+    edge_slot,
     format_coloring,
     make_report,
     monochromatic_certificate,
@@ -27,8 +32,10 @@ from qturan.construction import (
     sample_assignment,
     union_odd_layers,
 )
-from qturan.cube import LayerId, cube_edge_count, cube_edges, layer_vertices
+from qturan.cube import CapacityError, LayerId, cube_edge_count, cube_edges, layer_vertices
 from qturan.detector import find_cycle_generic, subgraph_of_union
+
+from oracles import coloring_bytes, coloring_dict_problems, parse_coloring_dict
 
 
 def constructed_union(n, seed=0):
@@ -47,6 +54,24 @@ def full_layer_union(n, r):
     return UnionGraph(n, {r: g})
 
 
+def certificate(n, color):
+    """The certificate that gives edge (base, coord) the color color(base, coord),
+    with the calls made in (base, coord) order."""
+    colors = bytearray(cube_edge_count(n))
+    for x, y in cube_edges(n):
+        base, coord = edge_key(x, y)
+        colors[edge_slot(n, base, coord)] = color(base, coord)
+    return ColoringCertificate(n, bytes(colors))
+
+
+def recolored(cert, changes):
+    """cert with edge (base, coord) set to each given byte, UNSET included."""
+    colors = bytearray(cert.colors)
+    for (base, coord), color in changes.items():
+        colors[edge_slot(cert.n, base, coord)] = color
+    return ColoringCertificate(cert.n, bytes(colors))
+
+
 class TestEdgeKey:
     def test_canonical(self):
         assert edge_key(0b010, 0b011) == (0b010, 0)
@@ -57,69 +82,89 @@ class TestEdgeKey:
             edge_key(0b001, 0b110)
 
 
+class TestEdgeSlot:
+    def test_layout_matches_the_reference_order(self):
+        for n in range(1, 7):
+            slots = [edge_slot(n, *edge_key(x, y)) for x, y in cube_edges(n)]
+            assert sorted(slots) == list(range(cube_edge_count(n)))
+            colors = {edge_key(x, y): i % 3 for i, (x, y) in enumerate(cube_edges(n))}
+            expected = coloring_bytes(n, colors)
+            assert certificate(n, lambda b, c: colors[(b, c)]).colors == expected
+
+
 class TestColoringValidation:
     def test_single_edge_cube(self):
-        cert = ColoringCertificate(1, {(0, 0): 0})
+        cert = ColoringCertificate(1, b"\0")
         assert verify_coloring(cert)
 
     def test_missing_edge_is_named(self):
-        colors = {edge_key(x, y): 0 for x, y in cube_edges(2)}
-        del colors[(0, 1)]
-        cert = ColoringCertificate(2, colors)
+        cert = recolored(monochromatic_certificate(2), {(0, 1): UNSET})
         assert not verify_coloring(cert)
         problems = coloring_problems(cert)
         assert any("coord 1" in p and "0x0" in p for p in problems)
 
     def test_random_full_coloring_is_valid(self):
         rng = random.Random(5)
-        cert = ColoringCertificate(
-            4, {edge_key(x, y): rng.randrange(3) for x, y in cube_edges(4)}
-        )
+        cert = certificate(4, lambda base, coord: rng.randrange(3))
         assert verify_coloring(cert)
 
     def test_bad_color(self):
-        colors = {edge_key(x, y): 0 for x, y in cube_edges(2)}
-        colors[(0, 0)] = 7
-        assert not verify_coloring(ColoringCertificate(2, colors))
+        assert not verify_coloring(recolored(monochromatic_certificate(2), {(0, 0): 7}))
 
-    def test_junk_key(self):
-        colors = {edge_key(x, y): 0 for x, y in cube_edges(2)}
-        colors[(3, 0)] = 1  # bit 0 already set in 3
-        assert not verify_coloring(ColoringCertificate(2, colors))
+    def test_wrong_length(self):
+        colors = monochromatic_certificate(2).colors
+        for wrong in (colors[:-1], colors + b"\0", b""):
+            cert = ColoringCertificate(2, wrong)
+            assert not verify_coloring(cert)
+            assert coloring_problems(cert) == [f"certificate has {len(wrong)} colors, Q_2 has 4 edges"]
+            assert coloring_problems(cert, limit=0) == []
 
     def test_messages_and_their_order(self):
-        colors = {(4, 0): 1, (0, 0): 5, (3, 1): 0, (0, 3): 2, (2, 2): 0, "x": 0}
-        colors.update({edge_key(x, y): 0 for x, y in cube_edges(3) if x >= 4})
-        problems = coloring_problems(ColoringCertificate(3, colors))
+        # edges with base >= 4 colored, two bad colors, one more edge colored
+        cert = certificate(3, lambda base, coord: 0 if base >= 4 else UNSET)
+        cert = recolored(cert, {(4, 0): 1, (0, 0): 5, (6, 0): 9, (2, 2): 0})
+        problems = coloring_problems(cert)
         assert problems == [
             "edge (0, 0) has color 5, expected 0..2",
-            "key (3, 1) is not an edge of Q_3",
-            "key (0, 3) is not an edge of Q_3",
-            "key x is not an edge of Q_3",
             "edge (0x0, coord 1) is missing",
             "edge (0x0, coord 2) is missing",
             "edge (0x1, coord 1) is missing",
             "edge (0x1, coord 2) is missing",
             "edge (0x2, coord 0) is missing",
             "edge (0x3, coord 2) is missing",
+            "edge (6, 0) has color 9, expected 0..2",
         ]
-        assert coloring_problems(ColoringCertificate(3, colors), limit=3) == problems[:3]
+        assert coloring_problems(cert, limit=3) == problems[:3]
 
     def test_full_coverage_needs_no_edge_enumeration(self, monkeypatch):
-        cert = monochromatic_certificate(5)
+        cert = certificate(5, lambda base, coord: (base + coord) % 3)
 
         def unused(n):
             raise AssertionError("cube_edges called for a complete certificate")
 
         monkeypatch.setattr(bnd.cube, "cube_edges", unused)
         assert coloring_problems(cert) == []
-        cert.colors[(1, 0)] = 0  # not an edge: bit 0 is set in the base
-        assert coloring_problems(cert) == ["key (1, 0) is not an edge of Q_5"]
+        long = ColoringCertificate(5, cert.colors + b"\0")
+        assert coloring_problems(long) == ["certificate has 81 colors, Q_5 has 80 edges"]
 
     def test_monochromatic_is_valid(self):
         assert verify_coloring(monochromatic_certificate(3))
         with pytest.raises(ValueError):
             monochromatic_certificate(3, color=5)
+
+    def test_capacity_is_checked_before_allocating(self, monkeypatch):
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError):
+                monochromatic_certificate(40)
+            with pytest.raises(CapacityError):
+                parse_coloring("# qn-coloring n=40\n")
+            monkeypatch.setenv("QT_CAPACITY", "3")
+            with pytest.raises(CapacityError):
+                parse_coloring(format_coloring(certificate(4, lambda base, coord: 0)))
+            assert tracemalloc.get_traced_memory()[1] < 1 << 20
+        finally:
+            tracemalloc.stop()
 
 
 class TestReports:
@@ -172,9 +217,7 @@ class TestPipeline:
     def test_all_classes_free_implies_averaging_bound(self):
         rng = random.Random(17)
         union = constructed_union(6, seed=2)
-        cert = ColoringCertificate(
-            6, {edge_key(x, y): rng.randrange(3) for x, y in cube_edges(6)}
-        )
+        cert = certificate(6, lambda base, coord: rng.randrange(3))
         outcome = c10_pipeline(union, cert)
         if outcome.success and len(outcome.free_classes) == 3:
             total = sum(outcome.class_edge_counts)
@@ -184,10 +227,8 @@ class TestPipeline:
         union = constructed_union(4)
         with pytest.raises(ValueError):
             c10_pipeline(union, monochromatic_certificate(5))
-        colors = {edge_key(x, y): 0 for x, y in cube_edges(4)}
-        del colors[(0, 0)]
-        with pytest.raises(ValueError):
-            c10_pipeline(union, ColoringCertificate(4, colors))
+        with pytest.raises(ValueError, match=r"edge \(0x0, coord 0\) is missing"):
+            c10_pipeline(union, recolored(monochromatic_certificate(4), {(0, 0): UNSET}))
 
     def test_soundness_against_independent_detector(self):
         for n in (4, 6):
@@ -204,7 +245,7 @@ class TestSearchColoring:
             cert = search_coloring_small_n(union, budget=10)
             assert cert is not None
             # lexicographically first candidate: everything color 0
-            assert set(cert.colors.values()) == {0}
+            assert set(cert.colors) == {0}
             assert verify_coloring(cert)
 
     def test_randomized_mode_returns_valid_certificate(self):
@@ -254,9 +295,7 @@ class TestSuite:
 class TestColoringFormat:
     def test_round_trip(self):
         rng = random.Random(3)
-        cert = ColoringCertificate(
-            3, {edge_key(x, y): rng.randrange(3) for x, y in cube_edges(3)}
-        )
+        cert = certificate(3, lambda base, coord: rng.randrange(3))
         text = format_coloring(cert)
         parsed = parse_coloring(text)
         assert parsed == cert
@@ -277,3 +316,93 @@ class TestColoringFormat:
             parse_coloring("# qn-coloring n=2\n1 0 1\n")  # bit 0 set in base
         with pytest.raises(ValueError):
             parse_coloring("# qn-coloring n=2\n0 0 1\n0 0 2\n")  # duplicate
+
+
+def coloring_corpus(seed, count):
+    """Seeded coloring texts for n <= 6, most near-canonical with a few defects.
+
+    The defects: shuffled, missing, duplicate and out-of-range lines,
+    non-edges, negative masks, the other spellings int() accepts, comments,
+    blank lines, malformed lines and bad headers.
+    """
+    rng = random.Random(seed)
+    odd_lines = [
+        "-1 0 0", "-2 0 1", "-8 2 2", "-0 0 0", "0 -1 0", "0 0 -1", "0 0 3", "0 0 10", "0 99 0",
+        "01 0 0", "0 00 1", "0 +0 2", "+1 1 0", "0x1 1 0", "0X2 0 1", "1_0 0 0",
+        "0 1_0 0", "0 0 0_1", "0 0 +1", "A 0 0", "a 0 0", "0 0", "0 0 0 0", "zz 1 0",
+        "0 a 0", "0 0 x", "# comment", "#1 2 0", "  # indented comment", "", "   ",
+        "\t0\t0\t1", "  0  1  2  ", "١ 0 0", "0 ١ 0", "0 0 ٢",
+        "fffffff 0 0", "0\x0c1 0",
+    ]
+    headers = ["# qn-coloring n=0", "# qn-coloring n=x", "# qn-coloring n=-2", "# qn n=3", ""]
+    texts = []
+    for _ in range(count):
+        n = rng.randrange(1, 7)
+        lines = [f"{b:x} {j} {rng.randrange(3)}" for b in range(1 << n) for j in range(n) if not b >> j & 1]
+        for _ in range(rng.choice((0, 0, 1, 1, 2, 4))):
+            kind = rng.randrange(6)
+            if kind == 0:
+                rng.shuffle(lines)
+            elif kind == 1 and lines:
+                del lines[rng.randrange(len(lines))]
+            elif kind == 2 and lines:
+                lines.insert(rng.randrange(len(lines) + 1), rng.choice(lines))
+            elif kind == 3:
+                b, j = rng.randrange(1 << (n + 1)), rng.randrange(n + 2)
+                lines.insert(rng.randrange(len(lines) + 1), f"{b:x} {j} {rng.randrange(4)}")
+            else:
+                lines.insert(rng.randrange(len(lines) + 1), rng.choice(odd_lines))
+        header = f"# qn-coloring n={rng.choice((n, n, n, f'0{n}', f'+{n}', f' {n} '))}"
+        if rng.random() < 0.03:
+            header = rng.choice(headers)
+        sep = rng.choice(("\n", "\n", "\r\n"))
+        texts.append(sep.join([header] + lines) + rng.choice((sep, "")))
+    return texts
+
+
+def parse_outcome(parse, text):
+    try:
+        return "ok", parse(text)
+    except ValueError as exc:
+        return "error", str(exc)
+
+
+class TestParseAgainstReference:
+    def test_seeded_corpus(self):
+        verdicts = []
+        for text in coloring_corpus(seed=11, count=1500):
+            got, ref = parse_outcome(parse_coloring, text), parse_outcome(parse_coloring_dict, text)
+            assert got[0] == ref[0], text
+            if got[0] == "error":
+                assert got[1] == ref[1], text
+                verdicts.append("error")
+                continue
+            n, colors = ref[1]
+            cert = got[1]
+            assert cert.n == n and cert.colors == coloring_bytes(n, colors), text
+            assert coloring_problems(cert) == coloring_dict_problems(n, colors), text
+            verdicts.append(verify_coloring(cert))
+        # every outcome occurs often enough to count
+        assert min(verdicts.count(v) for v in ("error", True, False)) >= 100
+
+
+coloring_line = st.one_of(
+    st.tuples(st.integers(-2, 70), st.integers(-1, 7), st.integers(-1, 3)).map(
+        lambda t: f"{t[0]:x} {t[1]} {t[2]}" if t[0] >= 0 else f"-{-t[0]:x} {t[1]} {t[2]}"
+    ),
+    st.text(alphabet="0123456789abfx+-_# \t", max_size=10),
+    st.text(max_size=6),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.integers(-1, 7), st.lists(coloring_line, max_size=40))
+def test_parse_is_total_and_round_trips(n, lines):
+    text = "\n".join([f"# qn-coloring n={n}"] + lines) + "\n"
+    try:
+        cert = parse_coloring(text)
+    except ValueError:
+        return
+    canonical = format_coloring(cert)
+    assert parse_coloring(canonical) == cert
+    assert format_coloring(parse_coloring(canonical)) == canonical

@@ -1,6 +1,6 @@
 import pytest
 
-from qturan import cli, cube
+from qturan import bounds, cli, construction, cube
 from qturan.bounds import format_coloring, monochromatic_certificate
 from qturan.construction import LayerSubgraph, format_layer_graph
 from qturan.cube import LayerId, layer_vertices
@@ -187,6 +187,33 @@ class TestPipeline:
         assert lines[0].startswith("n,r,scope")
         assert len(lines) == 2  # only the r=1 layer row survived
         assert "error" in err
+
+    def test_coloring_header_beyond_cap_exits_3(self, tmp_path, capsys):
+        coloring = tmp_path / "big.txt"
+        coloring.write_text("# qn-coloring n=40\n")
+        for n in ("4", "40"):
+            code, out, err = run(["pipeline", "--n", n, "--coloring", str(coloring)], capsys)
+            assert (code, out, err) == (3, "", "error: enumeration over n=40 exceeds cap 24\n")
+
+    def test_capacity_override_with_coloring_exits_3(self, tmp_path, capsys, monkeypatch):
+        coloring = tmp_path / "mono.txt"
+        coloring.write_text(format_coloring(monochromatic_certificate(4)))
+        monkeypatch.setenv(cube.CAPACITY_ENV, "3")
+        code, out, err = run(["pipeline", "--n", "4", "--coloring", str(coloring)], capsys)
+        assert (code, out, err) == (3, "", "error: enumeration over n=4 exceeds cap 3\n")
+
+    def test_certificate_for_another_n_fails_before_search(self, tmp_path, capsys, monkeypatch):
+        coloring = tmp_path / "mono.txt"
+        coloring.write_text(format_coloring(monochromatic_certificate(4)))
+
+        def no_search(*args, **kwargs):
+            raise AssertionError("a layer search ran")
+
+        monkeypatch.setattr(bounds, "find_good_assignment", no_search)
+        monkeypatch.setattr(construction, "find_good_assignment", no_search)
+        code, out, err = run(["pipeline", "--n", "16", "--coloring", str(coloring)], capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: certificate is for n=4, union graph has n=16\n"
 
     def test_budget_searches_a_certificate(self, capsys):
         # Q_3 is too small for a C10, so the exhaustive search finds the
