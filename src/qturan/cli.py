@@ -9,7 +9,6 @@ its flags and the seed.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from math import sqrt
 from pathlib import Path
@@ -174,13 +173,6 @@ def _cmd_stats(args) -> int:
     return EXIT_FREE
 
 
-def _default_workers() -> int:
-    """The CPUs this process may run on, where the platform reports them."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qturan",
@@ -198,12 +190,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("text", "csv"), default="csv")
     p.set_defaults(func=_cmd_construct)
 
-    workers = _default_workers()
-
     p = sub.add_parser("verify", help="search an exported graph for a forbidden subgraph")
     p.add_argument("path")
     p.add_argument("--target", choices=("c4", "c6", "c6minus", "c10"), required=True)
-    p.add_argument("--workers", type=int, default=workers)
+    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("pipeline", help="layer + union (+ certificate) density reports")
@@ -212,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--coloring", help="path to a 3-coloring certificate of E(Q_n)")
     p.add_argument("--budget", type=int, help="search for a certificate when none is supplied")
     p.add_argument("--trials", type=int, default=512)
-    p.add_argument("--workers", type=int, default=workers)
+    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", help="directory for assignment and layer artifacts")
     p.add_argument("--format", choices=("text", "csv"), default="csv")
     p.set_defaults(func=_cmd_pipeline)

@@ -11,25 +11,29 @@ Two independent routes for 6-cycles inside a layer:
 The generic search breaks symmetry canonically (cycles start at their
 smallest vertex; the second vertex is smaller than the last) and prunes by
 Hamming distance back to the start, which is a lower bound on remaining
-graph distance.  Its last two levels are bitset tests against closing sets
-fixed once per start s.  A cycle closes through a neighbor of s above s,
-and such closers must number at least two; the C6- path ends at a vertex
-above s at Hamming distance 1 from it.  The vertex before the end must be
-a neighbor of one of these, so candidates for it are cut to that
+graph distance.  It walks a map from each vertex mask to the tuple of its
+neighbors in ascending order, at most n of them, so its memory is linear
+in the number of vertices.  Its last two levels are tests against closing
+sets fixed once per start s: at most n vertices, and at most n^2 in their
+neighborhood.  A cycle closes through a neighbor of s above s, and such
+closers must number at least two; the C6- path ends at a vertex above s
+at Hamming distance 1 from it.  The vertex before the end must be a
+neighbor of one of these, so candidates for it are cut to that
 neighborhood (which also implies the Hamming bound there), and the end is
-the lowest bit of one word AND.  Pruning only drops branches that cannot
-close, and candidates are still tried in ascending order, so no cycle is
-lost and the first witness is the one the plain DFS finds.  Scans are
-splittable over start vertices; the witness with the lowest canonical
-order always wins, so results do not depend on the worker count.
+the first neighbor of that vertex off the path that lies in the closing
+set, and for a cycle above the second vertex.  Pruning only drops
+branches that cannot close, and every tuple is walked in ascending order,
+the order in which the plain DFS tries candidates, so no cycle is lost and
+the first witness is the one the plain DFS finds.  Scans are splittable
+over start vertices; the witness with the lowest canonical order always
+wins, so results do not depend on the worker count.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable
+from typing import Callable, Iterable
 
 from . import cube
 from .construction import LayerSubgraph, UnionGraph, VectorAssignment, edge_pairs
@@ -215,82 +219,76 @@ class C6Obstruction:
 # Generic backtracking searches
 
 
-def _adjacency_bits(graph: CubeSubgraph) -> tuple[list[int], dict[int, int], list[int]]:
-    """Vertex masks (ascending), their indices, and neighbor sets as index bitmasks."""
-    masks = list(graph.vertices)
-    pos = {m: i for i, m in enumerate(masks)}
-    adj = [0] * len(masks)
+def _neighbor_map(graph: CubeSubgraph) -> dict[int, tuple[int, ...]]:
+    """Each vertex mask mapped to its neighbors in ascending order.
+
+    In Q_n the neighbors of x below it are x - 2^j for set bits j, which
+    ascend as j descends, and those above it are x + 2^j for clear bits j,
+    which ascend with j.  The map holds one reference per edge end, so its
+    size is O(V n) where a bitset over vertex indices per vertex is O(V^2).
+    """
     if graph.edges is None:
-        for i, m in enumerate(masks):
-            for j in range(graph.n):
-                k = pos.get(m ^ (1 << j))
-                if k is not None:
-                    adj[i] |= 1 << k
-    else:
-        for x, y in graph.edges:
-            i, k = pos[x], pos[y]
-            adj[i] |= 1 << k
-            adj[k] |= 1 << i
-    return masks, pos, adj
-
-
-def _neighborhood(adj: list[int], members: int) -> int:
-    """The union of the neighbor sets of the vertices in an index bitmask."""
-    out = 0
-    while members:
-        low = members & -members
-        out |= adj[low.bit_length() - 1]
-        members ^= low
-    return out
+        # looking a neighbor up returns the vertex's own int, which the
+        # tuples then share instead of holding a copy per edge end
+        vertex = {x: x for x in graph.vertices}.get
+        flips = [1 << j for j in range(graph.n)]
+        down = flips[::-1]
+        return {
+            x: tuple(
+                [y for b in down if x & b and (y := vertex(x ^ b)) is not None]
+                + [y for b in flips if not x & b and (y := vertex(x | b)) is not None]
+            )
+            for x in graph.vertices
+        }
+    # In sorted order the edges (w, x) with w < x all come before the edges
+    # (x, y) with x < y, so each tuple grows in ascending order.
+    nbrs = dict.fromkeys(graph.vertices, ())
+    for x, y in sorted(graph.edges):
+        nbrs[x] += (y,)
+        nbrs[y] += (x,)
+    return nbrs
 
 
 def _first_cycle_in_range(
     graph: CubeSubgraph, start_lo: int, start_hi: int, length: int
 ) -> tuple[int, ...] | None:
-    masks, _, adj = _adjacency_bits(graph)
-    count = len(masks)
+    nbrs = _neighbor_map(graph)
     last = length - 2  # the last position chosen by a loop; position length-1 closes
 
     def extend(
-        path: list[int], visited: int, start_mask: int, above: int, closers: int, reach: int
+        path: list[int], s: int, closers: set[int], reach: set[int]
     ) -> list[int] | None:
         pos_next = len(path)
-        cand = adj[path[-1]] & above & ~visited
         if pos_next == last:
-            # the closing vertex is a neighbor of the start above path[1],
-            # so only neighbors of closers can precede it
-            after_first = -1 << (path[1] + 1)
-            cand &= reach
-            while cand:
-                low = cand & -cand
-                cand ^= low
-                w = low.bit_length() - 1
-                close = adj[w] & closers & after_first & ~visited
-                if close:
-                    return path + [w, (close & -close).bit_length() - 1]
+            # the closing vertex is a neighbor of s above path[1], so only
+            # neighbors of closers (reach holds those above s) can precede it
+            first = path[1]
+            for w in nbrs[path[-1]]:
+                if w in reach and w not in path:
+                    for c in nbrs[w]:
+                        if c > first and c in closers and c not in path:
+                            return path + [w, c]
             return None
         check_dist = 2 * pos_next > length
         budget = length - pos_next
-        while cand:
-            low = cand & -cand
-            w = low.bit_length() - 1
-            cand ^= low
-            if check_dist and (masks[w] ^ start_mask).bit_count() > budget:
+        for w in nbrs[path[-1]]:
+            if w <= s or w in path:
                 continue
-            found = extend(path + [w], visited | low, start_mask, above, closers, reach)
+            if check_dist and (w ^ s).bit_count() > budget:
+                continue
+            found = extend(path + [w], s, closers, reach)
             if found is not None:
                 return found
         return None
 
-    for s in range(start_lo, min(start_hi, count)):
-        above = -1 << (s + 1)
-        closers = adj[s] & above
-        if closers & (closers - 1) == 0:  # the cycle needs two closers
+    for s in graph.vertices[start_lo:start_hi]:
+        closers = {c for c in nbrs[s] if c > s}
+        if len(closers) < 2:  # the cycle needs two closers
             continue
-        reach = _neighborhood(adj, closers)
-        found = extend([s], 1 << s, masks[s], above, closers, reach)
+        reach = {w for c in closers for w in nbrs[c] if w > s}
+        found = extend([s], s, closers, reach)
         if found is not None:
-            return tuple(masks[i] for i in found)
+            return tuple(found)
     return None
 
 
@@ -301,45 +299,29 @@ def _cycle_scan_task(args: tuple[CubeSubgraph, int, int, int]) -> tuple[int, ...
 def _first_c6_minus_in_range(
     graph: CubeSubgraph, start_lo: int, start_hi: int
 ) -> tuple[int, ...] | None:
-    masks, pos, adj = _adjacency_bits(graph)
-    count = len(masks)
+    nbrs = _neighbor_map(graph)
     flips = [1 << j for j in range(graph.n)]
-    for s in range(start_lo, min(start_hi, count)):
+    for s in graph.vertices[start_lo:start_hi]:
         # v5 ends the path: a vertex above s at Hamming distance 1 from it,
         # whether or not the graph joins the two; v4 is a neighbor of one.
         # v1..v3 need no Hamming test: three steps stay within distance 3.
-        start_mask = masks[s]
-        ends = 0
-        for flip in flips:
-            k = pos.get(start_mask ^ flip)
-            if k is not None and k > s:
-                ends |= 1 << k
+        ends = {e for b in flips if not s & b and (e := s | b) in nbrs}
         if not ends:
             continue
-        reach = _neighborhood(adj, ends)
-        c1 = adj[s]
-        while c1:
-            b1 = c1 & -c1
-            c1 ^= b1
-            seen1 = 1 << s | b1
-            c2 = adj[b1.bit_length() - 1] & ~seen1
-            while c2:
-                b2 = c2 & -c2
-                c2 ^= b2
-                seen2 = seen1 | b2
-                c3 = adj[b2.bit_length() - 1] & ~seen2
-                while c3:
-                    b3 = c3 & -c3
-                    c3 ^= b3
-                    seen3 = seen2 | b3
-                    c4 = adj[b3.bit_length() - 1] & reach & ~seen3
-                    while c4:
-                        b4 = c4 & -c4
-                        c4 ^= b4
-                        close = adj[b4.bit_length() - 1] & ends & ~seen3
-                        if close:
-                            steps = (b1, b2, b3, b4, close & -close)
-                            return (start_mask, *(masks[b.bit_length() - 1] for b in steps))
+        reach = {w for e in ends for w in nbrs[e]}
+        for v1 in nbrs[s]:
+            for v2 in nbrs[v1]:
+                if v2 == s:
+                    continue
+                for v3 in nbrs[v2]:
+                    if v3 == s or v3 == v1:
+                        continue
+                    for v4 in nbrs[v3]:
+                        if v4 not in reach or v4 == s or v4 == v1 or v4 == v2:
+                            continue
+                        for v5 in nbrs[v4]:
+                            if v5 in ends and v5 != v1 and v5 != v2 and v5 != v3:
+                                return (s, v1, v2, v3, v4, v5)
     return None
 
 
@@ -350,6 +332,22 @@ def _c6_minus_scan_task(args: tuple[CubeSubgraph, int, int]) -> tuple[int, ...] 
 def _split_ranges(count: int, workers: int) -> list[tuple[int, int]]:
     chunk = -(-count // workers)
     return [(lo, min(lo + chunk, count)) for lo in range(0, count, chunk)]
+
+
+def _first_in_pool(
+    task: Callable[[tuple], tuple[int, ...] | None], tasks: list[tuple], workers: int
+) -> tuple[int, ...] | None:
+    """The first result that is not None, in task order, from a process pool.
+
+    The pool module is imported here, so a one-process run never loads it.
+    """
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        for found in pool.map(task, tasks):
+            if found is not None:
+                return found
+    return None
 
 
 def find_cycle_generic(
@@ -368,13 +366,10 @@ def find_cycle_generic(
         return None
     if workers <= 1:
         found = _first_cycle_in_range(graph, 0, count, length)
-        return None if found is None else CycleWitness(found)
-    tasks = [(graph, lo, hi, length) for lo, hi in _split_ranges(count, workers)]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for found in pool.map(_cycle_scan_task, tasks):
-            if found is not None:
-                return CycleWitness(found)
-    return None
+    else:
+        tasks = [(graph, lo, hi, length) for lo, hi in _split_ranges(count, workers)]
+        found = _first_in_pool(_cycle_scan_task, tasks, workers)
+    return None if found is None else CycleWitness(found)
 
 
 def find_c6_minus(graph: CubeSubgraph, workers: int = 1) -> PathWitness | None:
@@ -389,13 +384,10 @@ def find_c6_minus(graph: CubeSubgraph, workers: int = 1) -> PathWitness | None:
         return None
     if workers <= 1:
         found = _first_c6_minus_in_range(graph, 0, count)
-        return None if found is None else PathWitness(found)
-    tasks = [(graph, lo, hi) for lo, hi in _split_ranges(count, workers)]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for found in pool.map(_c6_minus_scan_task, tasks):
-            if found is not None:
-                return PathWitness(found)
-    return None
+    else:
+        tasks = [(graph, lo, hi) for lo, hi in _split_ranges(count, workers)]
+        found = _first_in_pool(_c6_minus_scan_task, tasks, workers)
+    return None if found is None else PathWitness(found)
 
 
 # ---------------------------------------------------------------------------

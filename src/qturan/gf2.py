@@ -95,27 +95,11 @@ def is_basis(vs: Iterable[GF2Vec], dim: int) -> bool:
 
 
 def in_span(v: GF2Vec, vs: Iterable[GF2Vec]) -> bool:
-    """True iff v lies in Span(vs)."""
+    """True iff v lies in Span(vs): adding v leaves the rank unchanged."""
     vec_list = list(vs)
     _check_dims(vec_list, v.dim)
-    pivots: dict[int, int] = {}
-    for w in vec_list:
-        cur = w.bits
-        while cur:
-            top = cur.bit_length() - 1
-            p = pivots.get(top)
-            if p is None:
-                pivots[top] = cur
-                break
-            cur ^= p
-    cur = v.bits
-    while cur:
-        top = cur.bit_length() - 1
-        p = pivots.get(top)
-        if p is None:
-            return False
-        cur ^= p
-    return True
+    rows = [w.bits for w in vec_list]
+    return rank_bits(rows + [v.bits]) == rank_bits(rows)
 
 
 def _reduced_echelon(basis: list[GF2Vec]) -> dict[int, int]:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from qturan import bounds as bnd
 from qturan.bounds import (
+    BOUND_DIVISORS,
     UNSET,
     ColoringCertificate,
     SuiteExhausted,
@@ -282,6 +283,20 @@ class TestSuite:
         scopes = [rep.scope for rep in suite.reports]
         assert scopes == ["layer", "layer", "union", "final"]
         assert suite.pipeline is not None and suite.pipeline.success
+
+    def test_passed_is_the_exact_comparison(self):
+        """Every pass flag is ratio > (upper end of c) / divisor, in exact rationals."""
+        _, c_hi = constant_c_enclosure()
+        mod3 = certificate(4, lambda base, coord: coord % 3)
+        scopes = []
+        for n in range(4, 11):
+            suite = density_report_suite(n, 0, certificate=mod3 if n == 4 else None)
+            for rep in suite.reports:
+                ratio = Fraction(rep.achieved_edges, rep.ambient_edges)
+                assert rep.ratio == ratio
+                assert rep.passed == (ratio > c_hi / BOUND_DIVISORS[rep.bound_name])
+                scopes.append(rep.scope)
+        assert scopes.count("final") == 1
 
     def test_exhaustion_carries_partial_reports(self):
         with pytest.raises(SuiteExhausted) as info:

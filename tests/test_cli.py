@@ -1,9 +1,13 @@
+import os
+
 import pytest
 
 from qturan import bounds, cli, construction, cube
 from qturan.bounds import format_coloring, monochromatic_certificate
 from qturan.construction import LayerSubgraph, format_layer_graph
 from qturan.cube import LayerId, layer_vertices
+
+from test_detector import planted_graph, ring
 
 
 def run(argv, capsys):
@@ -248,6 +252,9 @@ class TestStats:
 
 
 class TestWorkersDefault:
+    """One process by default: at n=16 a whole search is shorter than a
+    pool's start-up."""
+
     def workers(self):
         parser = cli.build_parser()
         return [
@@ -255,17 +262,53 @@ class TestWorkersDefault:
             parser.parse_args(["pipeline", "--n", "4"]).workers,
         ]
 
-    def test_follows_cpu_affinity(self, monkeypatch):
-        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {3}, raising=False)
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
+    def test_ignores_cpu_affinity(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
         assert self.workers() == [1, 1]
 
-    def test_falls_back_to_cpu_count(self, monkeypatch):
-        monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: 5)
-        assert self.workers() == [5, 5]
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+    def test_ignores_cpu_count(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 5)
         assert self.workers() == [1, 1]
+
+
+class TestDeterminism:
+    """Outputs are a function of the flags and the seed alone."""
+
+    def test_pipeline_repeats_byte_for_byte(self, tmp_path, capsys):
+        runs = []
+        for name in ("a", "b"):
+            out = tmp_path / name
+            code, text, err = run(
+                ["pipeline", "--n", "8", "--seed", "0", "--out", str(out)], capsys
+            )
+            files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+            runs.append((code, text, err, files))
+        assert runs[0] == runs[1]
+        assert len(runs[0][3]) == 8  # an assignment and a layer file per odd layer
+
+    @pytest.mark.parametrize("target", ["c6", "c6minus", "c10"])
+    def test_verify_ignores_the_worker_count(self, tmp_path, capsys, target):
+        flips = (0, 1, 2, 3, 4) * 2 if target == "c10" else (4, 5, 6) * 2
+        first, second = ring(1 << 9, flips), ring(3 << 8, flips)
+        g = planted_graph([first, second], closed=target != "c6minus")
+        # an edge list holds no isolated vertex, so the filler 64..76 is paired up
+        edges = list(g.edges) + [(v, v + 1) for v in range(64, 78, 2)]
+        path = tmp_path / "planted.txt"
+        path.write_text(cube.format_edge_list(g.n, edges))
+        verts = cli._load_graph(path).vertices
+        third = -(-len(verts) // 3)
+        # with three workers the first witness starts in the second range
+        # and a later one in the third
+        assert third <= verts.index(first[0]) < 2 * third <= verts.index(second[0])
+        outcomes = [
+            run(["verify", str(path), "--target", target, "--workers", w], capsys)
+            for w in ("1", "3")
+        ]
+        assert outcomes[0] == outcomes[1]
+        code, out, _ = outcomes[0]
+        assert code == 1 and out.split()[1] == f"{first[0]:x}"
 
 
 class TestUsage:

@@ -1,13 +1,16 @@
 import random
+import tracemalloc
 
 import pytest
 
 from qturan import cube
+from qturan.bounds import density_report_suite
 from qturan.construction import (
     LayerSubgraph,
     VectorAssignment,
     build_layer_graph,
     derive_seed,
+    edge_pairs,
     sample_assignment,
     union_odd_layers,
 )
@@ -26,7 +29,7 @@ from qturan.detector import (
     subgraph_of_union,
     witness_line,
 )
-from qturan.detector import _first_c6_minus_in_range, _first_cycle_in_range
+from qturan.detector import _first_c6_minus_in_range, _first_cycle_in_range, _neighbor_map
 from qturan.gf2 import GF2Vec
 
 from oracles import (
@@ -269,6 +272,44 @@ class TestClosingSets:
                 assert (None if w is None else w.vertices) == expected
             w = find_c6_minus(sub)
             assert (None if w is None else w.vertices) == first_c6_minus_dfs(sub, 0, count)
+
+
+class TestNeighborMap:
+    def test_tuples_are_the_sorted_neighbors(self):
+        rng = random.Random(77)
+        for _ in range(100):
+            g = random_cube_subgraph(rng)
+            expected = {v: [] for v in g.vertices}
+            for x, y in g.edge_list():
+                expected[x].append(y)
+                expected[y].append(x)
+            assert _neighbor_map(g) == {v: tuple(sorted(ys)) for v, ys in expected.items()}
+
+    @pytest.mark.parametrize("kind", ["class", "layer"])
+    def test_memory_is_linear_in_the_vertices(self, kind):
+        """Over the n=14 union: class 0 of the coordinate-mod-3 coloring
+        (explicit edges), or the induced layer r=7.  A bitset over all
+        vertex indices per vertex peaks at about 450 and 290 bytes per
+        vertex on these graphs, and grows with the vertex count."""
+        n = 14
+        union = density_report_suite(n, 0).union
+        if kind == "layer":
+            sub = subgraph_of_layer(union.layers[7])
+        else:
+            vertices = set()
+            edges = []
+            for g in union.layers.values():
+                vertices |= set(g.lower) | set(g.upper)
+                edges += [e for e in edge_pairs(g) if ((e[0] ^ e[1]).bit_length() - 1) % 3 == 0]
+            sub = CubeSubgraph.explicit(n, vertices, edges)
+        tracemalloc.start()
+        try:
+            nbrs = _neighbor_map(sub)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 200 * len(sub.vertices)
+        assert sum(map(len, nbrs.values())) == 2 * len(sub.edge_list())
 
 
 class TestWorkerSplit:
