@@ -30,7 +30,6 @@ from .construction import (
     constant_c_enclosure,
     edge_count,
     edge_probability_closed_form,
-    exact_expected_edges,
     find_good_assignment,
     sample_assignment,
     union_odd_layers,
@@ -75,7 +74,6 @@ __all__ = [
     "edge_probability_closed_form",
     "constant_c",
     "constant_c_enclosure",
-    "exact_expected_edges",
     "find_good_assignment",
     "CubeSubgraph",
     "CycleWitness",

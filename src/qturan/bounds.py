@@ -19,15 +19,30 @@ coord * 2^(n-1) + (base with bit coord deleted), so every slot is an edge:
 a byte string of the right length that holds only 0, 1 and 2 is a complete
 certificate, which three bytes.count() calls check.  UNSET marks an edge
 the input left out.
+
+A certificate file is parsed in chunks of about COLORING_CHUNK_CHARS
+characters, each cut just after a newline, so that parsing holds the
+certificate plus one chunk, never the whole text or a list of its lines.
+A chunk whose lines are all canonical, '<hex-mask> <coord> <color>' with
+coord and color spelled as format_coloring spells them, takes a bulk path:
+one split() yields the three columns, the coords go through one dict and
+the colors through one translate(), and what is left per line is int(),
+the edge test, the slot and the duplicate test.  Any other chunk is read
+line by line.  Both paths make the same checks in line order, and a chunk
+boundary is a line boundary of str.splitlines(), so the texts accepted,
+the colors stored and every message with its line number are those of
+parsing the text line by line in one piece.
 """
 
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, count
 from itertools import product as iter_product
-from typing import Mapping
+from typing import Iterator, Mapping, TextIO
 
 from . import cube
 from .construction import (
@@ -64,6 +79,7 @@ __all__ = [
     "reports_to_csv",
     "format_coloring",
     "parse_coloring",
+    "read_coloring",
 ]
 
 BOUND_DIVISORS = {"c/2": 2, "c/4": 4, "c/12": 12}
@@ -73,6 +89,10 @@ COLOR_COUNT = 3
 EXHAUSTIVE_COLORING_MAX_N = 3
 
 UNSET = 0xFF
+
+# Characters per chunk when a coloring is parsed; a chunk runs on to the
+# next newline when its last line is longer.
+COLORING_CHUNK_CHARS = 1 << 14
 
 
 def edge_key(x: int, y: int) -> tuple[int, int]:
@@ -392,6 +412,14 @@ def format_coloring(cert: ColoringCertificate) -> str:
     return "\n".join(lines) + "\n"
 
 
+# A chunk is canonical when it starts with a canonical line and every
+# newline in it ends the chunk or is followed by another canonical line.
+# Neither search keeps state per line, unlike a fullmatch of (?:line)*.
+_CANONICAL_LINE = re.compile(r"[0-9a-f]+ [0-9]+ [012]\n")
+_NONCANONICAL_NEXT = re.compile(r"\n(?![0-9a-f]+ [0-9]+ [012]\n|\Z)")
+_COLOR_BYTES = bytes.maketrans(b"012", bytes(range(COLOR_COUNT)))
+
+
 def _coloring_line(lineno: int, line: str) -> tuple[int, int, int] | None:
     """(base, coord, color) of any data line, or None for a blank or comment line."""
     stripped = line.strip()
@@ -407,47 +435,118 @@ def _coloring_line(lineno: int, line: str) -> tuple[int, int, int] | None:
 
 
 def parse_coloring(text: str) -> ColoringCertificate:
-    """Read a coloring file, checking every line; edges it leaves out stay UNSET.
+    """Read a coloring text, checking every line; edges it leaves out stay UNSET.
 
-    A canonical line, with coord and color written as format_coloring
-    writes them, is read with two dict lookups and one int(); every other
-    line goes through _coloring_line, which accepts whatever int() does.
+    The text is fed to the parser in slices cut just after a newline (see
+    the module docstring), so that no list of its lines is built.  The first
+    fatal error raises at once; duplicate edges are collected and raised
+    together after the last line.
     """
-    lines = text.splitlines()
-    if not lines or not lines[0].startswith("# qn-coloring n="):
+    size = COLORING_CHUNK_CHARS
+    blocks = (text[i : i + size] for i in range(0, len(text), size))
+    return _parse_coloring_chunks(_line_chunks(blocks))
+
+
+def read_coloring(stream: TextIO) -> ColoringCertificate:
+    """parse_coloring for an open text file, read one chunk at a time, so that
+    memory is the certificate plus one chunk.  A decoding error raises as
+    the read reaches it, after any error on an earlier line."""
+    blocks = iter(lambda: stream.read(COLORING_CHUNK_CHARS), "")
+    return _parse_coloring_chunks(_line_chunks(blocks))
+
+
+def _line_chunks(blocks: Iterator[str]) -> Iterator[str]:
+    """The text of blocks re-cut just after the last newline of each block,
+    so that every chunk but the last ends in a newline; a line longer than
+    a block is joined from several."""
+    pending: list[str] = []
+    for block in blocks:
+        cut = block.rfind("\n") + 1
+        if not cut:
+            pending.append(block)
+            continue
+        pending.append(block[:cut])
+        yield "".join(pending)
+        pending = [block[cut:]]
+    tail = "".join(pending)
+    if tail:
+        yield tail
+
+
+def _parse_coloring_chunks(chunks: Iterator[str]) -> ColoringCertificate:
+    """The parser behind parse_coloring and read_coloring.
+
+    Every chunk but the last ends in a newline, so the chunks' splitlines()
+    concatenate to the text's, and a line number is the count of lines in
+    the chunks before it plus its place in its own.
+    """
+    first = next(chunks, "")
+    head = first.splitlines(keepends=True)[:1]
+    header = head[0].splitlines()[0] if head else ""
+    if not header.startswith("# qn-coloring n="):
         raise ValueError("coloring file must start with '# qn-coloring n=<n>'")
     try:
-        n = int(lines[0].split("=", 1)[1])
+        n = int(header.split("=", 1)[1])
     except ValueError as exc:
-        raise ValueError(f"bad coloring header: {lines[0]!r}") from exc
+        raise ValueError(f"bad coloring header: {header!r}") from exc
     if n < 1:
         raise ValueError(f"bad ground-set size in header: {n}")
     cube.require_capacity(n)
     colors = bytearray([UNSET]) * cube_edge_count(n)
-    coord_of = {str(j): j for j in range(n)}
-    color_of = {str(k): k for k in range(COLOR_COUNT)}
-    duplicates = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        parts = line.split()
-        try:  # int() rejects a first token that starts a comment with '#'
-            base, coord, color = int(parts[0], 16), coord_of[parts[1]], color_of[parts[2]]
-            canonical = len(parts) == 3
-        except (IndexError, KeyError, ValueError):
-            canonical = False
-        if not canonical:
-            entry = _coloring_line(lineno, line)
-            if entry is None:
+    # slot = top | (base >> 1) & high | base & low for an edge (base, coord)
+    low = [(1 << j) - 1 for j in range(n)]
+    slot_terms = {str(j): (j << (n - 1), 1 << j, low[j], low[n - 1] ^ low[j]) for j in range(n)}
+    duplicates: list[str] = []
+    lineno = 2
+    for chunk in chain([first[len(head[0]):]], chunks):
+        if _CANONICAL_LINE.match(chunk) and not _NONCANONICAL_NEXT.search(chunk):
+            tokens = chunk.split()
+            try:
+                terms = list(map(slot_terms.__getitem__, tokens[1::3]))
+            except KeyError:
+                pass
+            else:
+                shades = "".join(tokens[2::3]).encode().translate(_COLOR_BYTES)
+                _store_canonical(n, colors, duplicates, lineno, tokens[::3], terms, shades)
+                lineno += len(terms)
                 continue
-            base, coord, color = entry
+        lines = chunk.splitlines()
+        _store_lines(n, colors, duplicates, lineno, lines)
+        lineno += len(lines)
+    if duplicates:
+        raise ValueError("; ".join(duplicates))
+    return ColoringCertificate(n, bytes(colors))
+
+
+def _store_canonical(n, colors, duplicates, lineno, bases, terms, shades) -> None:
+    """Store the lines of a canonical chunk, given as its three columns with
+    each coord replaced by its slot_terms."""
+    seen = None
+    for lineno, token, (top, bit, low, high), color in zip(count(lineno), bases, terms, shades):
+        if token != seen:  # a file in (base, coord) order repeats each base
+            seen, base = token, int(token, 16)
+        if base >> n or base & bit:
+            coord = bit.bit_length() - 1
+            raise ValueError(f"line {lineno}: (0x{base:x}, {coord}) is not an edge of Q_{n}")
+        slot = top | (base >> 1) & high | base & low
+        if colors[slot] != UNSET:
+            coord = bit.bit_length() - 1
+            duplicates.append(f"line {lineno}: duplicate edge (0x{base:x}, {coord})")
+        colors[slot] = color
+
+
+def _store_lines(n, colors, duplicates, lineno, lines) -> None:
+    """Store any lines, one at a time, each read by _coloring_line."""
+    for lineno, line in enumerate(lines, start=lineno):
+        entry = _coloring_line(lineno, line)
+        if entry is None:
+            continue
+        base, coord, color = entry
         if not 0 <= coord < n or base >> n or (base >> coord) & 1:
             raise ValueError(f"line {lineno}: (0x{base:x}, {coord}) is not an edge of Q_{n}")
         if color not in range(COLOR_COUNT):
             raise ValueError(f"line {lineno}: color must be 0..{COLOR_COUNT - 1}, got {color}")
-        # edge_slot(n, base, coord), inlined: a call per line costs a fifth of the loop
-        slot = coord << (n - 1) | (base >> (coord + 1)) << coord | base & ((1 << coord) - 1)
+        slot = edge_slot(n, base, coord)
         if colors[slot] != UNSET:
             duplicates.append(f"line {lineno}: duplicate edge (0x{base:x}, {coord})")
         colors[slot] = color
-    if duplicates:
-        raise ValueError("; ".join(duplicates))
-    return ColoringCertificate(n, bytes(colors))

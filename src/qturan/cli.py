@@ -89,7 +89,8 @@ def _cmd_verify(args) -> int:
 def _cmd_pipeline(args) -> int:
     certificate = None
     if args.coloring is not None:
-        certificate = bounds.parse_coloring(Path(args.coloring).read_text())
+        with Path(args.coloring).open() as stream:
+            certificate = bounds.read_coloring(stream)
         if certificate.n != args.n:
             raise ValueError(f"certificate is for n={certificate.n}, union graph has n={args.n}")
     try:

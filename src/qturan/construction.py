@@ -20,12 +20,11 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
 from math import ceil, floor
 from typing import Iterator, Mapping
 
 from . import cube
-from .cube import CapacityError, LayerId, bit_indices
+from .cube import LayerId, bit_indices
 from .gf2 import GF2Vec, rank_bits, sample_nonzero
 
 __all__ = [
@@ -47,15 +46,12 @@ __all__ = [
     "edge_probability_closed_form",
     "constant_c",
     "constant_c_enclosure",
-    "exact_expected_edges",
     "find_good_assignment",
     "format_assignment",
     "parse_assignment",
     "format_layer_graph",
     "parse_layer_graph",
 ]
-
-EXPECTATION_CAP = 10**7
 
 _MASK64 = (1 << 64) - 1
 
@@ -382,25 +378,6 @@ def constant_c_enclosure(
     lo = Fraction(floor(lo_raw * scale), scale)
     hi = Fraction(ceil(hi_raw * scale), scale)
     return lo, hi
-
-
-def exact_expected_edges(n: int, r: int) -> Fraction:
-    """Mean edge count over all (2^r - 1)^n assignments, as an exact rational.
-
-    Brute-force enumeration; only sensible for tiny instances, and kept
-    independent of the closed-form probability so the two can cross-check.
-    """
-    if not 1 <= r <= n:
-        raise ValueError(f"need 1 <= r <= n, got r={r}, n={n}")
-    states = ((1 << r) - 1) ** n
-    if states > EXPECTATION_CAP:
-        raise CapacityError(f"{states} assignments exceed the enumeration cap {EXPECTATION_CAP}")
-    anchor_bits = 1
-    nonzero = list(range(1, 1 << r))
-    total = 0
-    for vector_bits in product(nonzero, repeat=n):
-        total += _layer_scan(n, r, anchor_bits, list(vector_bits))[0]
-    return Fraction(total, states)
 
 
 @dataclass(frozen=True)

@@ -10,9 +10,13 @@ The coloring references parse and validate a certificate as a dict keyed
 by (base, coord), as before the one-byte-per-edge layout.
 """
 
-from itertools import combinations, permutations
+from fractions import Fraction
+from itertools import combinations, permutations, product
 
+from qturan.cube import CapacityError
 from qturan.gf2 import rank_bits
+
+EXPECTATION_CAP = 10**7
 
 
 def span_bits(vectors):
@@ -116,6 +120,23 @@ def edge_count_sets(n, lower, upper):
             if not x & bit and (x | bit) in upper:
                 total += 1
     return total
+
+
+def exact_expected_edges(n, r):
+    """Mean edge count over all (2^r - 1)^n assignments, as an exact rational.
+
+    Brute-force enumeration with the anchor fixed to e_1, independent of the
+    closed-form probability so that the two can cross-check.
+    """
+    if not 1 <= r <= n:
+        raise ValueError(f"need 1 <= r <= n, got r={r}, n={n}")
+    states = ((1 << r) - 1) ** n
+    if states > EXPECTATION_CAP:
+        raise CapacityError(f"{states} assignments exceed the enumeration cap {EXPECTATION_CAP}")
+    total = 0
+    for vector_bits in product(range(1, 1 << r), repeat=n):
+        total += edge_count_sets(n, *survivor_sets(n, r, 1, vector_bits))
+    return Fraction(total, states)
 
 
 def _index_adjacency(graph):

@@ -22,7 +22,6 @@ from qturan.construction import (
     constant_c_enclosure,
     derive_seed,
     edge_probability_closed_form,
-    exact_expected_edges,
     member_lower,
     member_upper,
     sample_assignment,
@@ -36,6 +35,8 @@ from qturan.detector import (
     subgraph_of_layer,
     subgraph_of_union,
 )
+
+from oracles import exact_expected_edges
 
 # prod_{k>=1}(1 - 2^-k), frozen from an independent high-precision
 # partial-product computation (60 decimal digits, 200 factors).

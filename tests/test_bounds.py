@@ -1,3 +1,4 @@
+import io
 import random
 import tracemalloc
 from fractions import Fraction
@@ -21,6 +22,7 @@ from qturan.bounds import (
     make_report,
     monochromatic_certificate,
     parse_coloring,
+    read_coloring,
     reports_to_csv,
     search_coloring_small_n,
     verify_coloring,
@@ -399,6 +401,83 @@ class TestParseAgainstReference:
             verdicts.append(verify_coloring(cert))
         # every outcome occurs often enough to count
         assert min(verdicts.count(v) for v in ("error", True, False)) >= 100
+
+
+def stream_of(text):
+    """text as an open file would give it, newline translation already done."""
+    return io.StringIO(text, newline="")
+
+
+class TestChunkedParse:
+    """Both entry points parse in chunks cut just after a newline; the chunk
+    size must not change what a text parses to, nor any message."""
+
+    @pytest.mark.parametrize("size", [1, 2, 7, 64, bnd.COLORING_CHUNK_CHARS])
+    def test_seeded_corpus_at_every_chunk_size(self, monkeypatch, size):
+        monkeypatch.setattr(bnd, "COLORING_CHUNK_CHARS", size)
+        for text in coloring_corpus(seed=11, count=1500):
+            ref = parse_outcome(parse_coloring_dict, text)
+            if ref[0] == "ok":
+                n, colors = ref[1]
+                ref = ("ok", ColoringCertificate(n, coloring_bytes(n, colors)))
+            assert parse_outcome(parse_coloring, text) == ref, text
+            assert parse_outcome(read_coloring, stream_of(text)) == ref, text
+
+    # Each defect sits at line DEFECT_LINE of the Q_12 text, about 120 KB
+    # and seven chunks in.  The canonical spelling of a defect leaves its
+    # chunk on the bulk path; a trailing space sends that chunk line by line.
+    DEFECT_LINE = 15000
+
+    @pytest.mark.parametrize(
+        "defect, message",
+        [
+            ("1 0 2", "(0x1, 0) is not an edge of Q_12"),
+            ("1 0 2 ", "(0x1, 0) is not an edge of Q_12"),
+            ("{dup}", "duplicate edge (0x{base:x}, {coord})"),
+            ("{dup} ", "duplicate edge (0x{base:x}, {coord})"),
+        ],
+    )
+    def test_defect_several_chunks_in(self, monkeypatch, defect, message):
+        n = 12
+        lines = format_coloring(certificate(n, lambda base, coord: (base + coord) % 3)).splitlines()
+        base, coord, _ = lines[20].split()  # line 21 of the file
+        base, coord = int(base, 16), int(coord)
+        defect = defect.format(dup=lines[20])
+        lines.insert(self.DEFECT_LINE - 1, defect)
+        assert sum(map(len, lines[: self.DEFECT_LINE])) > 4 * bnd.COLORING_CHUNK_CHARS
+        text = "\n".join(lines) + "\n"
+        per_line = []
+        store_lines = bnd._store_lines
+
+        def spy(n, colors, duplicates, lineno, chunk_lines):
+            per_line.extend(range(lineno, lineno + len(chunk_lines)))
+            store_lines(n, colors, duplicates, lineno, chunk_lines)
+
+        monkeypatch.setattr(bnd, "_store_lines", spy)
+        expected = f"line {self.DEFECT_LINE}: " + message.format(base=base, coord=coord)
+        ref = parse_outcome(parse_coloring_dict, text)
+        assert ref == ("error", expected)
+        assert parse_outcome(parse_coloring, text) == ref
+        assert (self.DEFECT_LINE in per_line) == defect.endswith(" ")
+        # only the defect's own chunk, if any, was read line by line
+        chunk_lines = bnd.COLORING_CHUNK_CHARS // (min(map(len, lines)) + 1)
+        assert all(abs(lineno - self.DEFECT_LINE) < chunk_lines for lineno in per_line)
+        assert parse_outcome(read_coloring, stream_of(text)) == ref
+
+    def test_reading_a_file_holds_one_chunk(self, tmp_path):
+        n = 14
+        path = tmp_path / "coloring.txt"
+        path.write_text(format_coloring(certificate(n, lambda base, coord: coord % 3)))
+        tracemalloc.start()
+        try:
+            with path.open() as stream:
+                cert = read_coloring(stream)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert verify_coloring(cert)
+        # the byte array and its copy into bytes, plus one chunk and its tokens
+        assert peak < 2 * cube_edge_count(n) + (1 << 20)
 
 
 coloring_line = st.one_of(

@@ -228,6 +228,60 @@ class TestPipeline:
         assert scopes == ["layer", "layer", "union", "final"]
 
 
+class TestStreamedColoring:
+    """pipeline --coloring reads the file chunk by chunk: line numbers run on
+    across chunks, and a bad file still ends in exit 2 with one error line."""
+
+    N = 12
+    BAD_LINE = 15000  # about 120 KB into the file, several chunks in
+
+    def lines(self):
+        n = self.N
+        colors = bytes((slot >> (n - 1)) % 3 for slot in range(n << (n - 1)))
+        return format_coloring(bounds.ColoringCertificate(n, colors)).splitlines()
+
+    def fails(self, path, capsys):
+        code, out, err = run(["pipeline", "--n", str(self.N), "--coloring", str(path)], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+        return err
+
+    def test_error_past_the_first_chunk_keeps_its_line(self, tmp_path, capsys):
+        lines = self.lines()
+        lines.insert(self.BAD_LINE - 1, "zz 1 0")
+        path = tmp_path / "coloring.txt"
+        path.write_text("\n".join(lines) + "\n")
+        err = self.fails(path, capsys)
+        assert err == f"error: line {self.BAD_LINE}: bad hex mask or number in 'zz 1 0'\n"
+
+    def test_no_trailing_newline(self, tmp_path, capsys):
+        lines = self.lines()
+        lines.append(lines[1])
+        path = tmp_path / "coloring.txt"
+        path.write_text("\n".join(lines))
+        err = self.fails(path, capsys)
+        base, coord, _ = lines[1].split()
+        assert err == f"error: line {len(lines)}: duplicate edge (0x{base}, {coord})\n"
+
+    def test_crlf(self, tmp_path, capsys):
+        lines = self.lines()
+        lines.insert(self.BAD_LINE - 1, "zz 1 0")
+        path = tmp_path / "coloring.txt"
+        path.write_bytes(("\r\n".join(lines) + "\r\n").encode())
+        err = self.fails(path, capsys)
+        assert err == f"error: line {self.BAD_LINE}: bad hex mask or number in 'zz 1 0'\n"
+
+    def test_undecodable_byte_past_the_first_chunk(self, tmp_path, capsys):
+        text = ("\n".join(self.lines()) + "\n").encode()
+        path = tmp_path / "coloring.txt"
+        path.write_bytes(text[:100_000] + b"\xff" + text[100_000:])
+        self.fails(path, capsys)
+
+    def test_missing_file(self, tmp_path, capsys):
+        err = self.fails(tmp_path / "nope.txt", capsys)
+        assert "nope.txt" in err
+
+
 class TestStats:
     def test_dim_one_is_exact(self, capsys):
         code, out, _ = run(["stats", "--r", "1", "--trials", "50"], capsys)

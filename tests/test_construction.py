@@ -4,6 +4,8 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qturan import construction as con
 from qturan.construction import (
@@ -18,7 +20,6 @@ from qturan.construction import (
     edge_count,
     edge_pairs,
     edge_probability_closed_form,
-    exact_expected_edges,
     find_good_assignment,
     format_assignment,
     format_layer_graph,
@@ -30,10 +31,11 @@ from qturan.construction import (
     sample_assignment,
     union_odd_layers,
 )
-from qturan.cube import CapacityError, LayerId, cube_edge_count, layer_edge_count
+from qturan.cube import CapacityError, LayerId, cube_edge_count, layer_edge_count, layer_vertices
 from qturan.gf2 import GF2Vec
 
-from oracles import edge_count_sets, is_basis_by_span, survivor_sets
+from oracles import edge_count_sets, exact_expected_edges, is_basis_by_span, survivor_sets
+from text_strategies import edited_text
 
 # High-precision value of prod_{k>=1}(1 - 2^-k), frozen from a 60-digit
 # partial-product run with 200 factors.
@@ -195,6 +197,18 @@ def _spanning_and_degenerate(n, r, seed):
     return a, VectorAssignment(n, r, a.anchor, tuple(vectors))
 
 
+# Mean edge counts over all (2^r - 1)^n assignments with anchor e_1, frozen
+# from an independent pre-build enumeration script.
+FROZEN_EXPECTATIONS = {
+    (2, 1): Fraction(2),
+    (3, 1): Fraction(3),
+    (3, 2): Fraction(8, 3),
+    (4, 2): Fraction(16, 3),
+    (2, 2): Fraction(8, 9),
+    (4, 3): Fraction(1152, 343),
+}
+
+
 class TestLayerScan:
     """The one-pass layer scan against the per-subset rank reference."""
 
@@ -218,6 +232,15 @@ class TestLayerScan:
                 for seed in range(3):
                     for a in _spanning_and_degenerate(n, r, derive_seed(n * 100 + r, seed)):
                         self.assert_matches_oracle(a)
+
+    @pytest.mark.parametrize("n,r", sorted(FROZEN_EXPECTATIONS))
+    def test_every_assignment_of_the_frozen_layers(self, n, r):
+        total = 0
+        for bits in product(range(1, 1 << r), repeat=n):
+            count, _, _ = con._layer_scan(n, r, 1, list(bits))
+            assert count == edge_count_sets(n, *survivor_sets(n, r, 1, bits)), (n, r, bits)
+            total += count
+        assert Fraction(total, ((1 << r) - 1) ** n) == FROZEN_EXPECTATIONS[(n, r)]
 
     def test_anchor_outside_the_span(self):
         # every vector lies in span(e1, e2), which misses the anchor e0
@@ -363,15 +386,7 @@ class TestConstant:
 
 
 class TestExactExpectation:
-    # Expected values frozen from an independent pre-build enumeration script.
-    FROZEN = {
-        (2, 1): Fraction(2),
-        (3, 1): Fraction(3),
-        (3, 2): Fraction(8, 3),
-        (4, 2): Fraction(16, 3),
-        (2, 2): Fraction(8, 9),
-        (4, 3): Fraction(1152, 343),
-    }
+    FROZEN = FROZEN_EXPECTATIONS
 
     @pytest.mark.parametrize("n,r", sorted(FROZEN))
     def test_frozen_values(self, n, r):
@@ -477,3 +492,48 @@ class TestTextFormats:
         broken = text.replace("# layer", "0 1\n# layer", 1)
         with pytest.raises(ValueError):
             parse_layer_graph(broken)
+
+
+@st.composite
+def assignment_texts(draw):
+    n = draw(st.integers(1, 5))
+    a = sample_assignment(n, draw(st.integers(1, n)), draw(st.integers(0, 99)))
+    plausible = ["v0 1", f"v{n} 1", "v1 0", "v1 g", "v1 1 1", "# gf2-assignment n=2 r=1", "x=1", ""]
+    return draw(edited_text(format_assignment(a).splitlines(), plausible))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(assignment_texts())
+def test_assignment_parse_is_total_and_round_trips(text):
+    """Any text parses to an assignment that round-trips, or raises ValueError (exit 2)."""
+    try:
+        a = parse_assignment(text)
+    except ValueError:
+        return
+    canonical = format_assignment(a)
+    assert parse_assignment(canonical) == a
+    assert format_assignment(parse_assignment(canonical)) == canonical
+
+
+@st.composite
+def layer_texts(draw):
+    n = draw(st.integers(1, 5))
+    layer = LayerId(n, draw(st.integers(1, n)))
+    lower = draw(st.sets(st.sampled_from(list(layer_vertices(layer, "lower")))))
+    upper = draw(st.sets(st.sampled_from(list(layer_vertices(layer, "upper")))))
+    g = LayerSubgraph(layer, frozenset(lower), frozenset(upper))
+    plausible = ["# lower", "# upper", "# layer r=2", "# layer r=x", "# qn n=3", "1 3", "3", "0", "-1", ""]
+    return draw(edited_text(format_layer_graph(g).splitlines(), plausible))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(layer_texts())
+def test_layer_graph_parse_is_total_and_round_trips(text):
+    """Any text parses to a layer graph that round-trips, or raises ValueError (exit 2)."""
+    try:
+        g = parse_layer_graph(text)
+    except ValueError:
+        return
+    canonical = format_layer_graph(g)
+    assert parse_layer_graph(canonical) == g
+    assert format_layer_graph(parse_layer_graph(canonical)) == canonical

@@ -1,6 +1,8 @@
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qturan import cube
 from qturan.cube import (
@@ -16,6 +18,8 @@ from qturan.cube import (
     parse_edge_list,
     subsets_of_size,
 )
+
+from text_strategies import edited_text
 
 
 class TestAdjacency:
@@ -150,3 +154,26 @@ class TestEdgeListFormat:
             parse_edge_list("# qn n=2\n1 5\n")  # outside the ground set
         with pytest.raises(ValueError):
             parse_edge_list("# qn n=3\nzz 3\n")
+
+
+@st.composite
+def edge_list_texts(draw):
+    n = draw(st.integers(1, 5))
+    edges = []
+    for x, j in draw(st.lists(st.tuples(st.integers(0, (1 << n) - 1), st.integers(0, n - 1)), max_size=8)):
+        edges.append((x & ~(1 << j), x | 1 << j))
+    plausible = ["# qn n=3", "# comment", "1 3", "3 1", "0 1 2", "1 11", "-1 1", "01 3", "zz 3", ""]
+    return draw(edited_text(format_edge_list(n, edges).splitlines(), plausible))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(edge_list_texts())
+def test_edge_list_parse_is_total_and_round_trips(text):
+    """Any text parses to edges that round-trip, or raises ValueError (exit 2)."""
+    try:
+        n, edges = parse_edge_list(text)
+    except ValueError:
+        return
+    canonical = format_edge_list(n, edges)
+    assert parse_edge_list(canonical) == (n, sorted(edges))
+    assert format_edge_list(*parse_edge_list(canonical)) == canonical
