@@ -41,7 +41,6 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, count
-from itertools import product as iter_product
 from typing import Iterator, Mapping, TextIO
 
 from . import cube
@@ -58,7 +57,7 @@ from .construction import (
     union_odd_layers,
 )
 from .cube import LayerId, cube_edge_count
-from .detector import CubeSubgraph, CycleWitness, find_cycle_generic, subgraph_of_union
+from .detector import CubeSubgraph, CycleWitness, find_cycle_generic
 
 __all__ = [
     "BOUND_DIVISORS",
@@ -86,8 +85,6 @@ BOUND_DIVISORS = {"c/2": 2, "c/4": 4, "c/12": 12}
 
 COLOR_COUNT = 3
 
-EXHAUSTIVE_COLORING_MAX_N = 3
-
 UNSET = 0xFF
 
 # Characters per chunk when a coloring is parsed; a chunk runs on to the
@@ -111,10 +108,14 @@ def edge_slot(n: int, base: int, coord: int) -> int:
 @dataclass(frozen=True)
 class ColoringCertificate:
     """A 3-coloring of E(Q_n): colors[edge_slot(n, base, coord)] is the color
-    of edge (base, coord), or UNSET where the input left that edge out."""
+    of edge (base, coord), or UNSET where the input left that edge out.
+
+    colors is bytes-like: a parsed certificate keeps the bytearray it was
+    parsed into rather than copying it.  The library never changes it.
+    """
 
     n: int
-    colors: bytes
+    colors: bytes | bytearray
 
 
 def monochromatic_certificate(n: int, color: int = 0) -> ColoringCertificate:
@@ -226,14 +227,23 @@ class PipelineOutcome:
     report: DensityReport | None
 
 
-def _color_classes(union: UnionGraph, colors: bytes) -> list[list[tuple[int, int]]]:
-    """The union's edges split by their certificate color, in edge_pairs order."""
+def _class_graphs(union: UnionGraph, colors: bytes | bytearray) -> list[CubeSubgraph]:
+    """The union's edges split by their certificate color, one graph per color,
+    each on all of the union's vertices.
+
+    Odd layers share no vertex, since layer r holds only popcounts r-1 and
+    r, so the vertex list needs one sort and no set.  Every edge comes from
+    a layer that was checked when it was built, so the graphs are built
+    directly rather than through CubeSubgraph.explicit.
+    """
     n = union.n
+    layers = union.layers.values()
+    vertices = tuple(sorted(chain.from_iterable(chain(g.lower, g.upper) for g in layers)))
     classes: list[list[tuple[int, int]]] = [[] for _ in range(COLOR_COUNT)]
-    for g in union.layers.values():
+    for g in layers:
         for x, y in edge_pairs(g):
             classes[colors[edge_slot(n, x, (x ^ y).bit_length() - 1)]].append((x, y))
-    return classes
+    return [CubeSubgraph(n, vertices, tuple(sorted(edges))) for edges in classes]
 
 
 def c10_pipeline(
@@ -245,15 +255,11 @@ def c10_pipeline(
     problems = coloring_problems(cert)
     if problems:
         raise ValueError("invalid coloring certificate: " + "; ".join(problems))
-    all_vertices = set()
-    for g in union.layers.values():
-        all_vertices |= set(g.lower) | set(g.upper)
-    classes = _color_classes(union, cert.colors)
-    counts = tuple(len(edges) for edges in classes)
+    graphs = _class_graphs(union, cert.colors)
+    counts = tuple(len(sub.edges) for sub in graphs)
     free = []
     witnesses = {}
-    for k, edges in enumerate(classes):
-        sub = CubeSubgraph.explicit(union.n, all_vertices, edges)
+    for k, sub in enumerate(graphs):
         witness = find_cycle_generic(sub, 10, workers=workers)
         if witness is None:
             free.append(k)
@@ -265,21 +271,17 @@ def c10_pipeline(
     if len(free) == COLOR_COUNT and COLOR_COUNT * counts[best] < sum(counts):
         # Averaging over three classes: the best one carries >= a third.
         raise RuntimeError(f"best class {best} holds under a third of the edges {counts}")
-    subgraph = CubeSubgraph.explicit(union.n, all_vertices, classes[best])
     report = make_report(
         union.n, None, "final", counts[best], cube_edge_count(union.n), "c/12"
     )
-    return PipelineOutcome(True, best, counts, tuple(free), witnesses, subgraph, report)
+    return PipelineOutcome(True, best, counts, tuple(free), witnesses, graphs[best], report)
 
 
-def _first_c10_in_classes(
-    union: UnionGraph, colors: bytes, vertices: set[int]
-) -> CycleWitness | None:
+def _first_c10_in_classes(union: UnionGraph, colors: bytes | bytearray) -> CycleWitness | None:
     """A C10 in the lowest color class that holds one, or None when all are C10-free."""
-    for edges in _color_classes(union, colors):
-        if len(edges) < 10:
+    for sub in _class_graphs(union, colors):
+        if len(sub.edges) < 10:
             continue
-        sub = CubeSubgraph.explicit(union.n, vertices, edges)
         witness = find_cycle_generic(sub, 10)
         if witness is not None:
             return witness
@@ -291,36 +293,24 @@ def search_coloring_small_n(
 ) -> ColoringCertificate | None:
     """Look for a certificate whose classes restricted to the union are C10-free.
 
-    Exhaustive over all colorings for n <= 3 (first hit in lexicographic
-    order); randomized recolor-a-witness-edge local search beyond.  Returns
-    None when the budget runs out.  Experimental stand-in for a real
-    external certificate; a success here says nothing beyond this graph.
+    Randomized at every n: draw a coloring from seed, then up to budget
+    times look for a C10 in the lowest class that holds one and recolor one
+    of its edges at random.  For n <= 3, Q_n has no C10, so the first draw
+    is returned.  Returns None when the budget runs out.  Experimental
+    stand-in for a real external certificate; a success here says nothing
+    beyond this graph.
     """
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
     n = union.n
-    # in (base, coord) order, which orders both the enumeration and the random draws
+    # in (base, coord) order, which orders the random draws
     slots = [edge_slot(n, x, (x ^ y).bit_length() - 1) for x, y in cube.cube_edges(n)]
     colors = bytearray(len(slots))
-    vertices = set()
-    for g in union.layers.values():
-        vertices |= set(g.lower) | set(g.upper)
-    if n <= EXHAUSTIVE_COLORING_MAX_N:
-        evaluated = 0
-        for combo in iter_product(range(COLOR_COUNT), repeat=len(slots)):
-            for slot, color in zip(slots, combo):
-                colors[slot] = color
-            evaluated += 1
-            if _first_c10_in_classes(union, colors, vertices) is None:
-                return ColoringCertificate(n, bytes(colors))
-            if evaluated >= budget:
-                return None
-        return None
     rng = random.Random(seed)
     for slot in slots:
         colors[slot] = rng.randrange(COLOR_COUNT)
     for _ in range(budget):
-        witness = _first_c10_in_classes(union, colors, vertices)
+        witness = _first_c10_in_classes(union, colors)
         if witness is None:
             return ColoringCertificate(n, bytes(colors))
         cycle = witness.vertices
@@ -515,7 +505,7 @@ def _parse_coloring_chunks(chunks: Iterator[str]) -> ColoringCertificate:
         lineno += len(lines)
     if duplicates:
         raise ValueError("; ".join(duplicates))
-    return ColoringCertificate(n, bytes(colors))
+    return ColoringCertificate(n, colors)
 
 
 def _store_canonical(n, colors, duplicates, lineno, bases, terms, shades) -> None:

@@ -130,7 +130,7 @@ def _cmd_pipeline(args) -> int:
             )
     sys.stdout.write(_report_lines(reports, args.format))
     all_pass = all(rep.passed for rep in reports)
-    if certificate is not None and (pipeline is None or not pipeline.success):
+    if certificate is not None and not pipeline.success:
         for k, witness in sorted(pipeline.witnesses.items()):
             sys.stderr.write(f"class {k}: {detector.witness_line(witness)}\n")
         return EXIT_WITNESS
@@ -151,6 +151,8 @@ def _parse_r_spec(spec: str) -> list[int]:
 
 
 def _cmd_stats(args) -> int:
+    if args.trials < 1:
+        raise ValueError(f"--trials must be >= 1, got {args.trials}")
     sys.stdout.write("r,n,trials,successes,empirical,exact,exact_float,z,within_4_sigma\n")
     for r in _parse_r_spec(args.r):
         n = 2 * r

@@ -7,13 +7,18 @@ subset separately with gf2.rank_bits, as before the one-pass layer scan.
 The DFS references search cycles and C6- paths one vertex per call, as
 before the detector's closing sets, and must return the same witnesses.
 The coloring references parse and validate a certificate as a dict keyed
-by (base, coord), as before the one-byte-per-edge layout.
+by (base, coord), as before the one-byte-per-edge layout.  The color-class
+references split a union through CubeSubgraph.explicit over the set of its
+vertices, as before bounds built the class graphs straight from the layers.
 """
 
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
-from qturan.cube import CapacityError
+from qturan.bounds import PipelineOutcome, coloring_problems, edge_slot, make_report
+from qturan.construction import edge_pairs
+from qturan.cube import CapacityError, cube_edge_count
+from qturan.detector import CubeSubgraph, find_cycle_generic
 from qturan.gf2 import rank_bits
 
 EXPECTATION_CAP = 10**7
@@ -312,3 +317,47 @@ def coloring_bytes(n, colors, unset=0xFF):
         (base, coord) for coord in range(n) for base in range(1 << n) if not base >> coord & 1
     ]
     return bytes(colors.get(key, unset) for key in order)
+
+
+def color_classes(union, colors):
+    """The union's edges split by their certificate color, in edge_pairs order."""
+    n = union.n
+    classes = [[] for _ in range(3)]
+    for g in union.layers.values():
+        for x, y in edge_pairs(g):
+            classes[colors[edge_slot(n, x, (x ^ y).bit_length() - 1)]].append((x, y))
+    return classes
+
+
+def explicit_class_graphs(union, colors):
+    """One CubeSubgraph.explicit per color class, over the set of all the
+    union's vertices."""
+    vertices = set()
+    for g in union.layers.values():
+        vertices |= set(g.lower) | set(g.upper)
+    classes = color_classes(union, colors)
+    return [CubeSubgraph.explicit(union.n, vertices, edges) for edges in classes]
+
+
+def explicit_c10_pipeline(union, cert):
+    """bounds.c10_pipeline over explicit_class_graphs, run serially."""
+    if cert.n != union.n:
+        raise ValueError(f"certificate is for n={cert.n}, union graph has n={union.n}")
+    problems = coloring_problems(cert)
+    if problems:
+        raise ValueError("invalid coloring certificate: " + "; ".join(problems))
+    graphs = explicit_class_graphs(union, cert.colors)
+    counts = tuple(len(sub.edges) for sub in graphs)
+    free = []
+    witnesses = {}
+    for k, sub in enumerate(graphs):
+        witness = find_cycle_generic(sub, 10)
+        if witness is None:
+            free.append(k)
+        else:
+            witnesses[k] = witness
+    if not free:
+        return PipelineOutcome(False, None, counts, (), witnesses, None, None)
+    best = min(free, key=lambda k: (-counts[k], k))
+    report = make_report(union.n, None, "final", counts[best], cube_edge_count(union.n), "c/12")
+    return PipelineOutcome(True, best, counts, tuple(free), witnesses, graphs[best], report)

@@ -38,7 +38,13 @@ from qturan.construction import (
 from qturan.cube import CapacityError, LayerId, cube_edge_count, cube_edges, layer_vertices
 from qturan.detector import find_cycle_generic, subgraph_of_union
 
-from oracles import coloring_bytes, coloring_dict_problems, parse_coloring_dict
+from oracles import (
+    coloring_bytes,
+    coloring_dict_problems,
+    explicit_c10_pipeline,
+    explicit_class_graphs,
+    parse_coloring_dict,
+)
 
 
 def constructed_union(n, seed=0):
@@ -241,15 +247,35 @@ class TestPipeline:
             assert (outcome.best_class == 0) == free
 
 
+class TestClassGraphs:
+    """The class graphs built straight from the layers equal the explicit ones
+    of the reference, and so do the pipeline outcomes built on them."""
+
+    def test_seeded_corpus(self):
+        outcomes = []
+        for n in range(4, 11):
+            for seed in range(3):
+                union = density_report_suite(n, seed).union
+                rng = random.Random(n * 10 + seed)
+                random_cert = certificate(n, lambda base, coord: rng.randrange(3))
+                for cert in (random_cert, monochromatic_certificate(n)):
+                    expected = explicit_class_graphs(union, cert.colors)
+                    assert bnd._class_graphs(union, cert.colors) == expected
+                    outcome = c10_pipeline(union, cert)
+                    assert outcome == explicit_c10_pipeline(union, cert)
+                    outcomes.append(outcome)
+        assert any(outcome.witnesses for outcome in outcomes)
+        assert any(outcome.free_classes for outcome in outcomes)
+
+
 class TestSearchColoring:
-    def test_exhaustive_small_cubes(self):
+    def test_small_cubes_take_the_first_draw(self):
+        # Q_n for n <= 3 has no C10, so one draw is enough
         for n in (1, 2, 3):
             union = constructed_union(n)
-            cert = search_coloring_small_n(union, budget=10)
-            assert cert is not None
-            # lexicographically first candidate: everything color 0
-            assert set(cert.colors) == {0}
-            assert verify_coloring(cert)
+            cert = search_coloring_small_n(union, budget=1)
+            assert cert is not None and verify_coloring(cert)
+            assert c10_pipeline(union, cert).free_classes == (0, 1, 2)
 
     def test_randomized_mode_returns_valid_certificate(self):
         union = constructed_union(5, seed=4)
@@ -476,8 +502,18 @@ class TestChunkedParse:
         finally:
             tracemalloc.stop()
         assert verify_coloring(cert)
-        # the byte array and its copy into bytes, plus one chunk and its tokens
+        # the byte array plus one chunk and its tokens
         assert peak < 2 * cube_edge_count(n) + (1 << 20)
+
+    def test_parse_keeps_one_copy_of_the_array(self):
+        tracemalloc.start()
+        try:
+            cert = parse_coloring("# qn-coloring n=20\n")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(cert.colors) == cube_edge_count(20)
+        assert peak < 1.25 * cube_edge_count(20)
 
 
 coloring_line = st.one_of(

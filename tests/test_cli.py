@@ -220,8 +220,8 @@ class TestPipeline:
         assert err == "error: certificate is for n=4, union graph has n=16\n"
 
     def test_budget_searches_a_certificate(self, capsys):
-        # Q_3 is too small for a C10, so the exhaustive search finds the
-        # all-zero certificate immediately and a final row appears
+        # Q_3 is too small for a C10, so the search returns its first random
+        # draw and a final row appears
         code, out, _ = run(["pipeline", "--n", "3", "--seed", "0", "--budget", "10"], capsys)
         assert code == 0
         scopes = [line.split(",")[2] for line in out.splitlines()[1:]]
@@ -303,6 +303,12 @@ class TestStats:
     def test_bad_spec(self, capsys):
         code, _, err = run(["stats", "--r", "0"], capsys)
         assert code == 2
+
+    @pytest.mark.parametrize("trials", ["0", "-5"])
+    def test_trials_below_one_is_usage_error(self, capsys, trials):
+        code, out, err = run(["stats", "--r", "3", "--trials", trials], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: --trials must be >= 1, got {trials}\n"
 
 
 class TestWorkersDefault:
