@@ -17,10 +17,12 @@ floats appear only in Monte Carlo summaries.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from math import ceil, floor
+from operator import ne
 from typing import Iterator, Mapping
 
 from . import cube
@@ -98,24 +100,73 @@ class VectorAssignment:
 
 @dataclass(frozen=True)
 class LayerSubgraph:
-    """Induced subgraph of a layer, stored as its two surviving vertex sets.
+    """Induced subgraph of a layer: the surviving lower vertices in
+    increasing mask order, each with the mask of its edge coordinates.
 
-    Edges are implicit: (x, y) is an edge iff x in lower, y in upper and
-    x is a subset of y.
+    edge_masks[i] holds bit j exactly when (lower[i], lower[i] | 1 << j) is
+    an edge, so the edges come straight from the masks in (lower, upper)
+    order, with no set lookup.  upper is the surviving upper side in
+    increasing order; it may hold vertices without an edge.  The public
+    constructor takes the two sides as any iterables of masks and derives
+    the edge masks in one probe pass over the upper side; build_layer_graph
+    takes them from the layer scan and derives the upper side from them.
     """
 
     layer: LayerId
-    lower: frozenset[int]
-    upper: frozenset[int]
+    lower: tuple[int, ...]
+    upper: tuple[int, ...]
+    edge_masks: tuple[int, ...] = field(init=False)
 
     def __post_init__(self) -> None:
         n, r = self.layer.n, self.layer.r
-        for x in self.lower:
+        lower, upper = frozenset(self.lower), frozenset(self.upper)
+        for x in lower:
             if x >> n or x.bit_count() != r - 1:
                 raise ValueError(f"lower vertex 0x{x:x} is not an (r-1)-subset of [{n}]")
-        for y in self.upper:
+        for y in upper:
             if y >> n or y.bit_count() != r:
                 raise ValueError(f"upper vertex 0x{y:x} is not an r-subset of [{n}]")
+        full, ordered, masks = (1 << n) - 1, tuple(sorted(lower)), []
+        for x in ordered:
+            free, m = full ^ x, 0
+            while free:
+                bit = free & -free
+                free ^= bit
+                if x | bit in upper:
+                    m |= bit
+            masks.append(m)
+        object.__setattr__(self, "lower", ordered)
+        object.__setattr__(self, "upper", tuple(sorted(upper)))
+        object.__setattr__(self, "edge_masks", tuple(masks))
+
+    @classmethod
+    def _from_masks(cls, layer: LayerId, lower: list[int], masks: list[int]) -> LayerSubgraph:
+        """The graph of increasing lower vertices with their edge masks; the
+        upper side is every endpoint of an edge."""
+        n, r = layer.n, layer.r
+        if len(masks) != len(lower):
+            raise ValueError(f"{len(lower)} lower vertices but {len(masks)} edge masks")
+        previous = -1
+        for x, m in zip(lower, masks):
+            if x >> n or x.bit_count() != r - 1:
+                raise ValueError(f"lower vertex 0x{x:x} is not an (r-1)-subset of [{n}]")
+            if x <= previous:
+                raise ValueError(f"lower vertex 0x{x:x} is out of increasing order")
+            if m >> n or m & x:
+                raise ValueError(f"edge mask 0x{m:x} of 0x{x:x} is not within [{n}] minus 0x{x:x}")
+            previous = x
+        upper: set[int] = set()
+        for x, m in zip(lower, masks):
+            while m:
+                bit = m & -m
+                m ^= bit
+                upper.add(x | bit)
+        g = object.__new__(cls)
+        object.__setattr__(g, "layer", layer)
+        object.__setattr__(g, "lower", tuple(lower))
+        object.__setattr__(g, "upper", tuple(sorted(upper)))
+        object.__setattr__(g, "edge_masks", tuple(masks))
+        return g
 
 
 @dataclass(frozen=True)
@@ -182,20 +233,23 @@ def _leaf_edges(candidates: int, h: int, g: int) -> int:
 
 def _layer_scan(
     n: int, r: int, anchor_bits: int, vector_bits: list[int], collect: bool = False
-) -> tuple[int, list[int], set[int]]:
-    """Edge count of the layer graph, plus both survivor sets when collect is set.
+) -> tuple[int, list[int], list[int]]:
+    """Edge count of the layer graph, plus, when collect is set, the lower
+    survivors in increasing mask order with their edge masks.
 
-    A depth-first walk over the (r-1)-subsets x in increasing index order
-    keeps a basis of the functionals that vanish on the anchor and on the
-    prefix, and one functional g with g(anchor) = 1 that vanishes on the
-    prefix.  Each functional h is held as its image mask, bit j being
-    h(v_j), so "h is odd on v_i" is bit i and every update is a word XOR.
-    A prefix dies as soon as no basis functional is odd on its newest
-    vector, so the leaves are exactly the lower survivors.  At a leaf the
-    kernel of g is span(x), hence x + {j} is an upper survivor iff
-    g(v_j) = 1: the leaf contributes popcount(g) edges, and every upper
-    survivor is reached because the anchor is nonzero.  Counting alone
-    sums the last two levels without visiting them.
+    A depth-first walk over the (r-1)-subsets x, choosing indices from the
+    highest down, keeps a basis of the functionals that vanish on the
+    anchor and on the chosen indices, and one functional g with
+    g(anchor) = 1 that vanishes on them.  Each functional h is held as its
+    image mask, bit j being h(v_j), so "h is odd on v_i" is bit i and every
+    update is a word XOR.  A partial subset dies as soon as no basis
+    functional is odd on its newest vector, so the leaves are exactly the
+    lower survivors, reached in increasing mask order because every level
+    tries its candidates in increasing order.  At a leaf the kernel of g
+    is span(x), hence x + {j} is an upper survivor iff g(v_j) = 1: g is
+    the leaf's edge mask, and every upper survivor is reached because the
+    anchor is nonzero.  The last two levels are summed (counting) or
+    emitted (collecting) without a call per leaf.
     """
     cube.require_capacity(n)
     columns = [0] * r
@@ -208,42 +262,37 @@ def _layer_scan(
         columns[b] ^ g0 if anchor_bits >> b & 1 else columns[b] for b in range(r) if b != pivot_bit
     ]
     lower: list[int] = []
-    upper: set[int] = set()
+    masks: list[int] = []
     edges = 0
 
-    def walk(first: int, mask: int, basis: list[int], g: int) -> None:
+    def walk(limit: int, mask: int, basis: list[int], g: int) -> None:
         nonlocal edges
         left = len(basis)
         if left == 0:  # r = 1: the empty set is the only lower vertex
             edges += g.bit_count()
             if collect:
                 lower.append(mask)
-                upper.update(mask | 1 << j for j in bit_indices(g))
+                masks.append(g)
             return
-        # index i can start the rest of the subset only if i <= n - left
+        # index i can be the highest of the rest of the subset only if i >= left - 1
         candidates = 0
         for h in basis:
             candidates |= h
-        candidates &= (1 << (n - left + 1)) - (1 << first)
+        candidates &= (1 << limit) - (1 << (left - 1))
         if left == 1:
             h = basis[0]
             candidates &= h
             if not collect:
                 edges += _leaf_edges(candidates, h, g)
                 return
+            odd = g ^ h
             while candidates:
                 low = candidates & -candidates
                 candidates ^= low
-                leaf = mask | low
-                odd = g ^ h if g & low else g
-                edges += odd.bit_count()
-                lower.append(leaf)
-                while odd:
-                    bit = odd & -odd
-                    upper.add(leaf | bit)
-                    odd ^= bit
+                lower.append(mask | low)
+                masks.append(odd if g & low else g)
             return
-        if left == 2 and not collect:
+        if left == 2:
             h1, h2 = basis
             while candidates:
                 low = candidates & -candidates
@@ -252,7 +301,16 @@ def _layer_scan(
                     pivot, h = h1, h2 ^ h1 if h2 & low else h2
                 else:
                     pivot, h = h2, h1
-                edges += _leaf_edges(h & -(low << 1), h, g ^ pivot if g & low else g)
+                last, g2 = h & (low - 1), g ^ pivot if g & low else g
+                if not collect:
+                    edges += _leaf_edges(last, h, g2)
+                    continue
+                base, odd = mask | low, g2 ^ h
+                while last:
+                    bit = last & -last
+                    last ^= bit
+                    lower.append(base | bit)
+                    masks.append(odd if g2 & bit else g2)
             return
         while candidates:
             low = candidates & -candidates
@@ -263,44 +321,34 @@ def _layer_scan(
             # the functionals before the pivot are even on v_i already
             rest = [h ^ pivot if h & low else h for h in basis[at + 1 :]]
             rest.extend(basis[:at])
-            walk(low.bit_length(), mask | low, rest, g ^ pivot if g & low else g)
+            walk(low.bit_length() - 1, mask | low, rest, g ^ pivot if g & low else g)
 
-    walk(0, 0, basis0, g0)
-    return edges, lower, upper
+    walk(n, 0, basis0, g0)
+    if collect:
+        edges = sum(map(int.bit_count, masks))
+    return edges, lower, masks
 
 
 def build_layer_graph(a: VectorAssignment) -> LayerSubgraph:
     """Materialize the induced subgraph on the surviving vertex sets."""
-    _, lower, upper = _layer_scan(
+    _, lower, masks = _layer_scan(
         a.n, a.r, a.anchor.bits, [v.bits for v in a.vectors], collect=True
     )
-    return LayerSubgraph(LayerId(a.n, a.r), frozenset(lower), frozenset(upper))
+    return LayerSubgraph._from_masks(LayerId(a.n, a.r), lower, masks)
 
 
 def edge_count(g: LayerSubgraph) -> int:
     """Number of inclusion pairs between the surviving sides."""
-    full, upper = (1 << g.layer.n) - 1, g.upper
-    total = 0
-    for x in g.lower:
-        free = full ^ x
-        while free:
-            bit = free & -free
-            free ^= bit
-            if (x | bit) in upper:
-                total += 1
-    return total
+    return sum(map(int.bit_count, g.edge_masks))
 
 
 def edge_pairs(g: LayerSubgraph) -> Iterator[tuple[int, int]]:
     """The implicit edges, ordered by (lower mask, upper mask)."""
-    full, upper = (1 << g.layer.n) - 1, g.upper
-    for x in sorted(g.lower):
-        free = full ^ x
-        while free:
-            bit = free & -free
-            free ^= bit
-            if (x | bit) in upper:
-                yield x, x | bit
+    for x, m in zip(g.lower, g.edge_masks):
+        while m:
+            bit = m & -m
+            m ^= bit
+            yield x, x | bit
 
 
 def union_odd_layers(n: int, assignments: Mapping[int, VectorAssignment]) -> UnionGraph:
@@ -467,13 +515,17 @@ def parse_assignment(text: str) -> VectorAssignment:
 def format_layer_graph(g: LayerSubgraph) -> str:
     """Edge-list body in the shared format, then the two vertex sections."""
     lines = [f"# qn n={g.layer.n}"]
-    for x, y in edge_pairs(g):
-        lines.append(f"{x:x} {y:x}")
+    for x, m in zip(g.lower, g.edge_masks):
+        prefix = f"{x:x} "
+        while m:
+            bit = m & -m
+            m ^= bit
+            lines.append(f"{prefix}{x | bit:x}")
     lines.append(f"# layer r={g.layer.r}")
     lines.append("# lower")
-    lines.extend(f"{x:x}" for x in sorted(g.lower))
+    lines.extend(f"{x:x}" for x in g.lower)
     lines.append("# upper")
-    lines.extend(f"{y:x}" for y in sorted(g.upper))
+    lines.extend(f"{y:x}" for y in g.upper)
     return "\n".join(lines) + "\n"
 
 
@@ -487,26 +539,23 @@ def parse_layer_graph(text: str) -> LayerSubgraph:
         raise ValueError(f"bad layer-file header: {lines[0]!r}") from exc
     r = None
     section = "edges"
-    edges = []
+    ends: list[int] = []  # both masks of every edge line, in file order
     lower: set[int] = set()
     upper: set[int] = set()
     for lineno, line in enumerate(lines[1:], start=2):
         stripped = line.strip()
         if not stripped:
             continue
-        if stripped.startswith("# layer r="):
-            try:
-                r = int(stripped.split("=", 1)[1])
-            except ValueError as exc:
-                raise ValueError(f"line {lineno}: bad layer line {line!r}") from exc
-            continue
-        if stripped == "# lower":
-            section = "lower"
-            continue
-        if stripped == "# upper":
-            section = "upper"
-            continue
-        if stripped.startswith("#"):
+        if stripped[0] == "#":
+            if stripped.startswith("# layer r="):
+                try:
+                    r = int(stripped.split("=", 1)[1])
+                except ValueError as exc:
+                    raise ValueError(f"line {lineno}: bad layer line {line!r}") from exc
+            elif stripped == "# lower":
+                section = "lower"
+            elif stripped == "# upper":
+                section = "upper"
             continue
         parts = stripped.split()
         if section == "edges" and len(parts) != 2:
@@ -515,14 +564,15 @@ def parse_layer_graph(text: str) -> LayerSubgraph:
             raise ValueError(f"line {lineno}: expected a vertex mask, got {line!r}")
         try:
             if section == "edges":
-                edges.append((int(parts[0], 16), int(parts[1], 16)))
+                ends.append(int(parts[0], 16))
+                ends.append(int(parts[1], 16))
             else:
                 (lower if section == "lower" else upper).add(int(parts[0], 16))
         except ValueError as exc:
             raise ValueError(f"line {lineno}: bad hex mask in {line!r}") from exc
     if r is None:
         raise ValueError("layer file is missing its '# layer r=<r>' line")
-    g = LayerSubgraph(LayerId(n, r), frozenset(lower), frozenset(upper))
-    if edges != list(edge_pairs(g)):
+    g = LayerSubgraph(LayerId(n, r), lower, upper)
+    if len(ends) != 2 * edge_count(g) or any(map(ne, ends, chain.from_iterable(edge_pairs(g)))):
         raise ValueError("edge lines do not match the inclusion pairs of the vertex sections")
     return g

@@ -32,7 +32,6 @@ wins, so results do not depend on the worker count.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Callable, Iterable
 
 from . import cube
@@ -397,24 +396,36 @@ def find_c6_minus(graph: CubeSubgraph, workers: int = 1) -> PathWitness | None:
 def find_c6_structured(g: LayerSubgraph) -> SubcubePattern | None:
     """Scan all subcube patterns whose six vertices survive in the layer graph.
 
-    Cores are visited in increasing mask order and axis triples
+    Pattern (core, a < b < c) is present exactly when core+{a}, core+{b}
+    and core+{c} are lower vertices, the edge mask of core+{a} holds b and
+    c, and that of core+{b} holds c: the masks stand for the three upper
+    vertices.  Cores are visited in increasing mask order and axis triples
     lexicographically, so the first hit is deterministic.
     """
     n, r = g.layer.n, g.layer.r
     if r < 2 or n - (r - 2) < 3:
         return None
-    lower, upper = g.lower, g.upper
+    mask_of = dict(zip(g.lower, g.edge_masks))
+    full = (1 << n) - 1
     for core in cube.subsets_of_size(n, r - 2):
-        hits = [i for i in range(n) if not (core >> i) & 1 and (core | (1 << i)) in lower]
+        hits, hit_bits = [], 0
+        free = full ^ core
+        while free:
+            bit = free & -free
+            free ^= bit
+            m = mask_of.get(core | bit)
+            if m is not None:
+                hits.append((bit, m))
+                hit_bits |= bit
         if len(hits) < 3:
             continue
-        for a, b, c in combinations(hits, 3):
-            if (
-                (core | (1 << a) | (1 << b)) in upper
-                and (core | (1 << a) | (1 << c)) in upper
-                and (core | (1 << b) | (1 << c)) in upper
-            ):
-                return SubcubePattern(core, (a, b, c))
+        for at, (a, mask_a) in enumerate(hits):
+            for b, mask_b in hits[at + 1 :]:
+                closing = mask_a & mask_b & hit_bits & -(b << 1)  # the choices of c
+                if mask_a & b and closing:
+                    c = closing & -closing
+                    axes = tuple(bit.bit_length() - 1 for bit in (a, b, c))
+                    return SubcubePattern(core, axes)
     return None
 
 

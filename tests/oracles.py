@@ -10,15 +10,17 @@ The coloring references parse and validate a certificate as a dict keyed
 by (base, coord), as before the one-byte-per-edge layout.  The color-class
 references split a union through CubeSubgraph.explicit over the set of its
 vertices, as before bounds built the class graphs straight from the layers.
+The layer-graph references find the edges, write the layer file and scan
+for subcube patterns by probing the sets of the two sides, as before a
+layer graph carried the edge mask of each lower vertex.
 """
 
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
 from qturan.bounds import PipelineOutcome, coloring_problems, edge_slot, make_report
-from qturan.construction import edge_pairs
-from qturan.cube import CapacityError, cube_edge_count
-from qturan.detector import CubeSubgraph, find_cycle_generic
+from qturan.cube import CapacityError, cube_edge_count, subsets_of_size
+from qturan.detector import CubeSubgraph, SubcubePattern, find_cycle_generic
 from qturan.gf2 import rank_bits
 
 EXPECTATION_CAP = 10**7
@@ -125,6 +127,54 @@ def edge_count_sets(n, lower, upper):
             if not x & bit and (x | bit) in upper:
                 total += 1
     return total
+
+
+def edge_pairs_by_probe(g):
+    """The edges of a layer graph ordered by (lower mask, upper mask),
+    probing the upper set once per clear bit of each lower vertex."""
+    full, upper = (1 << g.layer.n) - 1, set(g.upper)
+    for x in sorted(g.lower):
+        free = full ^ x
+        while free:
+            bit = free & -free
+            free ^= bit
+            if (x | bit) in upper:
+                yield x, x | bit
+
+
+def format_layer_graph_by_probe(g):
+    """The layer file of g, written from edge_pairs_by_probe and both sides sorted."""
+    lines = [f"# qn n={g.layer.n}"]
+    for x, y in edge_pairs_by_probe(g):
+        lines.append(f"{x:x} {y:x}")
+    lines.append(f"# layer r={g.layer.r}")
+    lines.append("# lower")
+    lines.extend(f"{x:x}" for x in sorted(g.lower))
+    lines.append("# upper")
+    lines.extend(f"{y:x}" for y in sorted(g.upper))
+    return "\n".join(lines) + "\n"
+
+
+def find_c6_structured_by_probe(g):
+    """The first subcube pattern of a layer graph whose six vertices lie in
+    the sets of its two sides: cores in increasing mask order, axis triples
+    lexicographically."""
+    n, r = g.layer.n, g.layer.r
+    if r < 2 or n - (r - 2) < 3:
+        return None
+    lower, upper = set(g.lower), set(g.upper)
+    for core in subsets_of_size(n, r - 2):
+        hits = [i for i in range(n) if not (core >> i) & 1 and (core | (1 << i)) in lower]
+        if len(hits) < 3:
+            continue
+        for a, b, c in combinations(hits, 3):
+            if (
+                (core | (1 << a) | (1 << b)) in upper
+                and (core | (1 << a) | (1 << c)) in upper
+                and (core | (1 << b) | (1 << c)) in upper
+            ):
+                return SubcubePattern(core, (a, b, c))
+    return None
 
 
 def exact_expected_edges(n, r):
@@ -324,7 +374,7 @@ def color_classes(union, colors):
     n = union.n
     classes = [[] for _ in range(3)]
     for g in union.layers.values():
-        for x, y in edge_pairs(g):
+        for x, y in edge_pairs_by_probe(g):
             classes[colors[edge_slot(n, x, (x ^ y).bit_length() - 1)]].append((x, y))
     return classes
 

@@ -36,7 +36,7 @@ from qturan.detector import (
     subgraph_of_union,
 )
 
-from oracles import exact_expected_edges
+from oracles import exact_expected_edges, find_c6_structured_by_probe
 
 # prod_{k>=1}(1 - 2^-k), frozen from an independent high-precision
 # partial-product computation (60 decimal digits, 200 factors).
@@ -157,6 +157,13 @@ def test_criterion_5_detector_cross_validation(layer_instances):
         agreements += 1
     announce(5, f"structured and generic detectors agree on {agreements} induced subgraphs "
                 f"({witnesses} with a C6)")
+
+
+def test_structured_scan_matches_the_probing_scan(layer_instances):
+    """The mask-reading structured scan returns the pattern that probing the
+    two vertex sets finds, on every cross-validation instance."""
+    for g in layer_instances:
+        assert find_c6_structured(g) == find_c6_structured_by_probe(g)
 
 
 def test_criterion_6_layer_density(suites):

@@ -1,5 +1,6 @@
 import random
 import statistics
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -31,10 +32,24 @@ from qturan.construction import (
     sample_assignment,
     union_odd_layers,
 )
-from qturan.cube import CapacityError, LayerId, cube_edge_count, layer_edge_count, layer_vertices
+from qturan.cube import (
+    CapacityError,
+    LayerId,
+    bit_indices,
+    cube_edge_count,
+    layer_edge_count,
+    layer_vertices,
+)
 from qturan.gf2 import GF2Vec
 
-from oracles import edge_count_sets, exact_expected_edges, is_basis_by_span, survivor_sets
+from oracles import (
+    edge_count_sets,
+    edge_pairs_by_probe,
+    exact_expected_edges,
+    format_layer_graph_by_probe,
+    is_basis_by_span,
+    survivor_sets,
+)
 from text_strategies import edited_text
 
 # High-precision value of prod_{k>=1}(1 - 2^-k), frozen from a 60-digit
@@ -123,14 +138,14 @@ class TestLayerGraph:
         for n in (1, 3, 6):
             a = sample_assignment(n, 1, n)
             g = build_layer_graph(a)
-            assert g.lower == frozenset({0})
-            assert g.upper == frozenset(1 << i for i in range(n))
+            assert g.lower == (0,)
+            assert g.upper == tuple(1 << i for i in range(n))
             assert edge_count(g) == n == layer_edge_count(LayerId(n, 1))
 
     def test_collision_gives_empty_upper(self):
         a = VectorAssignment(2, 2, GF2Vec.unit(0, 2), (GF2Vec(0b11, 2), GF2Vec(0b11, 2)))
         g = build_layer_graph(a)
-        assert g.upper == frozenset()
+        assert g.upper == ()
         assert edge_count(g) == 0
 
     def test_graph_matches_membership_ops(self):
@@ -217,14 +232,15 @@ class TestLayerScan:
         lower, upper = survivor_sets(a.n, a.r, a.anchor.bits, bits)
         edges = edge_count_sets(a.n, lower, upper)
         count, _, _ = con._layer_scan(a.n, a.r, a.anchor.bits, bits)
-        collected, scan_lower, scan_upper = con._layer_scan(
+        collected, scan_lower, scan_masks = con._layer_scan(
             a.n, a.r, a.anchor.bits, bits, collect=True
         )
         assert count == collected == edges, (a.n, a.r)
-        assert sorted(scan_lower) == sorted(lower), (a.n, a.r)
+        assert scan_lower == sorted(lower), (a.n, a.r)
+        scan_upper = {x | 1 << j for x, m in zip(scan_lower, scan_masks) for j in bit_indices(m)}
         assert scan_upper == upper, (a.n, a.r)
         g = build_layer_graph(a)
-        assert (g.lower, g.upper) == (frozenset(lower), frozenset(upper))
+        assert (g.lower, g.upper) == (tuple(sorted(lower)), tuple(sorted(upper)))
 
     def test_every_small_layer(self):
         for n in range(1, 11):
@@ -247,7 +263,7 @@ class TestLayerScan:
         vectors = tuple(GF2Vec(bits, 3) for bits in (0b010, 0b100, 0b110, 0b010, 0b100))
         a = VectorAssignment(5, 3, GF2Vec.unit(0, 3), vectors)
         self.assert_matches_oracle(a)
-        assert build_layer_graph(a).upper == frozenset()
+        assert build_layer_graph(a).upper == ()
 
     def test_other_anchor(self):
         for seed in range(20):
@@ -273,6 +289,68 @@ class TestLayerScan:
             build_layer_graph(a)
         with pytest.raises(CapacityError):
             find_good_assignment(6, 3, 0)
+
+
+class TestEdgeMasks:
+    """Layer graphs built from the scan's edge masks against the graph of the
+    per-subset survivor sets and the set-probing edges and writer."""
+
+    def assert_matches_sets(self, a):
+        g = build_layer_graph(a)
+        lower, upper = survivor_sets(a.n, a.r, a.anchor.bits, [v.bits for v in a.vectors])
+        ref = LayerSubgraph(g.layer, lower, upper)
+        assert (g.lower, g.upper, g.edge_masks) == (ref.lower, ref.upper, ref.edge_masks)
+        assert g == ref
+        assert edge_count(g) == edge_count_sets(a.n, lower, upper)
+        assert list(edge_pairs(g)) == list(edge_pairs_by_probe(ref))
+        assert format_layer_graph(g) == format_layer_graph_by_probe(ref)
+
+    @pytest.mark.parametrize("n,r", sorted(FROZEN_EXPECTATIONS))
+    def test_every_assignment_of_the_frozen_layers(self, n, r):
+        anchor = GF2Vec.unit(0, r)
+        for bits in product(range(1, 1 << r), repeat=n):
+            vectors = tuple(GF2Vec(b, r) for b in bits)
+            self.assert_matches_sets(VectorAssignment(n, r, anchor, vectors))
+
+    @pytest.mark.parametrize("n", range(4, 15))
+    def test_seeded_layers(self, n):
+        for r in range(1, n + 1):
+            for a in _spanning_and_degenerate(n, r, derive_seed(n * 1000 + r, 7)):
+                self.assert_matches_sets(a)
+
+    def test_public_constructor_derives_the_masks(self):
+        # 0b001 reaches 0b011 only; 0b110 is an upper vertex without an edge
+        g = LayerSubgraph(LayerId(3, 2), {0b001, 0b100}, frozenset({0b110, 0b011}))
+        assert (g.lower, g.upper, g.edge_masks) == ((0b001, 0b100), (0b011, 0b110), (0b010, 0b010))
+        assert list(edge_pairs(g)) == [(0b001, 0b011), (0b100, 0b110)]
+
+    def test_mask_constructor_checks(self):
+        layer = LayerId(4, 2)
+        assert LayerSubgraph._from_masks(layer, [0b1, 0b10], [0b10, 0b1]).upper == (0b11,)
+        for lower, masks in (
+            ([0b11], [0]),  # not an (r-1)-subset
+            ([0b10000], [0]),  # outside [n]
+            ([0b10, 0b1], [0, 0]),  # out of increasing order
+            ([0b1], [0b1]),  # mask meets its vertex
+            ([0b1], [0b10000]),  # mask outside [n]
+            ([0b1], []),  # no mask
+        ):
+            with pytest.raises(ValueError):
+                LayerSubgraph._from_masks(layer, lower, masks)
+
+    @pytest.mark.parametrize("n,r", [(14, 7), (16, 9)])
+    def test_build_memory_per_lower_vertex(self, n, r):
+        """Two tuples of ints and the sorted upper side, with no frozenset:
+        about 180 bytes per lower vertex at the peak on these layers, against
+        about 240 for the two frozensets of survivors."""
+        a = find_good_assignment(n, r, 0).assignment
+        tracemalloc.start()
+        try:
+            g = build_layer_graph(a)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 200 * len(g.lower)
 
 
 class TestUnionGraph:

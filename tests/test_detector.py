@@ -33,6 +33,7 @@ from qturan.detector import _first_c6_minus_in_range, _first_cycle_in_range, _ne
 from qturan.gf2 import GF2Vec
 
 from oracles import (
+    find_c6_structured_by_probe,
     first_c6_minus_dfs,
     first_cycle_dfs,
     has_c6_minus_naive,
@@ -411,6 +412,20 @@ class TestFindC6Structured:
             if structured is not None:
                 assert set(structured.lower_vertices()) <= set(g.lower)
                 assert set(structured.upper_vertices()) <= set(g.upper)
+
+    def test_same_pattern_as_the_probing_scan(self):
+        rng = random.Random(57)
+        graphs = [full_layer(n, r) for n in range(1, 8) for r in range(1, n + 1)]
+        for n in range(3, 10):
+            for r in range(1, n + 1):
+                graphs += [random_layer_subgraph(n, r, rng) for _ in range(12)]
+                graphs.append(build_layer_graph(sample_assignment(n, r, derive_seed(n, r))))
+        found = 0
+        for g in graphs:
+            pattern = find_c6_structured(g)
+            assert pattern == find_c6_structured_by_probe(g), g.layer
+            found += pattern is not None
+        assert 0 < found < len(graphs)
 
 
 class TestExplainImpossibility:
