@@ -224,18 +224,11 @@ def sample_assignment(n: int, r: int, seed: int) -> VectorAssignment:
     return VectorAssignment(n=n, r=r, anchor=anchor, vectors=vectors)
 
 
-def _leaf_edges(candidates: int, h: int, g: int) -> int:
-    """Edges below the last choice of a lower subset: each index i in
-    candidates ends it, with g turned into g ^ h where g is odd on v_i."""
-    flips = (candidates & g).bit_count()
-    return (candidates.bit_count() - flips) * g.bit_count() + flips * (g ^ h).bit_count()
-
-
 def _layer_scan(
-    n: int, r: int, anchor_bits: int, vector_bits: list[int], collect: bool = False
-) -> tuple[int, list[int], list[int]]:
-    """Edge count of the layer graph, plus, when collect is set, the lower
-    survivors in increasing mask order with their edge masks.
+    n: int, r: int, anchor_bits: int, vector_bits: list[int]
+) -> tuple[list[int], list[int]]:
+    """The lower survivors of the layer graph in increasing mask order,
+    with their edge masks.
 
     A depth-first walk over the (r-1)-subsets x, choosing indices from the
     highest down, keeps a basis of the functionals that vanish on the
@@ -248,8 +241,8 @@ def _layer_scan(
     tries its candidates in increasing order.  At a leaf the kernel of g
     is span(x), hence x + {j} is an upper survivor iff g(v_j) = 1: g is
     the leaf's edge mask, and every upper survivor is reached because the
-    anchor is nonzero.  The last two levels are summed (counting) or
-    emitted (collecting) without a call per leaf.
+    anchor is nonzero.  The last two levels are emitted without a call
+    per leaf.
     """
     cube.require_capacity(n)
     columns = [0] * r
@@ -263,16 +256,12 @@ def _layer_scan(
     ]
     lower: list[int] = []
     masks: list[int] = []
-    edges = 0
 
     def walk(limit: int, mask: int, basis: list[int], g: int) -> None:
-        nonlocal edges
         left = len(basis)
         if left == 0:  # r = 1: the empty set is the only lower vertex
-            edges += g.bit_count()
-            if collect:
-                lower.append(mask)
-                masks.append(g)
+            lower.append(mask)
+            masks.append(g)
             return
         # index i can be the highest of the rest of the subset only if i >= left - 1
         candidates = 0
@@ -282,9 +271,6 @@ def _layer_scan(
         if left == 1:
             h = basis[0]
             candidates &= h
-            if not collect:
-                edges += _leaf_edges(candidates, h, g)
-                return
             odd = g ^ h
             while candidates:
                 low = candidates & -candidates
@@ -302,9 +288,6 @@ def _layer_scan(
                 else:
                     pivot, h = h2, h1
                 last, g2 = h & (low - 1), g ^ pivot if g & low else g
-                if not collect:
-                    edges += _leaf_edges(last, h, g2)
-                    continue
                 base, odd = mask | low, g2 ^ h
                 while last:
                     bit = last & -last
@@ -324,16 +307,15 @@ def _layer_scan(
             walk(low.bit_length() - 1, mask | low, rest, g ^ pivot if g & low else g)
 
     walk(n, 0, basis0, g0)
-    if collect:
-        edges = sum(map(int.bit_count, masks))
-    return edges, lower, masks
+    # walk refers to itself through its closure, a reference cycle that would
+    # keep lower and masks alive until the cyclic collector next runs
+    del walk
+    return lower, masks
 
 
 def build_layer_graph(a: VectorAssignment) -> LayerSubgraph:
     """Materialize the induced subgraph on the surviving vertex sets."""
-    _, lower, masks = _layer_scan(
-        a.n, a.r, a.anchor.bits, [v.bits for v in a.vectors], collect=True
-    )
+    lower, masks = _layer_scan(a.n, a.r, a.anchor.bits, [v.bits for v in a.vectors])
     return LayerSubgraph._from_masks(LayerId(a.n, a.r), lower, masks)
 
 
@@ -464,13 +446,17 @@ def find_good_assignment(n: int, r: int, seed: int, max_trials: int = 512) -> Se
         raise ValueError(f"max_trials must be >= 1, got {max_trials}")
     _, c_hi = constant_c_enclosure()
     threshold = c_hi / 2 * cube.layer_edge_count(LayerId(n, r))
-    # trials only count edges; the returned trial alone is materialized
     best_edges, best_trial, best = -1, 0, None
     for trial in range(max_trials):
         a = sample_assignment(n, r, derive_seed(seed, trial))
-        e, _, _ = _layer_scan(n, r, a.anchor.bits, [v.bits for v in a.vectors])
+        lower, masks = _layer_scan(n, r, a.anchor.bits, [v.bits for v in a.vectors])
+        e = sum(map(int.bit_count, masks))
         if Fraction(e) > threshold:
-            return SearchResult(a, build_layer_graph(a), e, trial + 1, threshold)
+            graph = LayerSubgraph._from_masks(LayerId(n, r), lower, masks)
+            return SearchResult(a, graph, e, trial + 1, threshold)
+        # a losing trial keeps only its assignment; its lists go before the
+        # next scan, so two trials' lists are never alive at once
+        del lower, masks
         if e > best_edges:
             best_edges, best_trial, best = e, trial + 1, a
     if best is None:
@@ -514,19 +500,21 @@ def parse_assignment(text: str) -> VectorAssignment:
 
 def format_layer_graph(g: LayerSubgraph) -> str:
     """Edge-list body in the shared format, then the two vertex sections."""
-    lines = [f"# qn n={g.layer.n}"]
+    # one str per lower vertex and per section, not per line, keeps the peak
+    # under three times the text's size
+    parts = [f"# qn n={g.layer.n}\n"]
     for x, m in zip(g.lower, g.edge_masks):
-        prefix = f"{x:x} "
+        prefix, ends = f"{x:x} ", []
         while m:
             bit = m & -m
             m ^= bit
-            lines.append(f"{prefix}{x | bit:x}")
-    lines.append(f"# layer r={g.layer.r}")
-    lines.append("# lower")
-    lines.extend(f"{x:x}" for x in g.lower)
-    lines.append("# upper")
-    lines.extend(f"{y:x}" for y in g.upper)
-    return "\n".join(lines) + "\n"
+            ends.append(f"{prefix}{x | bit:x}\n")
+        parts.append("".join(ends))
+    parts.append(f"# layer r={g.layer.r}\n# lower\n")
+    parts.append("".join([f"{x:x}\n" for x in g.lower]))
+    parts.append("# upper\n")
+    parts.append("".join([f"{y:x}\n" for y in g.upper]))
+    return "".join(parts)
 
 
 def parse_layer_graph(text: str) -> LayerSubgraph:

@@ -280,6 +280,7 @@ def _first_cycle_in_range(
                 return found
         return None
 
+    found = None
     for s in graph.vertices[start_lo:start_hi]:
         closers = {c for c in nbrs[s] if c > s}
         if len(closers) < 2:  # the cycle needs two closers
@@ -287,8 +288,11 @@ def _first_cycle_in_range(
         reach = {w for c in closers for w in nbrs[c] if w > s}
         found = extend([s], s, closers, reach)
         if found is not None:
-            return tuple(found)
-    return None
+            break
+    # extend refers to itself through its closure, a reference cycle that
+    # would keep nbrs alive until the cyclic collector next runs
+    del extend
+    return None if found is None else tuple(found)
 
 
 def _cycle_scan_task(args: tuple[CubeSubgraph, int, int, int]) -> tuple[int, ...] | None:

@@ -231,11 +231,8 @@ class TestLayerScan:
         bits = [v.bits for v in a.vectors]
         lower, upper = survivor_sets(a.n, a.r, a.anchor.bits, bits)
         edges = edge_count_sets(a.n, lower, upper)
-        count, _, _ = con._layer_scan(a.n, a.r, a.anchor.bits, bits)
-        collected, scan_lower, scan_masks = con._layer_scan(
-            a.n, a.r, a.anchor.bits, bits, collect=True
-        )
-        assert count == collected == edges, (a.n, a.r)
+        scan_lower, scan_masks = con._layer_scan(a.n, a.r, a.anchor.bits, bits)
+        assert sum(map(int.bit_count, scan_masks)) == edges, (a.n, a.r)
         assert scan_lower == sorted(lower), (a.n, a.r)
         scan_upper = {x | 1 << j for x, m in zip(scan_lower, scan_masks) for j in bit_indices(m)}
         assert scan_upper == upper, (a.n, a.r)
@@ -253,7 +250,8 @@ class TestLayerScan:
     def test_every_assignment_of_the_frozen_layers(self, n, r):
         total = 0
         for bits in product(range(1, 1 << r), repeat=n):
-            count, _, _ = con._layer_scan(n, r, 1, list(bits))
+            _, masks = con._layer_scan(n, r, 1, list(bits))
+            count = sum(map(int.bit_count, masks))
             assert count == edge_count_sets(n, *survivor_sets(n, r, 1, bits)), (n, r, bits)
             total += count
         assert Fraction(total, ((1 << r) - 1) ** n) == FROZEN_EXPECTATIONS[(n, r)]
@@ -277,8 +275,8 @@ class TestLayerScan:
             a = sample_assignment(n, r, derive_seed(n, r))
             bits = [v.bits for v in a.vectors]
             lower, upper = survivor_sets(n, r, a.anchor.bits, bits)
-            count, _, _ = con._layer_scan(n, r, a.anchor.bits, bits)
-            assert count == edge_count_sets(n, lower, upper), (n, r)
+            _, masks = con._layer_scan(n, r, a.anchor.bits, bits)
+            assert sum(map(int.bit_count, masks)) == edge_count_sets(n, lower, upper), (n, r)
 
     def test_capacity(self, monkeypatch):
         monkeypatch.setenv("QT_CAPACITY", "5")
@@ -351,6 +349,21 @@ class TestEdgeMasks:
         finally:
             tracemalloc.stop()
         assert peak < 200 * len(g.lower)
+
+
+    @pytest.mark.parametrize("n,r", [(14, 7), (16, 9)])
+    def test_writer_memory_per_edge(self, n, r):
+        """One str per lower vertex and per vertex section: about 45 bytes
+        per edge at the peak on these layers, for a text of about 12, against
+        about 120 with one str per line."""
+        g = find_good_assignment(n, r, 0).graph
+        tracemalloc.start()
+        try:
+            format_layer_graph(g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * edge_count(g)
 
 
 class TestUnionGraph:
