@@ -51,13 +51,11 @@ from .construction import (
     VectorAssignment,
     constant_c_enclosure,
     derive_seed,
-    edge_count,
-    edge_pairs,
     find_good_assignment,
     union_odd_layers,
 )
 from .cube import LayerId, cube_edge_count
-from .detector import CubeSubgraph, CycleWitness, find_cycle_generic
+from .detector import CubeSubgraph, CycleWitness, find_cycle_generic, subgraph_of_union
 
 __all__ = [
     "BOUND_DIVISORS",
@@ -231,19 +229,21 @@ def _class_graphs(union: UnionGraph, colors: bytes | bytearray) -> list[CubeSubg
     """The union's edges split by their certificate color, one graph per color,
     each on all of the union's vertices.
 
-    Odd layers share no vertex, since layer r holds only popcounts r-1 and
-    r, so the vertex list needs one sort and no set.  Every edge comes from
-    a layer that was checked when it was built, so the graphs are built
-    directly rather than through CubeSubgraph.explicit.
+    Each edge mask of subgraph_of_union is split bit by bit into one mask
+    per color, so the classes share its vertex tuple and build no edge list.
     """
     n = union.n
-    layers = union.layers.values()
-    vertices = tuple(sorted(chain.from_iterable(chain(g.lower, g.upper) for g in layers)))
-    classes: list[list[tuple[int, int]]] = [[] for _ in range(COLOR_COUNT)]
-    for g in layers:
-        for x, y in edge_pairs(g):
-            classes[colors[edge_slot(n, x, (x ^ y).bit_length() - 1)]].append((x, y))
-    return [CubeSubgraph(n, vertices, tuple(sorted(edges))) for edges in classes]
+    whole = subgraph_of_union(union)
+    classes: list[list[int]] = [[] for _ in range(COLOR_COUNT)]
+    for x, m in zip(whole.vertices, whole.edge_masks):
+        parts = [0] * COLOR_COUNT
+        while m:
+            bit = m & -m
+            m ^= bit
+            parts[colors[edge_slot(n, x, bit.bit_length() - 1)]] |= bit
+        for masks, part in zip(classes, parts):
+            masks.append(part)
+    return [CubeSubgraph(n, whole.vertices, tuple(masks)) for masks in classes]
 
 
 def c10_pipeline(
@@ -256,7 +256,7 @@ def c10_pipeline(
     if problems:
         raise ValueError("invalid coloring certificate: " + "; ".join(problems))
     graphs = _class_graphs(union, cert.colors)
-    counts = tuple(len(sub.edges) for sub in graphs)
+    counts = tuple(sum(map(int.bit_count, sub.edge_masks)) for sub in graphs)
     free = []
     witnesses = {}
     for k, sub in enumerate(graphs):
@@ -280,8 +280,6 @@ def c10_pipeline(
 def _first_c10_in_classes(union: UnionGraph, colors: bytes | bytearray) -> CycleWitness | None:
     """A C10 in the lowest color class that holds one, or None when all are C10-free."""
     for sub in _class_graphs(union, colors):
-        if len(sub.edges) < 10:
-            continue
         witness = find_cycle_generic(sub, 10)
         if witness is not None:
             return witness

@@ -62,9 +62,22 @@ def _cmd_construct(args) -> int:
     return EXIT_FREE if report.passed else EXIT_WITNESS
 
 
+_LINE_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"  # where str.splitlines() cuts
+
+
+def _is_layer_text(text: str) -> bool:
+    """True when a line of text starts with '# layer r=' once stripped."""
+    at = text.find("# layer r=")
+    while at >= 0:
+        if not text[max(text.rfind(c, 0, at) for c in _LINE_BREAKS) + 1 : at].strip():
+            return True
+        at = text.find("# layer r=", at + 1)
+    return False
+
+
 def _load_graph(path: Path) -> detector.CubeSubgraph:
     text = path.read_text()
-    if any(line.strip().startswith("# layer r=") for line in text.splitlines()):
+    if _is_layer_text(text):
         g = construction.parse_layer_graph(text)
         return detector.subgraph_of_layer(g)
     n, edges = cube.parse_edge_list(text)

@@ -26,7 +26,7 @@ from operator import ne
 from typing import Iterator, Mapping
 
 from . import cube
-from .cube import LayerId, bit_indices
+from .cube import LayerId, bit_indices, upward_edges, upward_masks
 from .gf2 import GF2Vec, rank_bits, sample_nonzero
 
 __all__ = [
@@ -126,35 +126,15 @@ class LayerSubgraph:
         for y in upper:
             if y >> n or y.bit_count() != r:
                 raise ValueError(f"upper vertex 0x{y:x} is not an r-subset of [{n}]")
-        full, ordered, masks = (1 << n) - 1, tuple(sorted(lower)), []
-        for x in ordered:
-            free, m = full ^ x, 0
-            while free:
-                bit = free & -free
-                free ^= bit
-                if x | bit in upper:
-                    m |= bit
-            masks.append(m)
-        object.__setattr__(self, "lower", ordered)
+        object.__setattr__(self, "lower", tuple(sorted(lower)))
         object.__setattr__(self, "upper", tuple(sorted(upper)))
-        object.__setattr__(self, "edge_masks", tuple(masks))
+        object.__setattr__(self, "edge_masks", tuple(upward_masks(n, self.lower, upper)))
 
     @classmethod
     def _from_masks(cls, layer: LayerId, lower: list[int], masks: list[int]) -> LayerSubgraph:
-        """The graph of increasing lower vertices with their edge masks; the
-        upper side is every endpoint of an edge."""
-        n, r = layer.n, layer.r
-        if len(masks) != len(lower):
-            raise ValueError(f"{len(lower)} lower vertices but {len(masks)} edge masks")
-        previous = -1
-        for x, m in zip(lower, masks):
-            if x >> n or x.bit_count() != r - 1:
-                raise ValueError(f"lower vertex 0x{x:x} is not an (r-1)-subset of [{n}]")
-            if x <= previous:
-                raise ValueError(f"lower vertex 0x{x:x} is out of increasing order")
-            if m >> n or m & x:
-                raise ValueError(f"edge mask 0x{m:x} of 0x{x:x} is not within [{n}] minus 0x{x:x}")
-            previous = x
+        """The graph of increasing lower vertices with their edge masks, as
+        _layer_scan produces them, taken without a check; the upper side is
+        every endpoint of an edge."""
         upper: set[int] = set()
         for x, m in zip(lower, masks):
             while m:
@@ -326,11 +306,7 @@ def edge_count(g: LayerSubgraph) -> int:
 
 def edge_pairs(g: LayerSubgraph) -> Iterator[tuple[int, int]]:
     """The implicit edges, ordered by (lower mask, upper mask)."""
-    for x, m in zip(g.lower, g.edge_masks):
-        while m:
-            bit = m & -m
-            m ^= bit
-            yield x, x | bit
+    return upward_edges(g.lower, g.edge_masks)
 
 
 def union_odd_layers(n: int, assignments: Mapping[int, VectorAssignment]) -> UnionGraph:

@@ -21,7 +21,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from math import comb
-from typing import Iterator
+from typing import Container, Iterable, Iterator
 
 __all__ = [
     "CapacityError",
@@ -35,6 +35,8 @@ __all__ = [
     "layer_edge_count",
     "cube_edge_count",
     "cube_edges",
+    "upward_masks",
+    "upward_edges",
     "format_edge_list",
     "parse_edge_list",
 ]
@@ -144,6 +146,31 @@ def cube_edges(n: int) -> Iterator[tuple[int, int]]:
         for j in range(n):
             if not (x >> j) & 1:
                 yield x, x | (1 << j)
+
+
+def upward_masks(n: int, vertices: Iterable[int], present: Container[int]) -> list[int]:
+    """For each vertex x, the mask of the coordinates j outside x with
+    x | 1 << j in present."""
+    full, masks = (1 << n) - 1, []
+    for x in vertices:
+        free, m = full ^ x, 0
+        while free:
+            bit = free & -free
+            free ^= bit
+            if x | bit in present:
+                m |= bit
+        masks.append(m)
+    return masks
+
+
+def upward_edges(vertices: Iterable[int], masks: Iterable[int]) -> Iterator[tuple[int, int]]:
+    """The edges (x, x | 1 << j) for each vertex x and each bit j of its
+    mask, ordered by (x, j)."""
+    for x, m in zip(vertices, masks):
+        while m:
+            bit = m & -m
+            m ^= bit
+            yield x, x | bit
 
 
 def format_edge_list(n: int, edges: list[tuple[int, int]]) -> str:

@@ -8,14 +8,18 @@ Two independent routes for 6-cycles inside a layer:
 * a generic exhaustive backtracking search that works on any subgraph of
   Q_n and any even cycle length.
 
+The generic searches take one graph form, CubeSubgraph: sorted vertex
+masks, each with the mask of its edges upward, as in a layer graph, so a
+layer and the odd-layer union are merged from the layers' own masks.
+
 The generic search breaks symmetry canonically (cycles start at their
 smallest vertex; the second vertex is smaller than the last) and prunes by
 Hamming distance back to the start, which is a lower bound on remaining
 graph distance.  It walks a map from each vertex mask to the tuple of its
-neighbors in ascending order, at most n of them, so its memory is linear
-in the number of vertices.  Its last two levels are tests against closing
-sets fixed once per start s: at most n vertices, and at most n^2 in their
-neighborhood.  A cycle closes through a neighbor of s above s, and such
+neighbors in ascending order, at most n of them, read off the edge masks,
+so its memory is linear in the number of vertices.  Its last two levels
+are tests against closing sets fixed once per start s: at most n
+vertices, and at most n^2 in their neighborhood.  A cycle closes through a neighbor of s above s, and such
 closers must number at least two; the C6- path ends at a vertex above s
 at Hamming distance 1 from it.  The vertex before the end must be a
 neighbor of one of these, so candidates for it are cut to that
@@ -32,11 +36,12 @@ wins, so results do not depend on the worker count.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Iterable
 
 from . import cube
-from .construction import LayerSubgraph, UnionGraph, VectorAssignment, edge_pairs
-from .cube import bit_indices
+from .construction import LayerSubgraph, UnionGraph, VectorAssignment
+from .cube import bit_indices, upward_edges, upward_masks
 from .gf2 import GF2Vec, quotient_image, rank_bits
 
 __all__ = [
@@ -57,71 +62,77 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CubeSubgraph:
-    """A subgraph of Q_n: a vertex set plus induced or explicit edges.
+    """A subgraph of Q_n: sorted vertex masks, each with the mask of the
+    coordinates of its edges upward.
 
-    vertices is a sorted tuple of masks.  edges is None for the subgraph
-    induced by Q_n adjacency, or a sorted tuple of (x, y) pairs (each a
-    Q_n edge with both endpoints present) for an explicit edge subset.
+    edge_masks is aligned with vertices: bit j of edge_masks[i] is set
+    exactly when (vertices[i], vertices[i] | 1 << j) is an edge, the layout
+    of LayerSubgraph.edge_masks.  induced and explicit check their input
+    and derive the masks once; the dataclass constructor trusts them.
     """
 
     n: int
     vertices: tuple[int, ...]
-    edges: tuple[tuple[int, int], ...] | None = None
+    edge_masks: tuple[int, ...]
 
     @classmethod
     def induced(cls, n: int, vertices: Iterable[int]) -> CubeSubgraph:
-        verts = tuple(sorted(set(vertices)))
-        for v in verts:
-            if v < 0 or v >> n:
-                raise ValueError(f"vertex 0x{v:x} is outside Q_{n}")
-        return cls(n=n, vertices=verts)
+        verts = _checked_vertices(n, vertices)
+        return cls(n, verts, tuple(upward_masks(n, verts, set(verts))))
 
     @classmethod
     def explicit(
         cls, n: int, vertices: Iterable[int], edges: Iterable[tuple[int, int]]
     ) -> CubeSubgraph:
-        verts = tuple(sorted(set(vertices)))
-        vert_set = set(verts)
-        for v in verts:
-            if v < 0 or v >> n:
-                raise ValueError(f"vertex 0x{v:x} is outside Q_{n}")
-        norm = set()
+        verts = _checked_vertices(n, vertices)
+        index = {v: i for i, v in enumerate(verts)}
+        masks = [0] * len(verts)
         for x, y in edges:
             if x > y:
                 x, y = y, x
             if (x ^ y).bit_count() != 1:
                 raise ValueError(f"(0x{x:x}, 0x{y:x}) is not a Q_n edge")
-            if x not in vert_set or y not in vert_set:
+            if x not in index or y not in index:
                 raise ValueError(f"edge (0x{x:x}, 0x{y:x}) has an endpoint outside the vertex set")
-            norm.add((x, y))
-        return cls(n=n, vertices=verts, edges=tuple(sorted(norm)))
+            masks[index[x]] |= x ^ y
+        return cls(n, verts, tuple(masks))
 
     def edge_list(self) -> list[tuple[int, int]]:
-        if self.edges is not None:
-            return list(self.edges)
-        vert_set = set(self.vertices)
-        out = []
-        for x in self.vertices:
-            for j in range(self.n):
-                y = x | (1 << j)
-                if y != x and y in vert_set:
-                    out.append((x, y))
-        return out
+        """The edges (x, y) with x < y, in sorted order."""
+        return list(upward_edges(self.vertices, self.edge_masks))
+
+
+def _checked_vertices(n: int, vertices: Iterable[int]) -> tuple[int, ...]:
+    verts = tuple(sorted(set(vertices)))
+    for v in verts:
+        if v < 0 or v >> n:
+            raise ValueError(f"vertex 0x{v:x} is outside Q_{n}")
+    return verts
+
+
+def _subgraph_of_layers(n: int, layers: list[LayerSubgraph]) -> CubeSubgraph:
+    """The disjoint union of layer graphs, each with its own edges.
+
+    Layer r holds popcounts r-1 and r only, and the layers given never share
+    a popcount, so a vertex's popcount names its side: a lower vertex takes
+    the next mask of its layer, in the same increasing order, and an upper
+    vertex has no edge upward.
+    """
+    vertices = tuple(sorted(chain.from_iterable(chain(g.lower, g.upper) for g in layers)))
+    lower_masks = {g.layer.r - 1: iter(g.edge_masks) for g in layers}
+    no_masks = iter(())
+    masks = tuple(next(lower_masks.get(v.bit_count(), no_masks), 0) for v in vertices)
+    return CubeSubgraph(n, vertices, masks)
 
 
 def subgraph_of_layer(g: LayerSubgraph) -> CubeSubgraph:
-    """The layer subgraph as an induced subgraph of Q_n (same edges)."""
-    return CubeSubgraph.induced(g.layer.n, set(g.lower) | set(g.upper))
+    """The layer subgraph as a subgraph of Q_n (same edges)."""
+    return _subgraph_of_layers(g.layer.n, [g])
 
 
 def subgraph_of_union(u: UnionGraph) -> CubeSubgraph:
-    """The union graph with its explicit per-layer edges."""
-    verts: set[int] = set()
-    edges: list[tuple[int, int]] = []
-    for g in u.layers.values():
-        verts |= set(g.lower) | set(g.upper)
-        edges.extend(edge_pairs(g))
-    return CubeSubgraph.explicit(u.n, verts, edges)
+    """The union graph with its per-layer edges."""
+    return _subgraph_of_layers(u.n, list(u.layers.values()))
 
 
 @dataclass(frozen=True)
@@ -221,28 +232,14 @@ class C6Obstruction:
 def _neighbor_map(graph: CubeSubgraph) -> dict[int, tuple[int, ...]]:
     """Each vertex mask mapped to its neighbors in ascending order.
 
-    In Q_n the neighbors of x below it are x - 2^j for set bits j, which
-    ascend as j descends, and those above it are x + 2^j for clear bits j,
-    which ascend with j.  The map holds one reference per edge end, so its
-    size is O(V n) where a bitset over vertex indices per vertex is O(V^2).
+    The edge masks give the edges (x, y), x < y, in sorted order, so the
+    edges (w, x) with w < x all come before the edges (x, y) and each tuple
+    grows in ascending order.  The map holds one reference per edge end, so
+    its size is O(V n) where a bitset over vertex indices per vertex is
+    O(V^2).
     """
-    if graph.edges is None:
-        # looking a neighbor up returns the vertex's own int, which the
-        # tuples then share instead of holding a copy per edge end
-        vertex = {x: x for x in graph.vertices}.get
-        flips = [1 << j for j in range(graph.n)]
-        down = flips[::-1]
-        return {
-            x: tuple(
-                [y for b in down if x & b and (y := vertex(x ^ b)) is not None]
-                + [y for b in flips if not x & b and (y := vertex(x | b)) is not None]
-            )
-            for x in graph.vertices
-        }
-    # In sorted order the edges (w, x) with w < x all come before the edges
-    # (x, y) with x < y, so each tuple grows in ascending order.
     nbrs = dict.fromkeys(graph.vertices, ())
-    for x, y in sorted(graph.edges):
+    for x, y in upward_edges(graph.vertices, graph.edge_masks):
         nbrs[x] += (y,)
         nbrs[y] += (x,)
     return nbrs
@@ -295,10 +292,6 @@ def _first_cycle_in_range(
     return None if found is None else tuple(found)
 
 
-def _cycle_scan_task(args: tuple[CubeSubgraph, int, int, int]) -> tuple[int, ...] | None:
-    return _first_cycle_in_range(*args)
-
-
 def _first_c6_minus_in_range(
     graph: CubeSubgraph, start_lo: int, start_hi: int
 ) -> tuple[int, ...] | None:
@@ -328,26 +321,24 @@ def _first_c6_minus_in_range(
     return None
 
 
-def _c6_minus_scan_task(args: tuple[CubeSubgraph, int, int]) -> tuple[int, ...] | None:
-    return _first_c6_minus_in_range(*args)
-
-
-def _split_ranges(count: int, workers: int) -> list[tuple[int, int]]:
-    chunk = -(-count // workers)
-    return [(lo, min(lo + chunk, count)) for lo in range(0, count, chunk)]
-
-
-def _first_in_pool(
-    task: Callable[[tuple], tuple[int, ...] | None], tasks: list[tuple], workers: int
+def _first_over_starts(
+    scan: Callable[..., tuple[int, ...] | None], graph: CubeSubgraph, workers: int, *args: int
 ) -> tuple[int, ...] | None:
-    """The first result that is not None, in task order, from a process pool.
-
-    The pool module is imported here, so a one-process run never loads it.
+    """The first result of scan(graph, lo, hi, *args) that is not None, in
+    start order, over all start vertices.  workers > 1 splits the starts
+    into that many ranges, scanned in a process pool whose module is
+    imported here, so a one-process run never loads it.
     """
+    count = len(graph.vertices)
+    if workers <= 1:
+        return scan(graph, 0, count, *args)
     from concurrent.futures import ProcessPoolExecutor
 
+    chunk = -(-count // workers)
+    tasks = [(graph, lo, min(lo + chunk, count), *args) for lo in range(0, count, chunk)]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        for found in pool.map(task, tasks):
+        # map takes one iterable per parameter of scan
+        for found in pool.map(scan, *zip(*tasks)):
             if found is not None:
                 return found
     return None
@@ -364,14 +355,9 @@ def find_cycle_generic(
     """
     if length < 4 or length % 2:
         raise ValueError(f"cycle length must be even and >= 4, got {length}")
-    count = len(graph.vertices)
-    if count < length:
+    if len(graph.vertices) < length:
         return None
-    if workers <= 1:
-        found = _first_cycle_in_range(graph, 0, count, length)
-    else:
-        tasks = [(graph, lo, hi, length) for lo, hi in _split_ranges(count, workers)]
-        found = _first_in_pool(_cycle_scan_task, tasks, workers)
+    found = _first_over_starts(_first_cycle_in_range, graph, workers, length)
     return None if found is None else CycleWitness(found)
 
 
@@ -382,14 +368,9 @@ def find_c6_minus(graph: CubeSubgraph, workers: int = 1) -> PathWitness | None:
     layer the two are not equivalent, because the closing pair only needs
     to be a Q_n edge, not an edge of the graph.
     """
-    count = len(graph.vertices)
-    if count < 6:
+    if len(graph.vertices) < 6:
         return None
-    if workers <= 1:
-        found = _first_c6_minus_in_range(graph, 0, count)
-    else:
-        tasks = [(graph, lo, hi) for lo, hi in _split_ranges(count, workers)]
-        found = _first_in_pool(_c6_minus_scan_task, tasks, workers)
+    found = _first_over_starts(_first_c6_minus_in_range, graph, workers)
     return None if found is None else PathWitness(found)
 
 

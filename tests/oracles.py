@@ -1,15 +1,18 @@
 """Independent brute-force reference implementations used as test oracles.
 
 Everything here is deliberately naive and stays clear of the library's own
-elimination / backtracking code paths, with three exceptions kept as the
-code that faster kernels replaced.  The layer survivor reference ranks every
-subset separately with gf2.rank_bits, as before the one-pass layer scan.
+elimination / backtracking code paths, except for the references kept as
+the code that faster kernels replaced.  The layer survivor reference ranks
+every subset separately with gf2.rank_bits, as before the one-pass layer
+scan.
 The DFS references search cycles and C6- paths one vertex per call, as
 before the detector's closing sets, and must return the same witnesses.
 The coloring references parse and validate a certificate as a dict keyed
 by (base, coord), as before the one-byte-per-edge layout.  The color-class
 references split a union through CubeSubgraph.explicit over the set of its
 vertices, as before bounds built the class graphs straight from the layers.
+The neighbor-map reference probes a vertex set or walks a sorted edge list,
+as before a CubeSubgraph held the edge mask of each vertex.
 The layer-graph references find the edges, write the layer file and scan
 for subcube patterns by probing the sets of the two sides, as before a
 layer graph carried the edge mask of each lower vertex.
@@ -198,13 +201,42 @@ def _index_adjacency(graph):
     """Ascending vertex masks and neighbor sets as index bitmasks, from a CubeSubgraph."""
     masks = list(graph.vertices)
     pos = {m: i for i, m in enumerate(masks)}
-    edges = graph.edges if graph.edges is not None else induced_cube_edges(graph.n, masks)
     adj = [0] * len(masks)
-    for x, y in edges:
-        i, k = pos[x], pos[y]
-        adj[i] |= 1 << k
-        adj[k] |= 1 << i
+    for i, (x, up) in enumerate(zip(masks, graph.edge_masks)):
+        for j in range(graph.n):
+            if up >> j & 1:
+                k = pos[x | 1 << j]
+                adj[i] |= 1 << k
+                adj[k] |= 1 << i
     return masks, adj
+
+
+def neighbor_map_by_probe(n, vertices, edges):
+    """Each vertex mapped to its neighbors in ascending order, from sorted
+    vertices and an edge list, or None for the subgraph they induce.
+
+    The map builder before a CubeSubgraph held edge masks: induced graphs
+    probe the vertex set for x - 2^j by descending j, then x + 2^j by
+    ascending j; explicit graphs append over the sorted edges.
+    """
+    if edges is None:
+        vertex = {x: x for x in vertices}.get
+        flips = [1 << j for j in range(n)]
+        down = flips[::-1]
+        return {
+            x: tuple(
+                [y for b in down if x & b and (y := vertex(x ^ b)) is not None]
+                + [y for b in flips if not x & b and (y := vertex(x | b)) is not None]
+            )
+            for x in vertices
+        }
+    # In sorted order the edges (w, x) with w < x all come before the edges
+    # (x, y) with x < y, so each tuple grows in ascending order.
+    nbrs = dict.fromkeys(vertices, ())
+    for x, y in sorted(edges):
+        nbrs[x] += (y,)
+        nbrs[y] += (x,)
+    return nbrs
 
 
 def first_cycle_dfs(graph, start_lo, start_hi, length):
@@ -397,7 +429,7 @@ def explicit_c10_pipeline(union, cert):
     if problems:
         raise ValueError("invalid coloring certificate: " + "; ".join(problems))
     graphs = explicit_class_graphs(union, cert.colors)
-    counts = tuple(len(sub.edges) for sub in graphs)
+    counts = tuple(len(sub.edge_list()) for sub in graphs)
     free = []
     witnesses = {}
     for k, sub in enumerate(graphs):

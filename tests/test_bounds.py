@@ -33,6 +33,7 @@ from qturan.construction import (
     constant_c_enclosure,
     derive_seed,
     sample_assignment,
+    union_edge_count,
     union_odd_layers,
 )
 from qturan.cube import CapacityError, LayerId, cube_edge_count, cube_edges, layer_vertices
@@ -266,6 +267,23 @@ class TestClassGraphs:
                     outcomes.append(outcome)
         assert any(outcome.witnesses for outcome in outcomes)
         assert any(outcome.free_classes for outcome in outcomes)
+
+    def test_memory_per_union_edge(self):
+        """Over the n=14 union with the coordinate-mod-3 coloring: one mask per
+        vertex and class takes about 48 bytes per union edge at the peak,
+        against about 110 for one (x, y) tuple per edge."""
+        n = 14
+        union = density_report_suite(n, 0).union
+        colors = bytes((s >> (n - 1)) % 3 for s in range(n << (n - 1)))
+        tracemalloc.start()
+        try:
+            graphs = bnd._class_graphs(union, colors)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        edges = sum(len(sub.edge_list()) for sub in graphs)
+        assert edges == union_edge_count(union)
+        assert peak < 64 * edges
 
 
 class TestSearchColoring:

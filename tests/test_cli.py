@@ -1,6 +1,8 @@
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qturan import bounds, cli, construction, cube
 from qturan.bounds import format_coloring, monochromatic_certificate
@@ -141,6 +143,12 @@ class TestVerify:
     def test_comment_mentioning_lower_is_an_edge_list(self, tmp_path, capsys):
         path = tmp_path / "path.txt"
         path.write_text("# qn n=3\n# lower bound check\n0 1\n1 3\n")
+        code, out, err = run(["verify", str(path), "--target", "c4"], capsys)
+        assert (code, out, err) == (0, "c4-free\n", "")
+
+    def test_marker_in_mid_line_is_an_edge_list(self, tmp_path, capsys):
+        path = tmp_path / "path.txt"
+        path.write_text("# qn n=3\n# not a # layer r=3 line\n0 1\n1 3\n")
         code, out, err = run(["verify", str(path), "--target", "c4"], capsys)
         assert (code, out, err) == (0, "c4-free\n", "")
 
@@ -354,7 +362,7 @@ class TestDeterminism:
         first, second = ring(1 << 9, flips), ring(3 << 8, flips)
         g = planted_graph([first, second], closed=target != "c6minus")
         # an edge list holds no isolated vertex, so the filler 64..76 is paired up
-        edges = list(g.edges) + [(v, v + 1) for v in range(64, 78, 2)]
+        edges = g.edge_list() + [(v, v + 1) for v in range(64, 78, 2)]
         path = tmp_path / "planted.txt"
         path.write_text(cube.format_edge_list(g.n, edges))
         verts = cli._load_graph(path).vertices
@@ -413,3 +421,27 @@ class TestParseErrors:
         path = tmp_path / "layer.txt"
         path.write_text(self.LAYER.format(r="2", upper="3"))
         assert run(["verify", str(path), "--target", "c6"], capsys) == (0, "c6-free\n", "")
+
+
+# Lines of text around the layer marker, joined by every line boundary
+# that str.splitlines() knows, behind whitespace that is none (tab, \x1f,
+# no-break and ideographic spaces), with near misses of the marker and a
+# marker in mid-line.
+LINE_BOUNDARIES = [
+    "\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"
+]
+LINE_BODIES = ["# layer r=3", "# layer r=", "# layer r", "#  layer r=3", "x # layer r=3", "0 1", ""]
+MARKER_LINES = st.tuples(
+    st.sampled_from(LINE_BOUNDARIES),
+    st.text(alphabet=" \t\x1f\xa0\u3000", max_size=2),
+    st.sampled_from(LINE_BODIES),
+).map("".join)
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True, database=None)
+@given(st.lists(MARKER_LINES, max_size=4).map("".join), st.booleans())
+def test_layer_marker_is_found_on_the_lines_of_splitlines(text, drop_first_boundary):
+    if drop_first_boundary:
+        text = text[1:]
+    expected = any(line.strip().startswith("# layer r=") for line in text.splitlines())
+    assert cli._is_layer_text(text) == expected

@@ -325,16 +325,6 @@ class TestEdgeMasks:
     def test_mask_constructor_checks(self):
         layer = LayerId(4, 2)
         assert LayerSubgraph._from_masks(layer, [0b1, 0b10], [0b10, 0b1]).upper == (0b11,)
-        for lower, masks in (
-            ([0b11], [0]),  # not an (r-1)-subset
-            ([0b10000], [0]),  # outside [n]
-            ([0b10, 0b1], [0, 0]),  # out of increasing order
-            ([0b1], [0b1]),  # mask meets its vertex
-            ([0b1], [0b10000]),  # mask outside [n]
-            ([0b1], []),  # no mask
-        ):
-            with pytest.raises(ValueError):
-                LayerSubgraph._from_masks(layer, lower, masks)
 
     @pytest.mark.parametrize("n,r", [(14, 7), (16, 9)])
     def test_build_memory_per_lower_vertex(self, n, r):

@@ -4,7 +4,7 @@ import tracemalloc
 import pytest
 
 from qturan import cube
-from qturan.bounds import density_report_suite
+from qturan.bounds import _class_graphs, density_report_suite
 from qturan.construction import (
     LayerSubgraph,
     VectorAssignment,
@@ -33,12 +33,15 @@ from qturan.detector import _first_c6_minus_in_range, _first_cycle_in_range, _ne
 from qturan.gf2 import GF2Vec
 
 from oracles import (
+    color_classes,
+    coloring_bytes,
     find_c6_structured_by_probe,
     first_c6_minus_dfs,
     first_cycle_dfs,
     has_c6_minus_naive,
     has_cycle_naive,
     induced_cube_edges,
+    neighbor_map_by_probe,
 )
 
 
@@ -58,16 +61,21 @@ def random_layer_subgraph(n, r, rng):
     return LayerSubgraph(layer, lower, upper)
 
 
-def random_cube_subgraph(rng):
-    """An induced or explicit subgraph of Q_3..Q_7 with varied density."""
+def random_cube_graph_and_edges(rng):
+    """An induced or explicit subgraph of Q_3..Q_7 with varied density, with
+    the edge list it was built from, or None for an induced one."""
     n = rng.randint(3, 7)
     density = rng.choice([0.3, 0.5, 0.7, 0.9])
     verts = [v for v in range(1 << n) if rng.random() < density]
     if rng.random() < 0.5:
-        return CubeSubgraph.induced(n, verts)
+        return CubeSubgraph.induced(n, verts), None
     keep = rng.choice([0.5, 0.8, 1.0])
     edges = [e for e in induced_cube_edges(n, verts) if rng.random() < keep]
-    return CubeSubgraph.explicit(n, verts, edges)
+    return CubeSubgraph.explicit(n, verts, edges), edges
+
+
+def random_cube_subgraph(rng):
+    return random_cube_graph_and_edges(rng)[0]
 
 
 def ring(base, flips):
@@ -115,7 +123,8 @@ class TestCubeSubgraph:
 
     def test_explicit_normalizes_orientation(self):
         g = CubeSubgraph.explicit(3, [0, 1], [(1, 0)])
-        assert g.edges == ((0, 1),)
+        assert g.edge_masks == (1, 0)
+        assert g.edge_list() == [(0, 1)]
 
     def test_subgraph_of_layer(self):
         g = build_layer_graph(sample_assignment(6, 3, 2))
@@ -135,6 +144,9 @@ class TestCubeSubgraph:
         sub = subgraph_of_union(u)
         total = sum(len(list(edge_pairs(g))) for g in u.layers.values())
         assert len(sub.edge_list()) == total
+        vertices = [v for g in u.layers.values() for v in g.lower + g.upper]
+        edges = [e for g in u.layers.values() for e in edge_pairs(g)]
+        assert sub == CubeSubgraph.explicit(5, vertices, edges)
 
 
 class TestWitnessTypes:
@@ -279,12 +291,35 @@ class TestNeighborMap:
     def test_tuples_are_the_sorted_neighbors(self):
         rng = random.Random(77)
         for _ in range(100):
-            g = random_cube_subgraph(rng)
+            g, edges = random_cube_graph_and_edges(rng)
+            if edges is None:
+                edges = induced_cube_edges(g.n, g.vertices)
             expected = {v: [] for v in g.vertices}
-            for x, y in g.edge_list():
+            for x, y in edges:
                 expected[x].append(y)
                 expected[y].append(x)
             assert _neighbor_map(g) == {v: tuple(sorted(ys)) for v, ys in expected.items()}
+
+    def test_matches_the_probing_builder_on_random_graphs(self):
+        rng = random.Random(78)
+        for _ in range(200):
+            g, edges = random_cube_graph_and_edges(rng)
+            assert _neighbor_map(g) == neighbor_map_by_probe(g.n, g.vertices, edges)
+
+    @pytest.mark.parametrize("n", [12, 14])
+    def test_matches_the_probing_builder_on_layers_and_classes(self, n):
+        union = density_report_suite(n, 0).union
+        for g in union.layers.values():
+            sub = subgraph_of_layer(g)
+            assert _neighbor_map(sub) == neighbor_map_by_probe(n, sub.vertices, None)
+        vertices = sorted(v for g in union.layers.values() for v in g.lower + g.upper)
+        edges = [(b, j) for b in range(1 << n) for j in range(n) if not b >> j & 1]
+        # the flipped coordinate mod 3, and the lower end's popcount mod 3
+        for rule in (lambda b, j: j % 3, lambda b, j: b.bit_count() % 3):
+            colors = coloring_bytes(n, {(b, j): rule(b, j) for b, j in edges})
+            classes = color_classes(union, colors)
+            for sub, class_edges in zip(_class_graphs(union, colors), classes):
+                assert _neighbor_map(sub) == neighbor_map_by_probe(n, vertices, class_edges)
 
     @pytest.mark.parametrize("kind", ["class", "layer"])
     def test_memory_is_linear_in_the_vertices(self, kind):
