@@ -52,7 +52,6 @@ from .construction import (
     constant_c_enclosure,
     derive_seed,
     find_good_assignment,
-    union_odd_layers,
 )
 from .cube import LayerId, cube_edge_count
 from .detector import CubeSubgraph, CycleWitness, find_cycle_generic, subgraph_of_union

@@ -17,13 +17,13 @@ floats appear only in Monte Carlo summaries.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
 from math import ceil, floor
 from operator import ne
-from typing import Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from . import cube
 from .cube import LayerId, bit_indices, upward_edges, upward_masks
@@ -106,47 +106,42 @@ class LayerSubgraph:
     edge_masks[i] holds bit j exactly when (lower[i], lower[i] | 1 << j) is
     an edge, so the edges come straight from the masks in (lower, upper)
     order, with no set lookup.  upper is the surviving upper side in
-    increasing order; it may hold vertices without an edge.  The public
-    constructor takes the two sides as any iterables of masks and derives
-    the edge masks in one probe pass over the upper side; build_layer_graph
-    takes them from the layer scan and derives the upper side from them.
+    increasing order; it may hold vertices without an edge.  induced checks
+    the two sides and derives the masks; the dataclass constructor trusts
+    its fields.
     """
 
     layer: LayerId
     lower: tuple[int, ...]
     upper: tuple[int, ...]
-    edge_masks: tuple[int, ...] = field(init=False)
+    edge_masks: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        n, r = self.layer.n, self.layer.r
-        lower, upper = frozenset(self.lower), frozenset(self.upper)
+    @classmethod
+    def induced(cls, layer: LayerId, lower: Iterable[int], upper: Iterable[int]) -> LayerSubgraph:
+        """The subgraph induced on the two sides, given as any iterables of
+        masks, with the edge masks from one probe pass over the upper side."""
+        n, r = layer.n, layer.r
+        lower, upper = frozenset(lower), frozenset(upper)
         for x in lower:
             if x >> n or x.bit_count() != r - 1:
                 raise ValueError(f"lower vertex 0x{x:x} is not an (r-1)-subset of [{n}]")
         for y in upper:
             if y >> n or y.bit_count() != r:
                 raise ValueError(f"upper vertex 0x{y:x} is not an r-subset of [{n}]")
-        object.__setattr__(self, "lower", tuple(sorted(lower)))
-        object.__setattr__(self, "upper", tuple(sorted(upper)))
-        object.__setattr__(self, "edge_masks", tuple(upward_masks(n, self.lower, upper)))
+        lows = tuple(sorted(lower))
+        return cls(layer, lows, tuple(sorted(upper)), tuple(upward_masks(n, lows, upper)))
 
-    @classmethod
-    def _from_masks(cls, layer: LayerId, lower: list[int], masks: list[int]) -> LayerSubgraph:
-        """The graph of increasing lower vertices with their edge masks, as
-        _layer_scan produces them, taken without a check; the upper side is
-        every endpoint of an edge."""
-        upper: set[int] = set()
-        for x, m in zip(lower, masks):
-            while m:
-                bit = m & -m
-                m ^= bit
-                upper.add(x | bit)
-        g = object.__new__(cls)
-        object.__setattr__(g, "layer", layer)
-        object.__setattr__(g, "lower", tuple(lower))
-        object.__setattr__(g, "upper", tuple(sorted(upper)))
-        object.__setattr__(g, "edge_masks", tuple(masks))
-        return g
+
+def _scanned_graph(layer: LayerId, lower: list[int], masks: list[int]) -> LayerSubgraph:
+    """The graph of increasing lower vertices with their edge masks, as
+    _layer_scan produces them; the upper side is every endpoint of an edge."""
+    upper: set[int] = set()
+    for x, m in zip(lower, masks):
+        while m:
+            bit = m & -m
+            m ^= bit
+            upper.add(x | bit)
+    return LayerSubgraph(layer, tuple(lower), tuple(sorted(upper)), tuple(masks))
 
 
 @dataclass(frozen=True)
@@ -221,8 +216,8 @@ def _layer_scan(
     tries its candidates in increasing order.  At a leaf the kernel of g
     is span(x), hence x + {j} is an upper survivor iff g(v_j) = 1: g is
     the leaf's edge mask, and every upper survivor is reached because the
-    anchor is nonzero.  The last two levels are emitted without a call
-    per leaf.
+    anchor is nonzero.  For r >= 3 the last two levels are emitted without
+    a call per leaf.
     """
     cube.require_capacity(n)
     columns = [0] * r
@@ -239,7 +234,7 @@ def _layer_scan(
 
     def walk(limit: int, mask: int, basis: list[int], g: int) -> None:
         left = len(basis)
-        if left == 0:  # r = 1: the empty set is the only lower vertex
+        if left == 0:  # a leaf; reached only for r <= 2
             lower.append(mask)
             masks.append(g)
             return
@@ -248,16 +243,6 @@ def _layer_scan(
         for h in basis:
             candidates |= h
         candidates &= (1 << limit) - (1 << (left - 1))
-        if left == 1:
-            h = basis[0]
-            candidates &= h
-            odd = g ^ h
-            while candidates:
-                low = candidates & -candidates
-                candidates ^= low
-                lower.append(mask | low)
-                masks.append(odd if g & low else g)
-            return
         if left == 2:
             h1, h2 = basis
             while candidates:
@@ -296,7 +281,7 @@ def _layer_scan(
 def build_layer_graph(a: VectorAssignment) -> LayerSubgraph:
     """Materialize the induced subgraph on the surviving vertex sets."""
     lower, masks = _layer_scan(a.n, a.r, a.anchor.bits, [v.bits for v in a.vectors])
-    return LayerSubgraph._from_masks(LayerId(a.n, a.r), lower, masks)
+    return _scanned_graph(LayerId(a.n, a.r), lower, masks)
 
 
 def edge_count(g: LayerSubgraph) -> int:
@@ -428,7 +413,7 @@ def find_good_assignment(n: int, r: int, seed: int, max_trials: int = 512) -> Se
         lower, masks = _layer_scan(n, r, a.anchor.bits, [v.bits for v in a.vectors])
         e = sum(map(int.bit_count, masks))
         if Fraction(e) > threshold:
-            graph = LayerSubgraph._from_masks(LayerId(n, r), lower, masks)
+            graph = _scanned_graph(LayerId(n, r), lower, masks)
             return SearchResult(a, graph, e, trial + 1, threshold)
         # a losing trial keeps only its assignment; its lists go before the
         # next scan, so two trials' lists are never alive at once
@@ -536,7 +521,7 @@ def parse_layer_graph(text: str) -> LayerSubgraph:
             raise ValueError(f"line {lineno}: bad hex mask in {line!r}") from exc
     if r is None:
         raise ValueError("layer file is missing its '# layer r=<r>' line")
-    g = LayerSubgraph(LayerId(n, r), lower, upper)
+    g = LayerSubgraph.induced(LayerId(n, r), lower, upper)
     if len(ends) != 2 * edge_count(g) or any(map(ne, ends, chain.from_iterable(edge_pairs(g)))):
         raise ValueError("edge lines do not match the inclusion pairs of the vertex sections")
     return g

@@ -66,8 +66,11 @@ def _check_dims(vs: list[GF2Vec], dim: int) -> None:
             raise ValueError(f"dimension mismatch: expected {dim}, got {v.dim}")
 
 
-def rank_bits(rows: Iterable[int]) -> int:
-    """Rank over GF(2) of int bitset rows, by word-level Gaussian elimination."""
+def _pivots(rows: Iterable[int]) -> dict[int, int]:
+    """Top-bit pivots of the span of int bitset rows, by word-level Gaussian
+    elimination: each row is reduced by the pivots of its top bit until its
+    top bit is new, or it vanishes.  The keys are the leading bits of the
+    span, one per dimension."""
     pivots: dict[int, int] = {}
     for v in rows:
         while v:
@@ -77,7 +80,24 @@ def rank_bits(rows: Iterable[int]) -> int:
                 pivots[top] = v
                 break
             v ^= p
-    return len(pivots)
+    return pivots
+
+
+def _reduce(v: int, pivots: dict[int, int]) -> int:
+    """The one element of v + span with every pivot bit clear.
+
+    The pivot of bit t has no bit above t, so clearing from the highest
+    pivot bit down never sets one already cleared.
+    """
+    pivot_bits = sum(1 << t for t in pivots)
+    while v & pivot_bits:
+        v ^= pivots[(v & pivot_bits).bit_length() - 1]
+    return v
+
+
+def rank_bits(rows: Iterable[int]) -> int:
+    """Rank over GF(2) of int bitset rows."""
+    return len(_pivots(rows))
 
 
 def rank(vs: Iterable[GF2Vec], dim: int) -> int:
@@ -95,60 +115,36 @@ def is_basis(vs: Iterable[GF2Vec], dim: int) -> bool:
 
 
 def in_span(v: GF2Vec, vs: Iterable[GF2Vec]) -> bool:
-    """True iff v lies in Span(vs): adding v leaves the rank unchanged."""
+    """True iff v lies in Span(vs): v reduces to zero."""
     vec_list = list(vs)
     _check_dims(vec_list, v.dim)
-    rows = [w.bits for w in vec_list]
-    return rank_bits(rows + [v.bits]) == rank_bits(rows)
-
-
-def _reduced_echelon(basis: list[GF2Vec]) -> dict[int, int]:
-    """Fully reduced echelon rows keyed by pivot bit; raises if dependent.
-
-    Invariant: every row has bit 1 at its own pivot and 0 at every other
-    pivot, so clearing all pivots from a vector takes one pass in any order.
-    """
-    rows: dict[int, int] = {}
-    for w in basis:
-        cur = w.bits
-        for t, row in rows.items():
-            if (cur >> t) & 1:
-                cur ^= row
-        if cur == 0:
-            raise ValueError("subspace basis is linearly dependent")
-        top = cur.bit_length() - 1
-        for t, row in rows.items():
-            if (row >> top) & 1:
-                rows[t] = row ^ cur
-        rows[top] = cur
-    return rows
+    return _reduce(v.bits, _pivots(w.bits for w in vec_list)) == 0
 
 
 def quotient_image(v: GF2Vec, subspace_basis: Iterable[GF2Vec]) -> GF2Vec:
     """Canonical representative of v + Span(subspace_basis).
 
     The image lives in a fixed coordinate system of dimension
-    v.dim - len(subspace_basis): reduce v by the reduced echelon form of the
-    basis, then pack the free (non-pivot) coordinates in increasing index
+    v.dim - len(subspace_basis): reduce v until every leading bit of the
+    subspace is clear, then pack the other coordinates in increasing index
     order.  Two vectors get equal images iff their difference is in the
     subspace, so image equality is a plain bit comparison.
     """
     basis = list(subspace_basis)
     _check_dims(basis, v.dim)
-    rows = _reduced_echelon(basis)
-    cur = v.bits
-    for top, row in rows.items():
-        if (cur >> top) & 1:
-            cur ^= row
+    pivots = _pivots(w.bits for w in basis)
+    if len(pivots) != len(basis):
+        raise ValueError("subspace basis is linearly dependent")
+    cur = _reduce(v.bits, pivots)
     out = 0
     j = 0
     for i in range(v.dim):
-        if i in rows:
+        if i in pivots:
             continue
         if (cur >> i) & 1:
             out |= 1 << j
         j += 1
-    return GF2Vec(out, v.dim - len(rows))
+    return GF2Vec(out, v.dim - len(pivots))
 
 
 def sample_nonzero(rng: random.Random, dim: int) -> GF2Vec:

@@ -16,6 +16,8 @@ as before a CubeSubgraph held the edge mask of each vertex.
 The layer-graph references find the edges, write the layer file and scan
 for subcube patterns by probing the sets of the two sides, as before a
 layer graph carried the edge mask of each lower vertex.
+The quotient reference reduces a vector by the fully reduced echelon form
+of the basis, as before gf2 kept a single elimination with top-bit pivots.
 """
 
 from fractions import Fraction
@@ -24,7 +26,7 @@ from itertools import combinations, permutations, product
 from qturan.bounds import PipelineOutcome, coloring_problems, edge_slot, make_report
 from qturan.cube import CapacityError, cube_edge_count, subsets_of_size
 from qturan.detector import CubeSubgraph, SubcubePattern, find_cycle_generic
-from qturan.gf2 import rank_bits
+from qturan.gf2 import GF2Vec, rank_bits
 
 EXPECTATION_CAP = 10**7
 
@@ -443,3 +445,49 @@ def explicit_c10_pipeline(union, cert):
     best = min(free, key=lambda k: (-counts[k], k))
     report = make_report(union.n, None, "final", counts[best], cube_edge_count(union.n), "c/12")
     return PipelineOutcome(True, best, counts, tuple(free), witnesses, graphs[best], report)
+
+
+def reduced_echelon(basis):
+    """Fully reduced echelon rows of GF2Vecs keyed by pivot bit; raises if dependent.
+
+    Invariant: every row has bit 1 at its own pivot and 0 at every other
+    pivot, so clearing all pivots from a vector takes one pass in any order.
+    """
+    rows = {}
+    for w in basis:
+        cur = w.bits
+        for t, row in rows.items():
+            if (cur >> t) & 1:
+                cur ^= row
+        if cur == 0:
+            raise ValueError("subspace basis is linearly dependent")
+        top = cur.bit_length() - 1
+        for t, row in rows.items():
+            if (row >> top) & 1:
+                rows[t] = row ^ cur
+        rows[top] = cur
+    return rows
+
+
+def quotient_image_by_reduced_echelon(v, subspace_basis):
+    """gf2.quotient_image through the reduced echelon form of the basis:
+    reduce v by every row, then pack the non-pivot coordinates in
+    increasing index order."""
+    basis = list(subspace_basis)
+    for w in basis:
+        if w.dim != v.dim:
+            raise ValueError(f"dimension mismatch: expected {v.dim}, got {w.dim}")
+    rows = reduced_echelon(basis)
+    cur = v.bits
+    for top, row in rows.items():
+        if (cur >> top) & 1:
+            cur ^= row
+    out = 0
+    j = 0
+    for i in range(v.dim):
+        if i in rows:
+            continue
+        if (cur >> i) & 1:
+            out |= 1 << j
+        j += 1
+    return GF2Vec(out, v.dim - len(rows))

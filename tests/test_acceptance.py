@@ -6,14 +6,10 @@ deterministic; the statistical checks use 4-sigma binomial bands.
 
 import random
 from fractions import Fraction
-from math import comb, sqrt
+from math import sqrt
 
 import pytest
 
-from qturan import bounds as bnd
-from qturan import construction as con
-from qturan import cube
-from qturan import detector as det
 from qturan.bounds import c10_pipeline, density_report_suite, monochromatic_certificate
 from qturan.construction import (
     LayerSubgraph,
@@ -69,7 +65,7 @@ def layer_instances():
     for _ in range(500):
         lower = frozenset(v for v in lows73 if rng.random() < 0.5)
         upper = frozenset(v for v in ups73 if rng.random() < 0.5)
-        instances.append(LayerSubgraph(layer73, lower, upper))
+        instances.append(LayerSubgraph.induced(layer73, lower, upper))
     layer42 = LayerId(4, 2)
     lows42 = list(layer_vertices(layer42, "lower"))
     ups42 = list(layer_vertices(layer42, "upper"))
@@ -78,7 +74,7 @@ def layer_instances():
     for mask in range(1 << 10):
         chosen = {v for i, v in enumerate(verts) if (mask >> i) & 1}
         instances.append(
-            LayerSubgraph(
+            LayerSubgraph.induced(
                 layer42,
                 frozenset(chosen & set(lows42)),
                 frozenset(chosen & set(ups42)),

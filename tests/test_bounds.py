@@ -56,7 +56,7 @@ def constructed_union(n, seed=0):
 
 def full_layer_union(n, r):
     layer = LayerId(n, r)
-    g = LayerSubgraph(
+    g = LayerSubgraph.induced(
         layer,
         frozenset(layer_vertices(layer, "lower")),
         frozenset(layer_vertices(layer, "upper")),

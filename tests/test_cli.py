@@ -20,7 +20,7 @@ def run(argv, capsys):
 
 def full_layer_text(n, r):
     layer = LayerId(n, r)
-    g = LayerSubgraph(
+    g = LayerSubgraph.induced(
         layer,
         frozenset(layer_vertices(layer, "lower")),
         frozenset(layer_vertices(layer, "upper")),

@@ -187,10 +187,10 @@ class TestLayerGraph:
         assert abs(mean - expected) <= 3 * stderr
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            LayerSubgraph(LayerId(3, 2), frozenset({0b11}), frozenset())
-        with pytest.raises(ValueError):
-            LayerSubgraph(LayerId(3, 2), frozenset(), frozenset({0b1}))
+        with pytest.raises(ValueError, match=r"^lower vertex 0x3 is not an \(r-1\)-subset of \[3\]$"):
+            LayerSubgraph.induced(LayerId(3, 2), frozenset({0b11}), frozenset())
+        with pytest.raises(ValueError, match=r"^upper vertex 0x1 is not an r-subset of \[3\]$"):
+            LayerSubgraph.induced(LayerId(3, 2), frozenset(), frozenset({0b1}))
 
 
 def _spanning_and_degenerate(n, r, seed):
@@ -296,7 +296,7 @@ class TestEdgeMasks:
     def assert_matches_sets(self, a):
         g = build_layer_graph(a)
         lower, upper = survivor_sets(a.n, a.r, a.anchor.bits, [v.bits for v in a.vectors])
-        ref = LayerSubgraph(g.layer, lower, upper)
+        ref = LayerSubgraph.induced(g.layer, lower, upper)
         assert (g.lower, g.upper, g.edge_masks) == (ref.lower, ref.upper, ref.edge_masks)
         assert g == ref
         assert edge_count(g) == edge_count_sets(a.n, lower, upper)
@@ -317,14 +317,16 @@ class TestEdgeMasks:
                 self.assert_matches_sets(a)
 
     def test_public_constructor_derives_the_masks(self):
-        # 0b001 reaches 0b011 only; 0b110 is an upper vertex without an edge
-        g = LayerSubgraph(LayerId(3, 2), {0b001, 0b100}, frozenset({0b110, 0b011}))
-        assert (g.lower, g.upper, g.edge_masks) == ((0b001, 0b100), (0b011, 0b110), (0b010, 0b010))
-        assert list(edge_pairs(g)) == [(0b001, 0b011), (0b100, 0b110)]
+        # 0b001 reaches 0b011 only; 0b110 is an upper vertex without an edge,
+        # which only the stored upper side keeps
+        g = LayerSubgraph.induced(LayerId(3, 2), [0b001], frozenset({0b110, 0b011}))
+        assert (g.lower, g.upper, g.edge_masks) == ((0b001,), (0b011, 0b110), (0b010,))
+        assert list(edge_pairs(g)) == [(0b001, 0b011)]
+        assert parse_layer_graph(format_layer_graph(g)) == g
 
     def test_mask_constructor_checks(self):
         layer = LayerId(4, 2)
-        assert LayerSubgraph._from_masks(layer, [0b1, 0b10], [0b10, 0b1]).upper == (0b11,)
+        assert con._scanned_graph(layer, [0b1, 0b10], [0b10, 0b1]).upper == (0b11,)
 
     @pytest.mark.parametrize("n,r", [(14, 7), (16, 9)])
     def test_build_memory_per_lower_vertex(self, n, r):
@@ -602,7 +604,7 @@ def layer_texts(draw):
     layer = LayerId(n, draw(st.integers(1, n)))
     lower = draw(st.sets(st.sampled_from(list(layer_vertices(layer, "lower")))))
     upper = draw(st.sets(st.sampled_from(list(layer_vertices(layer, "upper")))))
-    g = LayerSubgraph(layer, frozenset(lower), frozenset(upper))
+    g = LayerSubgraph.induced(layer, frozenset(lower), frozenset(upper))
     plausible = ["# lower", "# upper", "# layer r=2", "# layer r=x", "# qn n=3", "1 3", "3", "0", "-1", ""]
     return draw(edited_text(format_layer_graph(g).splitlines(), plausible))
 

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qturan import cube
 from qturan.cube import (
     CapacityError,
     LayerId,

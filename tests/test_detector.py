@@ -47,7 +47,7 @@ from oracles import (
 
 def full_layer(n, r):
     layer = LayerId(n, r)
-    return LayerSubgraph(
+    return LayerSubgraph.induced(
         layer,
         frozenset(cube.layer_vertices(layer, "lower")),
         frozenset(cube.layer_vertices(layer, "upper")),
@@ -58,7 +58,7 @@ def random_layer_subgraph(n, r, rng):
     layer = LayerId(n, r)
     lower = frozenset(v for v in cube.layer_vertices(layer, "lower") if rng.random() < 0.5)
     upper = frozenset(v for v in cube.layer_vertices(layer, "upper") if rng.random() < 0.5)
-    return LayerSubgraph(layer, lower, upper)
+    return LayerSubgraph.induced(layer, lower, upper)
 
 
 def random_cube_graph_and_edges(rng):

@@ -1,10 +1,16 @@
 import random
+from itertools import product
 
 import pytest
 
 from qturan.gf2 import GF2Vec, in_span, is_basis, quotient_image, rank, rank_bits, sample_nonzero
 
-from oracles import is_basis_by_span, rank_by_subset_search, span_bits
+from oracles import (
+    is_basis_by_span,
+    quotient_image_by_reduced_echelon,
+    rank_by_subset_search,
+    span_bits,
+)
 
 
 def vecs(bits_list, dim):
@@ -188,6 +194,53 @@ class TestQuotientImage:
     def test_image_dimension(self):
         img = quotient_image(GF2Vec(0b1010, 4), vecs([0b0001, 0b0110], 4))
         assert img.dim == 2
+
+
+def quotient_outcome(quotient, v, basis):
+    try:
+        return quotient(v, basis)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+class TestQuotientImageAgainstReducedEchelon:
+    """quotient_image against the reduced echelon route it replaced: the same
+    image, or the same error message."""
+
+    def assert_agree(self, v, basis):
+        expected = quotient_outcome(quotient_image_by_reduced_echelon, v, basis)
+        assert quotient_outcome(quotient_image, v, basis) == expected
+
+    def test_every_basis_and_vector_to_dim_4(self):
+        # every list of at most dim vectors, the zero vector and dependent
+        # lists included, with every vector; the 65536 lists of four at
+        # dimension 4 each take one vector, every vector in turn
+        for dim in range(5):
+            space = vecs(range(1 << dim), dim)
+            for k in range(dim + 1):
+                for at, basis in enumerate(product(space, repeat=k)):
+                    if k < 4:
+                        for v in space:
+                            self.assert_agree(v, basis)
+                    else:
+                        self.assert_agree(space[at % 16], basis)
+
+    def test_seeded_to_dim_64(self):
+        rng = random.Random(64)
+        for _ in range(3000):
+            dim = rng.randint(1, 64)
+            # sparse rows, and the sum of two rows now and then, make about
+            # half of the lists dependent
+            density = rng.choice((3, dim))
+            basis = []
+            for _ in range(rng.randint(0, dim)):
+                bits = 0
+                for _ in range(density):
+                    bits |= 1 << rng.randrange(dim)
+                if basis and rng.random() < 0.05:
+                    bits = rng.choice(basis) ^ rng.choice(basis)
+                basis.append(bits)
+            self.assert_agree(GF2Vec(rng.getrandbits(dim), dim), vecs(basis, dim))
 
 
 class TestSampleNonzero:
