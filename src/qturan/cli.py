@@ -50,7 +50,8 @@ def _cmd_construct(args) -> int:
     assignment_path = out / f"assignment_n{args.n}_r{args.r}.txt"
     layer_path = out / f"layer_n{args.n}_r{args.r}.txt"
     assignment_path.write_text(construction.format_assignment(result.assignment))
-    layer_path.write_text(construction.format_layer_graph(result.graph))
+    with layer_path.open("w") as stream:
+        stream.writelines(construction.layer_graph_text(result.graph))
     layer = cube.LayerId(args.n, args.r)
     report = bounds.make_report(
         args.n, args.r, "layer", result.edges, cube.layer_edge_count(layer), "c/2"
@@ -138,9 +139,8 @@ def _cmd_pipeline(args) -> int:
             (out / f"assignment_n{args.n}_r{r}.txt").write_text(
                 construction.format_assignment(assignment)
             )
-            (out / f"layer_n{args.n}_r{r}.txt").write_text(
-                construction.format_layer_graph(suite.union.layers[r])
-            )
+            with (out / f"layer_n{args.n}_r{r}.txt").open("w") as stream:
+                stream.writelines(construction.layer_graph_text(suite.union.layers[r]))
     sys.stdout.write(_report_lines(reports, args.format))
     all_pass = all(rep.passed for rep in reports)
     if certificate is not None and not pipeline.success:

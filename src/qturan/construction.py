@@ -51,6 +51,7 @@ __all__ = [
     "find_good_assignment",
     "format_assignment",
     "parse_assignment",
+    "layer_graph_text",
     "format_layer_graph",
     "parse_layer_graph",
 ]
@@ -216,8 +217,8 @@ def _layer_scan(
     tries its candidates in increasing order.  At a leaf the kernel of g
     is span(x), hence x + {j} is an upper survivor iff g(v_j) = 1: g is
     the leaf's edge mask, and every upper survivor is reached because the
-    anchor is nonzero.  For r >= 3 the last two levels are emitted without
-    a call per leaf.
+    anchor is nonzero.  For r >= 4 the last three levels are emitted
+    without a call per node.
     """
     cube.require_capacity(n)
     columns = [0] * r
@@ -234,7 +235,7 @@ def _layer_scan(
 
     def walk(limit: int, mask: int, basis: list[int], g: int) -> None:
         left = len(basis)
-        if left == 0:  # a leaf; reached only for r <= 2
+        if left == 0:  # a leaf; reached only for r <= 3
             lower.append(mask)
             masks.append(g)
             return
@@ -243,22 +244,35 @@ def _layer_scan(
         for h in basis:
             candidates |= h
         candidates &= (1 << limit) - (1 << (left - 1))
-        if left == 2:
-            h1, h2 = basis
+        if left == 3:
+            h1, h2, h3 = basis
             while candidates:
-                low = candidates & -candidates
-                candidates ^= low
-                if h1 & low:
-                    pivot, h = h1, h2 ^ h1 if h2 & low else h2
+                top = candidates & -candidates
+                candidates ^= top
+                # the generic level's pivot, and the two functionals it keeps in its order
+                if h1 & top:
+                    pivot, a, b = h1, h2 ^ h1 if h2 & top else h2, h3 ^ h1 if h3 & top else h3
+                elif h2 & top:
+                    pivot, a, b = h2, h3 ^ h2 if h3 & top else h3, h1
                 else:
-                    pivot, h = h2, h1
-                last, g2 = h & (low - 1), g ^ pivot if g & low else g
-                base, odd = mask | low, g2 ^ h
-                while last:
-                    bit = last & -last
-                    last ^= bit
-                    lower.append(base | bit)
-                    masks.append(odd if g2 & bit else g2)
+                    pivot, a, b = h3, h1, h2
+                g1, base1 = g ^ pivot if g & top else g, mask | top
+                # the next index lies in [1, top): the last one needs index 0 below it
+                pairs = (a | b) & (top - 2)
+                while pairs:
+                    low = pairs & -pairs
+                    pairs ^= low
+                    if a & low:
+                        pivot, h = a, b ^ a if b & low else b
+                    else:
+                        pivot, h = b, a
+                    last, g2 = h & (low - 1), g1 ^ pivot if g1 & low else g1
+                    base, odd = base1 | low, g2 ^ h
+                    while last:
+                        bit = last & -last
+                        last ^= bit
+                        lower.append(base | bit)
+                        masks.append(odd if g2 & bit else g2)
             return
         while candidates:
             low = candidates & -candidates
@@ -459,23 +473,35 @@ def parse_assignment(text: str) -> VectorAssignment:
     return VectorAssignment(n=n, r=r, anchor=vectors[0], vectors=tuple(vectors[1:]))
 
 
+# lower vertices per block of layer text; the writer holds one block's
+# tuple of edge ends and its text at a time, so its peak does not grow
+# with the layer
+_TEXT_BLOCK = 256
+
+
+def _vertex_lines(vertices: tuple[int, ...]) -> Iterator[str]:
+    for at in range(0, len(vertices), _TEXT_BLOCK):
+        block = vertices[at : at + _TEXT_BLOCK]
+        yield "%x\n" * len(block) % block
+
+
+def layer_graph_text(g: LayerSubgraph) -> Iterator[str]:
+    """The layer file in pieces: the edge-list body in the shared format,
+    then the two vertex sections, one str per block of vertices."""
+    yield f"# qn n={g.layer.n}\n"
+    for at in range(0, len(g.lower), _TEXT_BLOCK):
+        block = slice(at, at + _TEXT_BLOCK)
+        ends = tuple(chain.from_iterable(upward_edges(g.lower[block], g.edge_masks[block])))
+        yield "%x %x\n" * (len(ends) // 2) % ends
+    yield f"# layer r={g.layer.r}\n# lower\n"
+    yield from _vertex_lines(g.lower)
+    yield "# upper\n"
+    yield from _vertex_lines(g.upper)
+
+
 def format_layer_graph(g: LayerSubgraph) -> str:
-    """Edge-list body in the shared format, then the two vertex sections."""
-    # one str per lower vertex and per section, not per line, keeps the peak
-    # under three times the text's size
-    parts = [f"# qn n={g.layer.n}\n"]
-    for x, m in zip(g.lower, g.edge_masks):
-        prefix, ends = f"{x:x} ", []
-        while m:
-            bit = m & -m
-            m ^= bit
-            ends.append(f"{prefix}{x | bit:x}\n")
-        parts.append("".join(ends))
-    parts.append(f"# layer r={g.layer.r}\n# lower\n")
-    parts.append("".join([f"{x:x}\n" for x in g.lower]))
-    parts.append("# upper\n")
-    parts.append("".join([f"{y:x}\n" for y in g.upper]))
-    return "".join(parts)
+    """The whole layer file as one str."""
+    return "".join(layer_graph_text(g))
 
 
 def parse_layer_graph(text: str) -> LayerSubgraph:

@@ -18,13 +18,21 @@ for subcube patterns by probing the sets of the two sides, as before a
 layer graph carried the edge mask of each lower vertex.
 The quotient reference reduces a vector by the fully reduced echelon form
 of the basis, as before gf2 kept a single elimination with top-bit pivots.
+The two-level layer scan is the survivor scan as it was before its last
+three levels were emitted inline.
 """
 
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
 from qturan.bounds import PipelineOutcome, coloring_problems, edge_slot, make_report
-from qturan.cube import CapacityError, cube_edge_count, subsets_of_size
+from qturan.cube import (
+    CapacityError,
+    bit_indices,
+    cube_edge_count,
+    require_capacity,
+    subsets_of_size,
+)
 from qturan.detector import CubeSubgraph, SubcubePattern, find_cycle_generic
 from qturan.gf2 import GF2Vec, rank_bits
 
@@ -491,3 +499,80 @@ def quotient_image_by_reduced_echelon(v, subspace_basis):
             out |= 1 << j
         j += 1
     return GF2Vec(out, v.dim - len(rows))
+
+
+def layer_scan_two_levels(n, r, anchor_bits, vector_bits):
+    """The lower survivors of the layer graph in increasing mask order,
+    with their edge masks.
+
+    A depth-first walk over the (r-1)-subsets x, choosing indices from the
+    highest down, keeps a basis of the functionals that vanish on the
+    anchor and on the chosen indices, and one functional g with
+    g(anchor) = 1 that vanishes on them.  Each functional h is held as its
+    image mask, bit j being h(v_j), so "h is odd on v_i" is bit i and every
+    update is a word XOR.  A partial subset dies as soon as no basis
+    functional is odd on its newest vector, so the leaves are exactly the
+    lower survivors, reached in increasing mask order because every level
+    tries its candidates in increasing order.  At a leaf the kernel of g
+    is span(x), hence x + {j} is an upper survivor iff g(v_j) = 1: g is
+    the leaf's edge mask, and every upper survivor is reached because the
+    anchor is nonzero.  For r >= 3 the last two levels are emitted without
+    a call per leaf.
+    """
+    require_capacity(n)
+    columns = [0] * r
+    for j, v in enumerate(vector_bits):
+        for b in bit_indices(v):
+            columns[b] |= 1 << j
+    pivot_bit = (anchor_bits & -anchor_bits).bit_length() - 1
+    g0 = columns[pivot_bit]
+    basis0 = [
+        columns[b] ^ g0 if anchor_bits >> b & 1 else columns[b] for b in range(r) if b != pivot_bit
+    ]
+    lower: list[int] = []
+    masks: list[int] = []
+
+    def walk(limit: int, mask: int, basis: list[int], g: int) -> None:
+        left = len(basis)
+        if left == 0:  # a leaf; reached only for r <= 2
+            lower.append(mask)
+            masks.append(g)
+            return
+        # index i can be the highest of the rest of the subset only if i >= left - 1
+        candidates = 0
+        for h in basis:
+            candidates |= h
+        candidates &= (1 << limit) - (1 << (left - 1))
+        if left == 2:
+            h1, h2 = basis
+            while candidates:
+                low = candidates & -candidates
+                candidates ^= low
+                if h1 & low:
+                    pivot, h = h1, h2 ^ h1 if h2 & low else h2
+                else:
+                    pivot, h = h2, h1
+                last, g2 = h & (low - 1), g ^ pivot if g & low else g
+                base, odd = mask | low, g2 ^ h
+                while last:
+                    bit = last & -last
+                    last ^= bit
+                    lower.append(base | bit)
+                    masks.append(odd if g2 & bit else g2)
+            return
+        while candidates:
+            low = candidates & -candidates
+            candidates ^= low
+            for at, pivot in enumerate(basis):
+                if pivot & low:
+                    break
+            # the functionals before the pivot are even on v_i already
+            rest = [h ^ pivot if h & low else h for h in basis[at + 1 :]]
+            rest.extend(basis[:at])
+            walk(low.bit_length() - 1, mask | low, rest, g ^ pivot if g & low else g)
+
+    walk(n, 0, basis0, g0)
+    # walk refers to itself through its closure, a reference cycle that would
+    # keep lower and masks alive until the cyclic collector next runs
+    del walk
+    return lower, masks

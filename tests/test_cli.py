@@ -1,3 +1,4 @@
+import hashlib
 import os
 
 import pytest
@@ -377,6 +378,38 @@ class TestDeterminism:
         assert outcomes[0] == outcomes[1]
         code, out, _ = outcomes[0]
         assert code == 1 and out.split()[1] == f"{first[0]:x}"
+
+
+# sha256 of every file these two calls write, frozen from the writer that
+# joined one str per lower vertex, before the layer text came in blocks
+PINNED_ARTIFACTS = {
+    ("pipeline", "--n", "12", "--seed", "0"): {
+        "assignment_n12_r1.txt": "9d3ea856b576b3f72ab342aa5b1fc0409fcbad123ce7f0d8cd262bd3e58b4a39",
+        "assignment_n12_r3.txt": "aa5e9f920794c6520f2bf2d201ebc38bfc542d368785751d3bd6af8722662748",
+        "assignment_n12_r5.txt": "6fb00c4a7f2d2a277acb22ca50fb5e291fd6498ebb26ab1bda77d380f7356e89",
+        "assignment_n12_r7.txt": "0e8a7f9755d098e098de5e4e34191161927d95a85b395ab63d1f6a67a83572bb",
+        "assignment_n12_r9.txt": "ad951e2dd06d8c30c000ad4c419d2f2c8396e1812d2922c4cf368f641ca9fd67",
+        "assignment_n12_r11.txt": "33503fdec707f3cb09f63262aba519a72920f79237a8cd2263138681ff7b0ee8",
+        "layer_n12_r1.txt": "9d33272e702961f2a750feccdaa5a672673892e52a97d2a0afc12414be25cf49",
+        "layer_n12_r3.txt": "780d64fa3308ec7a828bbfa0a7478de1c8042138d7fe8863078c556251364233",
+        "layer_n12_r5.txt": "a8a4fca5f8e0f55d1d7817b5c38376ef54efdcacfb672e8de8f53cd4aa293ce8",
+        "layer_n12_r7.txt": "4a9fd6b6dd2fca744b017722093fe3a049c51691e519fd0bc8a4304d4192d8f7",
+        "layer_n12_r9.txt": "675d63cdd327353cec3cfc10a807a675d16364045d5ab4f94d23ae1cd809a992",
+        "layer_n12_r11.txt": "51129c7df46c4ebf354f4cc7e09b678dd4256bfaf0607bb53e517a7891555b05",
+    },
+    ("construct", "--n", "9", "--r", "4", "--seed", "0"): {
+        "assignment_n9_r4.txt": "c938ac022f166bd0c8c3be4fa88ea363215f9e1e6fcf9ffe0f8d74ac1df3b0a2",
+        "layer_n9_r4.txt": "113f0f6df541a3df70c7e11949b1230c2c7fdb0952124bd16d9955eaa33b2353",
+    },
+}
+
+
+@pytest.mark.parametrize("argv", list(PINNED_ARTIFACTS), ids=" ".join)
+def test_artifacts_are_pinned(tmp_path, capsys, argv):
+    code, _, _ = run([*argv, "--out", str(tmp_path)], capsys)
+    assert code == 0
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+    assert digests == PINNED_ARTIFACTS[argv]
 
 
 class TestUsage:

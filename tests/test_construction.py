@@ -24,6 +24,7 @@ from qturan.construction import (
     find_good_assignment,
     format_assignment,
     format_layer_graph,
+    layer_graph_text,
     member_lower,
     member_upper,
     multiset_of,
@@ -48,6 +49,7 @@ from oracles import (
     exact_expected_edges,
     format_layer_graph_by_probe,
     is_basis_by_span,
+    layer_scan_two_levels,
     survivor_sets,
 )
 from text_strategies import edited_text
@@ -289,6 +291,28 @@ class TestLayerScan:
             find_good_assignment(6, 3, 0)
 
 
+class TestLayerScanAgainstTwoLevels:
+    """The scan with its last three levels inline against the scan that
+    emitted only its last two levels without a call per node.  r = 4 enters
+    the inline level at the root; the frozen layers above stop at r = 3."""
+
+    def assert_same_scan(self, n, r, anchor_bits, bits):
+        assert con._layer_scan(n, r, anchor_bits, bits) == layer_scan_two_levels(
+            n, r, anchor_bits, bits
+        ), (n, r, anchor_bits, bits)
+
+    @pytest.mark.parametrize("anchor_bits", [0b0001, 0b1010])
+    def test_every_assignment_at_n4_r4(self, anchor_bits):
+        for bits in product(range(1, 16), repeat=4):
+            self.assert_same_scan(4, 4, anchor_bits, list(bits))
+
+    @pytest.mark.parametrize("n", range(4, 17))
+    def test_spanning_and_degenerate_layers(self, n):
+        for r in range(1, n + 1):
+            for a in _spanning_and_degenerate(n, r, derive_seed(n * 1000 + r, 13)):
+                self.assert_same_scan(n, r, a.anchor.bits, [v.bits for v in a.vectors])
+
+
 class TestEdgeMasks:
     """Layer graphs built from the scan's edge masks against the graph of the
     per-subset survivor sets and the set-probing edges and writer."""
@@ -345,8 +369,8 @@ class TestEdgeMasks:
 
     @pytest.mark.parametrize("n,r", [(14, 7), (16, 9)])
     def test_writer_memory_per_edge(self, n, r):
-        """One str per lower vertex and per vertex section: about 45 bytes
-        per edge at the peak on these layers, for a text of about 12, against
+        """The joined blocks and the whole text: about 25 to 37 bytes per
+        edge at the peak on these layers, for a text of about 12, against
         about 120 with one str per line."""
         g = find_good_assignment(n, r, 0).graph
         tracemalloc.start()
@@ -356,6 +380,24 @@ class TestEdgeMasks:
         finally:
             tracemalloc.stop()
         assert peak < 64 * edge_count(g)
+
+    def test_streamed_writer_memory_is_bounded(self):
+        """The pieces of the layer text, each dropped once counted, hold one
+        block of edges at a time: the peak stays under one bound while the
+        text grows more than fourfold."""
+        graphs = [find_good_assignment(n, 9, 0).graph for n in (16, 18)]
+        assert edge_count(graphs[1]) > 4 * edge_count(graphs[0])
+        for g in graphs:
+            chars = 0
+            tracemalloc.start()
+            try:
+                for piece in layer_graph_text(g):
+                    chars += len(piece)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 512 * 1024, (g.layer, peak)
+            assert chars == len(format_layer_graph(g))
 
 
 class TestUnionGraph:

@@ -26,6 +26,7 @@ from qturan.construction import (
     build_layer_graph,
     find_good_assignment,
     format_layer_graph,
+    layer_graph_text,
     parse_layer_graph,
     sample_assignment,
 )
@@ -42,6 +43,7 @@ CALLS = {
     "find_c6_minus": lambda d: find_c6_minus(d["graph"]),
     "c10_pipeline": lambda d: c10_pipeline(d["union"], d["cert"]),
     "search_coloring_small_n": lambda d: search_coloring_small_n(d["union"], 5, 0),
+    "layer_graph_text": lambda d: "".join(layer_graph_text(d["union"].layers[5])),
     "parse_layer_graph": lambda d: parse_layer_graph(d["layer_text"]),
     "read_coloring": lambda d: read_coloring(io.StringIO(d["coloring_text"])),
 }
