@@ -23,11 +23,11 @@ from functools import lru_cache
 from itertools import chain
 from math import ceil, floor
 from operator import ne
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from . import cube
 from .cube import LayerId, bit_indices, upward_edges, upward_masks
-from .gf2 import GF2Vec, rank_bits, sample_nonzero
+from .gf2 import GF2Vec, parity_check_columns, rank_bits, sample_nonzero
 
 __all__ = [
     "VectorAssignment",
@@ -143,6 +143,36 @@ def _scanned_graph(layer: LayerId, lower: list[int], masks: list[int]) -> LayerS
             m ^= bit
             upper.add(x | bit)
     return LayerSubgraph(layer, tuple(lower), tuple(sorted(upper)), tuple(masks))
+
+
+def _dual_graph(layer: LayerId, dual_lower: list[int], dual_masks: list[int]) -> LayerSubgraph:
+    """The graph of the dual scan's lists, which it empties: the increasing
+    complements of the upper side, each with its downward edge mask.
+
+    Taken from the end, the complements give the upper side in increasing
+    order; the lower side and its upward masks come from one pass over the
+    edges.  The upward mask of x is the set of coordinates outside the
+    hyperplane span(x), so the masks, and the parts of them the pass
+    builds, take few distinct values: equal ones share one int.
+    """
+    full = (1 << layer.n) - 1
+    upper = tuple(full ^ y for y in reversed(dual_lower))
+    dual_lower.clear()
+    up: dict[int, int] = {}
+    get = up.get
+    share = {}.setdefault
+    for y in upper:
+        m = dual_masks.pop()
+        while m:
+            bit = m & -m
+            m ^= bit
+            x = y ^ bit
+            mask = get(x, 0) | bit
+            up[x] = share(mask, mask)
+    lower = sorted(up)
+    masks = tuple(map(up.__getitem__, lower))
+    del up, get  # the table goes before the lower tuple is made
+    return LayerSubgraph(layer, tuple(lower), upper, masks)
 
 
 @dataclass(frozen=True)
@@ -292,10 +322,35 @@ def _layer_scan(
     return lower, masks
 
 
+def _scan(
+    a: VectorAssignment,
+) -> tuple[list[int], list[int], Callable[[LayerId, list[int], list[int]], LayerSubgraph]]:
+    """The two lists of a's layer scan by the shallower walk, and the
+    function that makes them the layer graph.
+
+    Complements of bases are bases of the dual matroid: {anchor} + x is an
+    information set of the code spanned by [anchor | v] exactly when
+    [n] - x is one of the dual code.  So the scan of the parity-check
+    columns, at dimension d = n + 1 - r, lists the complements of the upper
+    side with their downward edge masks, in a walk of depth n - r rather
+    than r - 1; the edge count is the same.  It is taken when 2r > n + 2,
+    the rank is r and the anchor lies in span(v), which makes its column
+    h_a nonzero.
+    """
+    n, r = a.n, a.r
+    vector_bits = [v.bits for v in a.vectors]
+    if 2 * r > n + 2:
+        h = parity_check_columns([*vector_bits, a.anchor.bits], r)
+        if h is not None and h[n]:
+            anchor_column = h.pop()
+            return (*_layer_scan(n, n + 1 - r, anchor_column, h), _dual_graph)
+    return (*_layer_scan(n, r, a.anchor.bits, vector_bits), _scanned_graph)
+
+
 def build_layer_graph(a: VectorAssignment) -> LayerSubgraph:
     """Materialize the induced subgraph on the surviving vertex sets."""
-    lower, masks = _layer_scan(a.n, a.r, a.anchor.bits, [v.bits for v in a.vectors])
-    return _scanned_graph(LayerId(a.n, a.r), lower, masks)
+    vertices, masks, graph_of = _scan(a)
+    return graph_of(LayerId(a.n, a.r), vertices, masks)
 
 
 def edge_count(g: LayerSubgraph) -> int:
@@ -424,14 +479,14 @@ def find_good_assignment(n: int, r: int, seed: int, max_trials: int = 512) -> Se
     best_edges, best_trial, best = -1, 0, None
     for trial in range(max_trials):
         a = sample_assignment(n, r, derive_seed(seed, trial))
-        lower, masks = _layer_scan(n, r, a.anchor.bits, [v.bits for v in a.vectors])
+        vertices, masks, graph_of = _scan(a)
         e = sum(map(int.bit_count, masks))
         if Fraction(e) > threshold:
-            graph = _scanned_graph(LayerId(n, r), lower, masks)
+            graph = graph_of(LayerId(n, r), vertices, masks)
             return SearchResult(a, graph, e, trial + 1, threshold)
         # a losing trial keeps only its assignment; its lists go before the
         # next scan, so two trials' lists are never alive at once
-        del lower, masks
+        del vertices, masks
         if e > best_edges:
             best_edges, best_trial, best = e, trial + 1, a
     if best is None:

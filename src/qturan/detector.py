@@ -265,6 +265,12 @@ def _first_cycle_in_range(
                         if c > first and c in closers and c not in path:
                             return path + [w, c]
             return None
+        # w, pos_next steps from s, must get back in length - pos_next steps,
+        # which before the middle always holds.  This already caps the
+        # coordinates the path flips: p steps that flip o coordinates an odd
+        # number of times and e an even number have p >= o + 2e, so passing
+        # o <= length - p gives o + e <= length / 2, and a prune on the set
+        # of flipped coordinates would cut nothing more.
         check_dist = 2 * pos_next > length
         budget = length - pos_next
         for w in nbrs[path[-1]]:

@@ -21,6 +21,7 @@ __all__ = [
     "is_basis",
     "in_span",
     "quotient_image",
+    "parity_check_columns",
     "sample_nonzero",
 ]
 
@@ -145,6 +146,31 @@ def quotient_image(v: GF2Vec, subspace_basis: Iterable[GF2Vec]) -> GF2Vec:
             out |= 1 << j
         j += 1
     return GF2Vec(out, v.dim - len(pivots))
+
+
+def parity_check_columns(columns: list[int], dim: int) -> list[int] | None:
+    """The columns of a parity-check matrix of the code spanned by the rows
+    of the dim x k matrix with these k int bitset columns, or None when
+    they span less than F_2^dim.
+
+    Column j's row is (column_j << k) | 1 << j.  Elimination keys rank-many
+    pivots at or above bit k; the others have a zero high part, so their
+    low parts are k - rank independent dependencies of the columns: the
+    rows of a parity-check matrix, whose column j is returned as the int
+    with bit i set when row i holds j.
+    """
+    k = len(columns)
+    rows = [c << k | 1 << j for j, c in enumerate(columns)]
+    checks = [p for top, p in _pivots(rows).items() if top < k]
+    if len(checks) != k - dim:
+        return None
+    out = [0] * k
+    for i, z in enumerate(checks):
+        while z:
+            low = z & -z
+            z ^= low
+            out[low.bit_length() - 1] |= 1 << i
+    return out
 
 
 def sample_nonzero(rng: random.Random, dim: int) -> GF2Vec:

@@ -20,6 +20,8 @@ The quotient reference reduces a vector by the fully reduced echelon form
 of the basis, as before gf2 kept a single elimination with top-bit pivots.
 The two-level layer scan is the survivor scan as it was before its last
 three levels were emitted inline.
+The dependency reference lists the null space of a set of columns by
+trying every combination of them.
 """
 
 from fractions import Fraction
@@ -57,6 +59,19 @@ def rank_by_subset_search(vectors):
             if len(span_bits(subset)) == 1 << size:
                 return size
     return 0
+
+
+def column_dependencies(columns):
+    """Every combination of the columns that sums to zero, as a set of index
+    masks, found by trying all 2^len(columns) of them."""
+    found = set()
+    for z in range(1 << len(columns)):
+        total = 0
+        for j in bit_indices(z):
+            total ^= columns[j]
+        if total == 0:
+            found.add(z)
+    return found
 
 
 def is_basis_by_span(vectors, dim):

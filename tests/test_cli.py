@@ -380,8 +380,11 @@ class TestDeterminism:
         assert code == 1 and out.split()[1] == f"{first[0]:x}"
 
 
-# sha256 of every file these two calls write, frozen from the writer that
-# joined one str per lower vertex, before the layer text came in blocks
+# sha256 of every file these calls write, frozen from the code before the
+# change under test: the first two from the writer that joined one str per
+# lower vertex, before the layer text came in blocks, and the n=10 r=7 layer
+# (a losing trial, then the winner) from the scan of the vectors, before the
+# upper layers were scanned through the dual code
 PINNED_ARTIFACTS = {
     ("pipeline", "--n", "12", "--seed", "0"): {
         "assignment_n12_r1.txt": "9d3ea856b576b3f72ab342aa5b1fc0409fcbad123ce7f0d8cd262bd3e58b4a39",
@@ -400,6 +403,10 @@ PINNED_ARTIFACTS = {
     ("construct", "--n", "9", "--r", "4", "--seed", "0"): {
         "assignment_n9_r4.txt": "c938ac022f166bd0c8c3be4fa88ea363215f9e1e6fcf9ffe0f8d74ac1df3b0a2",
         "layer_n9_r4.txt": "113f0f6df541a3df70c7e11949b1230c2c7fdb0952124bd16d9955eaa33b2353",
+    },
+    ("construct", "--n", "10", "--r", "7", "--seed", "0"): {
+        "assignment_n10_r7.txt": "ee8b9b7a9013134b775e658a1408ad890a106b2afcad5eeaa486ed1e142f9099",
+        "layer_n10_r7.txt": "a3c089fc29a54f3a39ae9298b71e0a0081871f32d00602f7e3382761417e475d",
     },
 }
 

@@ -41,7 +41,7 @@ from qturan.cube import (
     layer_edge_count,
     layer_vertices,
 )
-from qturan.gf2 import GF2Vec
+from qturan.gf2 import GF2Vec, parity_check_columns
 
 from oracles import (
     edge_count_sets,
@@ -50,6 +50,7 @@ from oracles import (
     format_layer_graph_by_probe,
     is_basis_by_span,
     layer_scan_two_levels,
+    span_bits,
     survivor_sets,
 )
 from text_strategies import edited_text
@@ -313,6 +314,79 @@ class TestLayerScanAgainstTwoLevels:
                 self.assert_same_scan(n, r, a.anchor.bits, [v.bits for v in a.vectors])
 
 
+class TestDualRoute:
+    """The layer graph from the scan of the parity-check columns against the
+    graph of the scan of the vectors, on every layer, not only the upper
+    ones the route is taken for."""
+
+    def assert_same_graph(self, n, r, anchor_bits, bits):
+        """Compare the routes; returns False when the dual route does not apply."""
+        layer = LayerId(n, r)
+        lower, masks = con._layer_scan(n, r, anchor_bits, bits)
+        primal = con._scanned_graph(layer, lower, masks)
+        h = parity_check_columns([*bits, anchor_bits], r)
+        if h is None or not h[n]:
+            return False
+        dual_lower, dual_masks = con._layer_scan(n, n + 1 - r, h[n], h[:n])
+        edges = sum(map(int.bit_count, masks))
+        assert sum(map(int.bit_count, dual_masks)) == edges, (n, r, anchor_bits, bits)
+        g = con._dual_graph(layer, dual_lower, dual_masks)
+        assert g == primal, (n, r, anchor_bits, bits)
+        assert (dual_lower, dual_masks) == ([], [])
+        return True
+
+    @pytest.mark.parametrize("n,r", [(3, 2), (3, 3), (4, 2), (4, 3), (4, 4)])
+    def test_every_assignment(self, n, r):
+        routes = set()
+        for anchor_bits in (1, (1 << r) - 1):
+            for bits in product(range(1, 1 << r), repeat=n):
+                routes.add(self.assert_same_graph(n, r, anchor_bits, list(bits)))
+        assert routes == {False, True}
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_seeded_layers(self, n):
+        """The route applies exactly when the vectors span F_2^r."""
+        for r in range(1, n + 1):
+            for seed in range(4):
+                for a in _spanning_and_degenerate(n, r, derive_seed(n * 1000 + r, seed)):
+                    bits = [v.bits for v in a.vectors]
+                    spans = len(span_bits(bits)) == 1 << r
+                    assert self.assert_same_graph(n, r, a.anchor.bits, bits) == spans
+
+    def test_fallbacks(self):
+        # 2r > n + 2, but the vectors span the hyperplane of e1, e2 and e3:
+        # rank 3 with the anchor e1 in their span, h_a = 0 with e0 outside it
+        n, r = 5, 4
+        bits = [0b0010, 0b0100, 0b1000, 0b0110, 0b1010]
+        assert parity_check_columns([*bits, 0b0010], r) is None
+        assert parity_check_columns([*bits, 0b0001], r)[n] == 0
+        for anchor_bits in (0b0010, 0b0001):
+            assert not self.assert_same_graph(n, r, anchor_bits, bits)
+            a = VectorAssignment(n, r, GF2Vec(anchor_bits, r), tuple(GF2Vec(b, r) for b in bits))
+            assert con._scan(a)[2] is con._scanned_graph
+            sides = survivor_sets(n, r, anchor_bits, bits)
+            assert build_layer_graph(a) == LayerSubgraph.induced(LayerId(n, r), *sides)
+
+    @pytest.mark.parametrize("n", range(4, 17))
+    def test_spanning_and_degenerate_layers(self, n):
+        for r in range(1, n + 1):
+            for a in _spanning_and_degenerate(n, r, derive_seed(n * 1000 + r, 13)):
+                self.assert_same_graph(n, r, a.anchor.bits, [v.bits for v in a.vectors])
+
+    @pytest.mark.parametrize("n", [8, 12, 16])
+    def test_routing(self, n):
+        """Layers with 2r > n + 2 take the dual route when the vectors span
+        F_2^r, and find_good_assignment builds the graph build_layer_graph
+        builds."""
+        for r in range(1, n + 1):
+            found = find_good_assignment(n, r, derive_seed(0, r))
+            a = found.assignment
+            spans = len(span_bits([v.bits for v in a.vectors])) == 1 << r
+            dual = con._scan(a)[2] is con._dual_graph
+            assert dual == (2 * r > n + 2 and spans), (n, r)
+            assert build_layer_graph(a) == found.graph
+
+
 class TestEdgeMasks:
     """Layer graphs built from the scan's edge masks against the graph of the
     per-subset survivor sets and the set-probing edges and writer."""
@@ -352,11 +426,13 @@ class TestEdgeMasks:
         layer = LayerId(4, 2)
         assert con._scanned_graph(layer, [0b1, 0b10], [0b10, 0b1]).upper == (0b11,)
 
-    @pytest.mark.parametrize("n,r", [(14, 7), (16, 9)])
+    @pytest.mark.parametrize("n,r", [(14, 7), (16, 9), (18, 13)])
     def test_build_memory_per_lower_vertex(self, n, r):
         """Two tuples of ints and the sorted upper side, with no frozenset:
-        about 180 bytes per lower vertex at the peak on these layers, against
-        about 240 for the two frozensets of survivors."""
+        about 180 bytes per lower vertex at the peak on the two middle
+        layers, against about 240 for the two frozensets of survivors.  The
+        dual route of (18, 13) holds the dict of the lower side's masks, which
+        share their ints: about 120 bytes."""
         a = find_good_assignment(n, r, 0).assignment
         tracemalloc.start()
         try:

@@ -3,9 +3,19 @@ from itertools import product
 
 import pytest
 
-from qturan.gf2 import GF2Vec, in_span, is_basis, quotient_image, rank, rank_bits, sample_nonzero
+from qturan.gf2 import (
+    GF2Vec,
+    in_span,
+    is_basis,
+    parity_check_columns,
+    quotient_image,
+    rank,
+    rank_bits,
+    sample_nonzero,
+)
 
 from oracles import (
+    column_dependencies,
     is_basis_by_span,
     quotient_image_by_reduced_echelon,
     rank_by_subset_search,
@@ -241,6 +251,52 @@ class TestQuotientImageAgainstReducedEchelon:
                     bits = rng.choice(basis) ^ rng.choice(basis)
                 basis.append(bits)
             self.assert_agree(GF2Vec(rng.getrandbits(dim), dim), vecs(basis, dim))
+
+
+class TestParityCheckColumns:
+    """The parity-check columns against the null space of the columns,
+    found by trying every combination of them."""
+
+    def assert_matches_null_space(self, columns, dim):
+        h = parity_check_columns(columns, dim)
+        assert (h is None) == (len(span_bits(columns)) < 1 << dim), (columns, dim)
+        if h is None:
+            return
+        d = len(columns) - dim
+        assert len(h) == len(columns) and all(c >> d == 0 for c in h)
+        checks = [sum(1 << j for j, c in enumerate(h) if c >> i & 1) for i in range(d)]
+        # d checks that span all 2^d dependencies are a basis of them
+        deps = column_dependencies(columns)
+        assert len(deps) == 1 << d and span_bits(checks) == deps, (columns, dim)
+        # a column no check involves is one outside the span of the others
+        for j, c in enumerate(h):
+            others = columns[:j] + columns[j + 1 :]
+            assert (c == 0) == (columns[j] not in span_bits(others)), (columns, dim, j)
+
+    @pytest.mark.parametrize("dim,k", [(1, 6), (2, 6), (3, 4)])
+    def test_every_small_matrix(self, dim, k):
+        for size in range(k + 1):
+            for columns in product(range(1 << dim), repeat=size):
+                self.assert_matches_null_space(list(columns), dim)
+
+    @pytest.mark.parametrize("k", range(2, 9))
+    def test_seeded_matrices(self, k):
+        """Up to 8 columns, as many as a layer of Q_7 and its anchor; half of
+        them drawn from a subspace, so rank-deficient sets come up."""
+        rng = random.Random(k)
+        for dim in range(1, k + 1):
+            for trial in range(20):
+                sub = [rng.getrandbits(dim) for _ in range(rng.randint(1, dim))]
+                columns = []
+                for _ in range(k):
+                    if trial % 2:
+                        c = 0
+                        for v in sub:
+                            c ^= v * rng.getrandbits(1)
+                    else:
+                        c = rng.getrandbits(dim)
+                    columns.append(c)
+                self.assert_matches_null_space(columns, dim)
 
 
 class TestSampleNonzero:
