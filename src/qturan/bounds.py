@@ -14,33 +14,33 @@ classes are checked for C10-freeness; nothing about it is trusted or
 reconstructed here.
 
 In memory a certificate holds one byte per edge of Q_n, n * 2^(n-1) bytes
-in all (512 KiB at n=16).  Edge (base, coord) sits in slot
-coord * 2^(n-1) + (base with bit coord deleted), so every slot is an edge:
-a byte string of the right length that holds only 0, 1 and 2 is a complete
-certificate, which three bytes.count() calls check.  UNSET marks an edge
-the input left out.
+in all (512 KiB at n=16), in file order: slot i holds the color of the
+i-th edge of cube.cube_edges(n), which is the (base, coord) order that
+format_coloring writes.  Every slot is an edge, so a byte string of the
+right length that holds only 0, 1 and 2 is a complete certificate, which
+three bytes.count() calls check.  UNSET marks an edge the input left out.
 
 A certificate file is parsed in chunks of about COLORING_CHUNK_CHARS
 characters, each cut just after a newline, so that parsing holds the
 certificate plus one chunk, never the whole text or a list of its lines.
-A chunk whose lines are all canonical, '<hex-mask> <coord> <color>' with
-coord and color spelled as format_coloring spells them, takes a bulk path:
-one split() yields the three columns, the coords go through one dict and
-the colors through one translate(), and what is left per line is int(),
-the edge test, the slot and the duplicate test.  Any other chunk is read
-line by line.  Both paths make the same checks in line order, and a chunk
-boundary is a line boundary of str.splitlines(), so the texts accepted,
-the colors stored and every message with its line number are those of
-parsing the text line by line in one piece.
+A chunk that is exactly the format_coloring text of consecutive edges,
+starting at the edge on its first line, into slots the parse has not yet
+filled, has its colors copied in one slice.  To check that, the chunk is
+XORed, as one int, with its skeleton: the text of the same edges with each
+color blanked to NUL.  Any other chunk is read line by line.  A chunk
+boundary is a line boundary of str.splitlines(), and an ordered chunk can
+hold no error, so the texts accepted, the colors stored and every message
+with its line number are those of parsing the text line by line in one
+piece.
 """
 
 from __future__ import annotations
 
 import random
-import re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, count
+from functools import cache
+from itertools import accumulate, chain
 from typing import Iterator, Mapping, TextIO
 
 from . import cube
@@ -97,15 +97,43 @@ def edge_key(x: int, y: int) -> tuple[int, int]:
     return base, (x ^ y).bit_length() - 1
 
 
+@cache
+def _base_slots(n: int) -> tuple[int, list[int], list[int]]:
+    """(h, low, high) with low[lo] = _first_slot(n, lo) for lo < 2^h and
+    high[hi] = _first_slot(n, hi << h), where h = ceil(n/2)."""
+    h = (n + 1) // 2
+    ones = list(accumulate((k.bit_count() for k in range(1 << h)), initial=0))
+    low = [n * lo - ones[lo] for lo in range(1 << h)]
+    high = [(n * hi - ones[hi] << h) - hi * ones[-1] for hi in range(1 << (n - h))]
+    return h, low, high
+
+
+def _first_slot(n: int, base: int) -> int:
+    """The number of Q_n edges whose lower end is below base: n * base less
+    the popcounts of 0 .. base-1.  For base = hi << h | lo that is
+    high[hi] + low[lo] - lo * popcount(hi) in the tables of _base_slots."""
+    h, low, high = _base_slots(n)
+    hi, lo = base >> h, base & ((1 << h) - 1)
+    return high[hi] + low[lo] - lo * hi.bit_count()
+
+
+def _rank(base: int, coord: int) -> int:
+    """The place of coord among the clear bits of base."""
+    return coord - (base & ((1 << coord) - 1)).bit_count()
+
+
 def edge_slot(n: int, base: int, coord: int) -> int:
-    """Index of the Q_n edge (base, base | 1 << coord) in ColoringCertificate.colors."""
-    return coord << (n - 1) | (base >> (coord + 1)) << coord | base & ((1 << coord) - 1)
+    """Index of the Q_n edge (base, base | 1 << coord) in ColoringCertificate.colors:
+    its place in cube.cube_edges(n), n * base - sum(popcount(b) for b < base)
+    + coord - popcount(base mod 2^coord)."""
+    return _first_slot(n, base) + _rank(base, coord)
 
 
 @dataclass(frozen=True)
 class ColoringCertificate:
-    """A 3-coloring of E(Q_n): colors[edge_slot(n, base, coord)] is the color
-    of edge (base, coord), or UNSET where the input left that edge out.
+    """A 3-coloring of E(Q_n): colors[i] is the color of the i-th edge of
+    cube.cube_edges(n), which edge_slot numbers, or UNSET where the input
+    left that edge out.
 
     colors is bytes-like: a parsed certificate keeps the bytearray it was
     parsed into rather than copying it.  The library never changes it.
@@ -136,11 +164,10 @@ def coloring_problems(cert: ColoringCertificate, limit: int = 10) -> list[str]:
     if sum(cert.colors.count(color) for color in range(COLOR_COUNT)) == size:
         return []
     problems = []
-    for base, top in cube.cube_edges(cert.n):
+    for (base, top), color in zip(cube.cube_edges(cert.n), cert.colors):
         if len(problems) >= limit:
             break
         coord = (base ^ top).bit_length() - 1
-        color = cert.colors[edge_slot(cert.n, base, coord)]
         if color == UNSET:
             problems.append(f"edge (0x{base:x}, coord {coord}) is missing")
         elif color >= COLOR_COUNT:
@@ -230,16 +257,20 @@ def _class_graphs(union: UnionGraph, colors: bytes | bytearray) -> list[CubeSubg
 
     Each edge mask of subgraph_of_union is split bit by bit into one mask
     per color, so the classes share its vertex tuple and build no edge list.
+    The edges of a lower vertex x sit from slot _first_slot(n, x) on, one
+    per clear bit of x in increasing order.
     """
     n = union.n
     whole = subgraph_of_union(union)
     classes: list[list[int]] = [[] for _ in range(COLOR_COUNT)]
     for x, m in zip(whole.vertices, whole.edge_masks):
         parts = [0] * COLOR_COUNT
-        while m:
-            bit = m & -m
-            m ^= bit
-            parts[colors[edge_slot(n, x, bit.bit_length() - 1)]] |= bit
+        if m:
+            start, free = _first_slot(n, x), ~x
+            while m:
+                bit = m & -m
+                m ^= bit
+                parts[colors[start + (free & (bit - 1)).bit_count()]] |= bit
         for masks, part in zip(classes, parts):
             masks.append(part)
     return [CubeSubgraph(n, whole.vertices, tuple(masks)) for masks in classes]
@@ -300,12 +331,8 @@ def search_coloring_small_n(
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
     n = union.n
-    # in (base, coord) order, which orders the random draws
-    slots = [edge_slot(n, x, (x ^ y).bit_length() - 1) for x, y in cube.cube_edges(n)]
-    colors = bytearray(len(slots))
     rng = random.Random(seed)
-    for slot in slots:
-        colors[slot] = rng.randrange(COLOR_COUNT)
+    colors = bytearray(rng.randrange(COLOR_COUNT) for _ in range(cube_edge_count(n)))
     for _ in range(budget):
         witness = _first_c10_in_classes(union, colors)
         if witness is None:
@@ -391,19 +418,13 @@ def format_coloring(cert: ColoringCertificate) -> str:
     """The certificate as text, one line per colored edge in (base, coord) order."""
     n = cert.n
     lines = [f"# qn-coloring n={n}"]
-    for base, top in cube.cube_edges(n):
+    for (base, top), color in zip(cube.cube_edges(n), cert.colors):
         coord = (base ^ top).bit_length() - 1
-        color = cert.colors[edge_slot(n, base, coord)]
         if color != UNSET:
             lines.append(f"{base:x} {coord} {color}")
     return "\n".join(lines) + "\n"
 
 
-# A chunk is canonical when it starts with a canonical line and every
-# newline in it ends the chunk or is followed by another canonical line.
-# Neither search keeps state per line, unlike a fullmatch of (?:line)*.
-_CANONICAL_LINE = re.compile(r"[0-9a-f]+ [0-9]+ [012]\n")
-_NONCANONICAL_NEXT = re.compile(r"\n(?![0-9a-f]+ [0-9]+ [012]\n|\Z)")
 _COLOR_BYTES = bytes.maketrans(b"012", bytes(range(COLOR_COUNT)))
 
 
@@ -480,22 +501,16 @@ def _parse_coloring_chunks(chunks: Iterator[str]) -> ColoringCertificate:
         raise ValueError(f"bad ground-set size in header: {n}")
     cube.require_capacity(n)
     colors = bytearray([UNSET]) * cube_edge_count(n)
-    # slot = top | (base >> 1) & high | base & low for an edge (base, coord)
-    low = [(1 << j) - 1 for j in range(n)]
-    slot_terms = {str(j): (j << (n - 1), 1 << j, low[j], low[n - 1] ^ low[j]) for j in range(n)}
+    tables = _skeleton_tables(n)
     duplicates: list[str] = []
     lineno = 2
     for chunk in chain([first[len(head[0]):]], chunks):
-        if _CANONICAL_LINE.match(chunk) and not _NONCANONICAL_NEXT.search(chunk):
-            tokens = chunk.split()
-            try:
-                terms = list(map(slot_terms.__getitem__, tokens[1::3]))
-            except KeyError:
-                pass
-            else:
-                shades = "".join(tokens[2::3]).encode().translate(_COLOR_BYTES)
-                _store_canonical(n, colors, duplicates, lineno, tokens[::3], terms, shades)
-                lineno += len(terms)
+        ordered = _ordered_colors(n, tables, chunk)
+        if ordered is not None:
+            slot, shades = ordered
+            if colors.count(UNSET, slot, slot + len(shades)) == len(shades):
+                colors[slot : slot + len(shades)] = shades
+                lineno += len(shades)
                 continue
         lines = chunk.splitlines()
         _store_lines(n, colors, duplicates, lineno, lines)
@@ -505,21 +520,73 @@ def _parse_coloring_chunks(chunks: Iterator[str]) -> ColoringCertificate:
     return ColoringCertificate(n, colors)
 
 
-def _store_canonical(n, colors, duplicates, lineno, bases, terms, shades) -> None:
-    """Store the lines of a canonical chunk, given as its three columns with
-    each coord replaced by its slot_terms."""
-    seen = None
-    for lineno, token, (top, bit, low, high), color in zip(count(lineno), bases, terms, shades):
-        if token != seen:  # a file in (base, coord) order repeats each base
-            seen, base = token, int(token, 16)
-        if base >> n or base & bit:
-            coord = bit.bit_length() - 1
-            raise ValueError(f"line {lineno}: (0x{base:x}, {coord}) is not an edge of Q_{n}")
-        slot = top | (base >> 1) & high | base & low
-        if colors[slot] != UNSET:
-            coord = bit.bit_length() - 1
-            duplicates.append(f"line {lineno}: duplicate edge (0x{base:x}, {coord})")
-        colors[slot] = color
+def _skeleton_tables(n: int) -> tuple[int, list[list[str]], list[list[str]]]:
+    """(h, low, high): the line ends ' <coord> NUL\\n' of the clear bits of
+    base & (2^h - 1) in low, after one empty str, and of base >> h in high.
+    All the lists share one str per coordinate."""
+    h = (n + 1) // 2
+    ends = [f" {j} \0\n" for j in range(n)]
+    low = [[""] + [ends[j] for j in range(h) if not lo >> j & 1] for lo in range(1 << h)]
+    high = [[ends[j] for j in range(h, n) if not hi >> (j - h) & 1] for hi in range(1 << (n - h))]
+    return h, low, high
+
+
+def _skeleton(tables, first: tuple[int, int], last: tuple[int, int]) -> str:
+    """The format_coloring text of the edges from first to last, both
+    (base, coord), with each color blanked to NUL.  Base x contributes
+    f"{x:x}".join(["", *its line ends])."""
+    h, low, high = tables
+    mask = (1 << h) - 1
+    (b0, c0), (b1, c1) = first, last
+    head = (low[b0 & mask] + high[b0 >> h])[1 + _rank(b0, c0) :]
+    if b0 == b1:
+        return f"{b0:x}".join(["", *head[: _rank(b1, c1) - _rank(b0, c0) + 1]])
+    tail = (low[b1 & mask] + high[b1 >> h])[: 2 + _rank(b1, c1)]
+    body = [f"{x:x}".join(low[x & mask] + high[x >> h]) for x in range(b0 + 1, b1)]
+    return "".join([f"{b0:x}".join(["", *head]), *body, f"{b1:x}".join(tail)])
+
+
+def _chunk_edge(n: int, line: str) -> tuple[int, int] | None:
+    """(base, coord) of a line '<hex> <coord> <color>' naming an edge of Q_n, else None."""
+    parts = line.split(" ")
+    if len(parts) != 3:
+        return None
+    try:
+        base, coord = int(parts[0], 16), int(parts[1])
+    except ValueError:
+        return None
+    if 0 <= coord < n and 0 <= base < 1 << n and not base >> coord & 1:
+        return base, coord
+    return None
+
+
+def _ordered_colors(n: int, tables, chunk: str) -> tuple[int, bytes] | None:
+    """(slot, colors) when chunk is the format_coloring text of consecutive
+    edges from the edge on its first line, whose colors then go to slots
+    slot, slot + 1, ...; None for any other chunk.
+
+    The chunk XORed with its skeleton must leave one color byte per line and
+    nothing else.  A chunk without NUL leaves a nonzero byte at every blanked
+    color, so a count of the nonzero bytes finds any other difference.
+    """
+    if not chunk.endswith("\n") or not chunk.isascii() or "\0" in chunk:
+        return None
+    first = _chunk_edge(n, chunk[: chunk.index("\n")])
+    last = _chunk_edge(n, chunk[chunk.rfind("\n", 0, -1) + 1 : -1])
+    if first is None or last is None:
+        return None
+    slot = edge_slot(n, *first)
+    lines = chunk.count("\n")
+    if edge_slot(n, *last) - slot + 1 != lines:
+        return None
+    skeleton = _skeleton(tables, first, last)
+    if len(skeleton) != len(chunk):
+        return None
+    diff = int.from_bytes(chunk.encode(), "big") ^ int.from_bytes(skeleton.encode(), "big")
+    shades = diff.to_bytes(len(chunk), "big").translate(None, b"\0")
+    if len(shades) != lines or shades.translate(None, b"012"):
+        return None
+    return slot, shades.translate(_COLOR_BYTES)
 
 
 def _store_lines(n, colors, duplicates, lineno, lines) -> None:

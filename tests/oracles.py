@@ -8,9 +8,12 @@ scan.
 The DFS references search cycles and C6- paths one vertex per call, as
 before the detector's closing sets, and must return the same witnesses.
 The coloring references parse and validate a certificate as a dict keyed
-by (base, coord), as before the one-byte-per-edge layout.  The color-class
-references split a union through CubeSubgraph.explicit over the set of its
-vertices, as before bounds built the class graphs straight from the layers.
+by (base, coord), as before the one-byte-per-edge layout.  The
+coordinate-major reference parses into the byte layout the certificate had
+before file order, with the any-order bulk path for canonical chunks.
+The color-class references split a union through CubeSubgraph.explicit
+over the set of its vertices, as before bounds built the class graphs
+straight from the layers.
 The neighbor-map reference probes a vertex set or walks a sorted edge list,
 as before a CubeSubgraph held the edge mask of each vertex.
 The layer-graph references find the edges, write the layer file and scan
@@ -24,9 +27,11 @@ The dependency reference lists the null space of a set of columns by
 trying every combination of them.
 """
 
+import re
 from fractions import Fraction
-from itertools import combinations, permutations, product
+from itertools import chain, combinations, count, permutations, product
 
+from qturan import bounds
 from qturan.bounds import PipelineOutcome, coloring_problems, edge_slot, make_report
 from qturan.cube import (
     CapacityError,
@@ -416,14 +421,101 @@ def coloring_dict_problems(n, colors, limit=10):
 def coloring_bytes(n, colors, unset=0xFF):
     """A {(base, coord): color} map in the certificate's byte layout.
 
-    Slots run coordinate by coordinate; within coordinate j they follow the
-    bases with bit j clear in increasing order.  Edges absent from the map
-    hold `unset`.
+    Slots follow the edges in (base, coord) order, the order of the lines
+    of format_coloring.  Edges absent from the map hold `unset`.
     """
-    order = [
-        (base, coord) for coord in range(n) for base in range(1 << n) if not base >> coord & 1
-    ]
+    order = [(base, coord) for base in range(1 << n) for coord in range(n) if not base >> coord & 1]
     return bytes(colors.get(key, unset) for key in order)
+
+
+def edge_slot_by_coordinate(n, base, coord):
+    """The slot of edge (base, coord) in the coordinate-major layout, before
+    file order: coord * 2^(n-1) + (base with bit coord deleted)."""
+    return coord << (n - 1) | (base >> (coord + 1)) << coord | base & ((1 << coord) - 1)
+
+
+# A chunk is canonical when it starts with a canonical line and every
+# newline in it ends the chunk or is followed by another canonical line.
+_CANONICAL_LINE = re.compile(r"[0-9a-f]+ [0-9]+ [012]\n")
+_NONCANONICAL_NEXT = re.compile(r"\n(?![0-9a-f]+ [0-9]+ [012]\n|\Z)")
+
+
+def parse_coloring_by_coordinate(text):
+    """Coloring text to (n, colors) with colors in the coordinate-major
+    layout of edge_slot_by_coordinate: the chunked parser before file order.
+
+    Text is cut into chunks as bounds.parse_coloring cuts it.  A canonical
+    chunk, lines '<hex-mask> <coord> <color>' in any order, is split into
+    its three columns and stored line by line from them; any other chunk
+    goes through the line reader.
+    """
+    size = bounds.COLORING_CHUNK_CHARS
+    chunks = bounds._line_chunks(text[i : i + size] for i in range(0, len(text), size))
+    first = next(chunks, "")
+    head = first.splitlines(keepends=True)[:1]
+    header = head[0].splitlines()[0] if head else ""
+    if not header.startswith("# qn-coloring n="):
+        raise ValueError("coloring file must start with '# qn-coloring n=<n>'")
+    try:
+        n = int(header.split("=", 1)[1])
+    except ValueError as exc:
+        raise ValueError(f"bad coloring header: {header!r}") from exc
+    if n < 1:
+        raise ValueError(f"bad ground-set size in header: {n}")
+    require_capacity(n)
+    colors = bytearray([0xFF]) * cube_edge_count(n)
+    # slot = top | (base >> 1) & high | base & low for an edge (base, coord)
+    low = [(1 << j) - 1 for j in range(n)]
+    slot_terms = {str(j): (j << (n - 1), 1 << j, low[j], low[n - 1] ^ low[j]) for j in range(n)}
+    duplicates = []
+    lineno = 2
+    for chunk in chain([first[len(head[0]):]], chunks):
+        if _CANONICAL_LINE.match(chunk) and not _NONCANONICAL_NEXT.search(chunk):
+            tokens = chunk.split()
+            try:
+                terms = list(map(slot_terms.__getitem__, tokens[1::3]))
+            except KeyError:
+                pass
+            else:
+                shades = [int(c) for c in tokens[2::3]]
+                _store_canonical(n, colors, duplicates, lineno, tokens[::3], terms, shades)
+                lineno += len(terms)
+                continue
+        lines = chunk.splitlines()
+        _store_lines_by_coordinate(n, colors, duplicates, lineno, lines)
+        lineno += len(lines)
+    if duplicates:
+        raise ValueError("; ".join(duplicates))
+    return n, bytes(colors)
+
+
+def _store_canonical(n, colors, duplicates, lineno, bases, terms, shades):
+    for lineno, token, (top, bit, low, high), color in zip(count(lineno), bases, terms, shades):
+        base = int(token, 16)
+        if base >> n or base & bit:
+            coord = bit.bit_length() - 1
+            raise ValueError(f"line {lineno}: (0x{base:x}, {coord}) is not an edge of Q_{n}")
+        slot = top | (base >> 1) & high | base & low
+        if colors[slot] != 0xFF:
+            coord = bit.bit_length() - 1
+            duplicates.append(f"line {lineno}: duplicate edge (0x{base:x}, {coord})")
+        colors[slot] = color
+
+
+def _store_lines_by_coordinate(n, colors, duplicates, lineno, lines):
+    for lineno, line in enumerate(lines, start=lineno):
+        entry = bounds._coloring_line(lineno, line)
+        if entry is None:
+            continue
+        base, coord, color = entry
+        if not 0 <= coord < n or base >> n or (base >> coord) & 1:
+            raise ValueError(f"line {lineno}: (0x{base:x}, {coord}) is not an edge of Q_{n}")
+        if color not in range(3):
+            raise ValueError(f"line {lineno}: color must be 0..2, got {color}")
+        slot = edge_slot_by_coordinate(n, base, coord)
+        if colors[slot] != 0xFF:
+            duplicates.append(f"line {lineno}: duplicate edge (0x{base:x}, {coord})")
+        colors[slot] = color
 
 
 def color_classes(union, colors):

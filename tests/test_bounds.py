@@ -1,3 +1,4 @@
+import hashlib
 import io
 import random
 import tracemalloc
@@ -42,8 +43,10 @@ from qturan.detector import find_cycle_generic, subgraph_of_union
 from oracles import (
     coloring_bytes,
     coloring_dict_problems,
+    edge_slot_by_coordinate,
     explicit_c10_pipeline,
     explicit_class_graphs,
+    parse_coloring_by_coordinate,
     parse_coloring_dict,
 )
 
@@ -96,7 +99,7 @@ class TestEdgeSlot:
     def test_layout_matches_the_reference_order(self):
         for n in range(1, 7):
             slots = [edge_slot(n, *edge_key(x, y)) for x, y in cube_edges(n)]
-            assert sorted(slots) == list(range(cube_edge_count(n)))
+            assert slots == list(range(cube_edge_count(n)))
             colors = {edge_key(x, y): i % 3 for i, (x, y) in enumerate(cube_edges(n))}
             expected = coloring_bytes(n, colors)
             assert certificate(n, lambda b, c: colors[(b, c)]).colors == expected
@@ -274,7 +277,7 @@ class TestClassGraphs:
         against about 110 for one (x, y) tuple per edge."""
         n = 14
         union = density_report_suite(n, 0).union
-        colors = bytes((s >> (n - 1)) % 3 for s in range(n << (n - 1)))
+        colors = certificate(n, lambda base, coord: coord % 3).colors
         tracemalloc.start()
         try:
             graphs = bnd._class_graphs(union, colors)
@@ -295,13 +298,17 @@ class TestSearchColoring:
             assert cert is not None and verify_coloring(cert)
             assert c10_pipeline(union, cert).free_classes == (0, 1, 2)
 
+    # sha256 of format_coloring of the certificate found below, pinned
+    # before the certificate's bytes were laid out in file order
+    FOUND_SHA256 = "2df6090140d2ddad415f32873b0de82d015ccb5a45fb6177266dff5e4366ea2d"
+
     def test_randomized_mode_returns_valid_certificate(self):
         union = constructed_union(5, seed=4)
         cert = search_coloring_small_n(union, budget=50, seed=9)
-        if cert is not None:
-            assert verify_coloring(cert)
-            outcome = c10_pipeline(union, cert)
-            assert len(outcome.free_classes) == 3
+        assert cert is not None and verify_coloring(cert)
+        assert hashlib.sha256(format_coloring(cert).encode()).hexdigest() == self.FOUND_SHA256
+        outcome = c10_pipeline(union, cert)
+        assert len(outcome.free_classes) == 3
 
     def test_budget_validation(self):
         with pytest.raises(ValueError):
@@ -468,8 +475,8 @@ class TestChunkedParse:
             assert parse_outcome(read_coloring, stream_of(text)) == ref, text
 
     # Each defect sits at line DEFECT_LINE of the Q_12 text, about 120 KB
-    # and seven chunks in.  The canonical spelling of a defect leaves its
-    # chunk on the bulk path; a trailing space sends that chunk line by line.
+    # and seven chunks in.  Any defect, canonical spelling or not, breaks
+    # the edge order of its chunk and sends that chunk line by line.
     DEFECT_LINE = 15000
 
     @pytest.mark.parametrize(
@@ -502,7 +509,7 @@ class TestChunkedParse:
         ref = parse_outcome(parse_coloring_dict, text)
         assert ref == ("error", expected)
         assert parse_outcome(parse_coloring, text) == ref
-        assert (self.DEFECT_LINE in per_line) == defect.endswith(" ")
+        assert self.DEFECT_LINE in per_line
         # only the defect's own chunk, if any, was read line by line
         chunk_lines = bnd.COLORING_CHUNK_CHARS // (min(map(len, lines)) + 1)
         assert all(abs(lineno - self.DEFECT_LINE) < chunk_lines for lineno in per_line)
@@ -532,6 +539,99 @@ class TestChunkedParse:
             tracemalloc.stop()
         assert len(cert.colors) == cube_edge_count(20)
         assert peak < 1.25 * cube_edge_count(20)
+
+
+def chunk_starts(text):
+    """The numbers of the lines that begin a chunk when text is parsed."""
+    size = bnd.COLORING_CHUNK_CHARS
+    starts, lineno = [], 1
+    for chunk in bnd._line_chunks(text[i : i + size] for i in range(0, len(text), size)):
+        starts.append(lineno)
+        lineno += len(chunk.splitlines())
+    return starts
+
+
+# Each defect changes the data lines at index i, which is line i + 2 of the
+# file, so that the line there is the defect (or, for "missing", the line
+# after the gap); None where it does not apply.
+BOUNDARY_DEFECTS = {
+    "missing": lambda lines, i: lines[:i] + lines[i + 1 :],
+    "duplicate": lambda lines, i: lines[:i] + [lines[i // 2]] + lines[i:],
+    "non-edge": lambda lines, i: lines[:i] + ["1 0 2"] + lines[i:],
+    "comment": lambda lines, i: lines[:i] + ["# comment"] + lines[i:],
+    "uppercase": lambda lines, i: (
+        lines[:i] + [lines[i].upper()] + lines[i + 1 :] if lines[i] != lines[i].upper() else None
+    ),
+    "trailing space": lambda lines, i: lines[:i] + [lines[i] + " "] + lines[i + 1 :],
+}
+
+
+@pytest.mark.parametrize("size", [1, 7, 64, bnd.COLORING_CHUNK_CHARS])
+class TestFileOrderAgainstCoordinateMajor:
+    """The file-order parser stores, through the layout permutation, the
+    colors that the coordinate-major parser with its any-order bulk path
+    stored, and raises the same messages, which are parse_coloring_dict's."""
+
+    def check(self, text):
+        got = parse_outcome(parse_coloring, text)
+        old = parse_outcome(parse_coloring_by_coordinate, text)
+        ref = parse_outcome(parse_coloring_dict, text)
+        assert got[0] == old[0] == ref[0], text
+        assert parse_outcome(read_coloring, stream_of(text)) == got, text
+        if got[0] == "error":
+            assert got[1] == old[1] == ref[1], text
+            return got[1]
+        (n, old_colors), (_, ref_colors) = old[1], ref[1]
+        permuted = bytes(old_colors[edge_slot_by_coordinate(n, *edge_key(x, y))] for x, y in cube_edges(n))
+        assert got[1] == ColoringCertificate(n, permuted), text
+        assert permuted == coloring_bytes(n, ref_colors), text
+        return got[1]
+
+    def test_seeded_corpus(self, monkeypatch, size):
+        monkeypatch.setattr(bnd, "COLORING_CHUNK_CHARS", size)
+        for text in coloring_corpus(seed=12, count=400):
+            self.check(text)
+
+    def test_ordered_texts(self, monkeypatch, size):
+        monkeypatch.setattr(bnd, "COLORING_CHUNK_CHARS", size)
+        rng = random.Random(size)
+        for n in range(1, 13):
+            cert = certificate(n, lambda base, coord: rng.randrange(3))
+            assert self.check(format_coloring(cert)) == cert
+
+    def test_bytes_that_xor_to_a_color(self, monkeypatch, size):
+        """Within a chunk, a NUL where a color belongs and a byte that XORs
+        with its skeleton byte to a color digit elsewhere ('\\x11' ^ ' ' is
+        '1', 'Q' ^ 'a' is '0') must not pass for an ordered chunk."""
+        monkeypatch.setattr(bnd, "COLORING_CHUNK_CHARS", size)
+        header, *lines = format_coloring(certificate(4, lambda base, coord: coord % 3)).splitlines()
+        assert lines[1] == "0 1 1"
+        for i, line in ((1, "0\x111 \0"), (lines.index("a 0 0"), "Q 0 0")):
+            text = "\n".join([header, *lines[:i], line, *lines[i + 1 :]]) + "\n"
+            assert self.check(text) == f"line {i + 2}: " + (
+                f"expected '<hex-mask> <coord> <color>', got {line!r}"
+                if "\0" in line
+                else f"bad hex mask or number in {line!r}"
+            )
+
+    @pytest.mark.parametrize("defect", list(BOUNDARY_DEFECTS))
+    def test_defect_at_a_chunk_boundary(self, monkeypatch, size, defect):
+        monkeypatch.setattr(bnd, "COLORING_CHUNK_CHARS", size)
+        n = 11
+        header, *lines = format_coloring(certificate(n, lambda base, coord: (base + coord) % 3)).splitlines()
+        starts = chunk_starts("\n".join([header] + lines) + "\n")
+        # a clean chunk start past the first chunk, moved by at most a line
+        for i in (s - 2 + shift for s in starts[len(starts) // 2 :] for shift in (0, -1, 1)):
+            changed = BOUNDARY_DEFECTS[defect](lines, i)
+            if changed is None:
+                continue
+            text = "\n".join([header] + changed) + "\n"
+            if i + 2 in chunk_starts(text):
+                break
+        else:
+            pytest.fail(f"no chunk boundary for the {defect} defect")
+        outcome = self.check(text)
+        assert isinstance(outcome, str) == (defect in ("duplicate", "non-edge"))
 
 
 coloring_line = st.one_of(

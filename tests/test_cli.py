@@ -1,5 +1,6 @@
 import hashlib
 import os
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -244,10 +245,38 @@ class TestStreamedColoring:
     N = 12
     BAD_LINE = 15000  # about 120 KB into the file, several chunks in
 
+    # sha256 of the stdout of `pipeline --n 12 --seed 0 --coloring` with the
+    # coordinate-mod-3 coloring, pinned before the certificate's bytes were
+    # laid out in file order
+    MOD3_STDOUT_SHA256 = "30811710fbfc58f5dad8db301c08ecb4fc10db4133724144f1c493e34a033795"
+
     def lines(self):
         n = self.N
-        colors = bytes((slot >> (n - 1)) % 3 for slot in range(n << (n - 1)))
+        colors = bytes(j % 3 for x in range(1 << n) for j in range(n) if not x >> j & 1)
         return format_coloring(bounds.ColoringCertificate(n, colors)).splitlines()
+
+    def test_line_order_and_newlines_do_not_change_the_run(self, tmp_path, capsys):
+        """The ordered file takes the slice path, its shuffled copy the line
+        path, and a CRLF copy reads as the ordered file once the newlines
+        are translated: all three runs are the same."""
+        header, *lines = self.lines()
+        shuffled = lines[:]
+        random.Random(0).shuffle(shuffled)
+        texts = {
+            "ordered": "\n".join([header] + lines) + "\n",
+            "shuffled": "\n".join([header] + shuffled) + "\n",
+            "crlf": "\r\n".join([header] + lines) + "\r\n",
+        }
+        runs = []
+        for name, text in texts.items():
+            path = tmp_path / f"{name}.txt"
+            path.write_bytes(text.encode())
+            argv = ["pipeline", "--n", str(self.N), "--seed", "0", "--coloring", str(path)]
+            runs.append(run(argv, capsys))
+        assert runs[0] == runs[1] == runs[2]
+        code, out, err = runs[0]
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == self.MOD3_STDOUT_SHA256
 
     def fails(self, path, capsys):
         code, out, err = run(["pipeline", "--n", str(self.N), "--coloring", str(path)], capsys)

@@ -52,8 +52,9 @@ CALLS = {
 @pytest.fixture(scope="module")
 def inputs():
     union = density_report_suite(N, 0).union
-    # the coordinate of the edge in slot s is s >> (N - 1): color it mod 3
-    cert = ColoringCertificate(N, bytes((s >> (N - 1)) % 3 for s in range(N << (N - 1))))
+    # slots follow the edges in (base, coord) order: color each coord mod 3
+    colors = bytes(j % 3 for x in range(1 << N) for j in range(N) if not x >> j & 1)
+    cert = ColoringCertificate(N, colors)
     return {
         "union": union,
         "graph": subgraph_of_union(union),
