@@ -559,7 +559,38 @@ def format_layer_graph(g: LayerSubgraph) -> str:
     return "".join(layer_graph_text(g))
 
 
-def parse_layer_graph(text: str) -> LayerSubgraph:
+def _parse_canonical_layer(text: str) -> LayerSubgraph | None:
+    """The graph of a layer file exactly as layer_graph_text writes it, or
+    None for any other text.
+
+    Only the header and the vertex sections are read; the graph they
+    induce is accepted when its own text is the whole of text, so the edge
+    lines and every byte of spelling are checked in one compare per piece.
+    """
+    head, _, rest = text.partition("\n")
+    _, _, rest = rest.partition("# layer r=")
+    r_text, _, rest = rest.partition("\n# lower\n")
+    lower_text, _, upper_text = rest.partition("# upper\n")
+    try:
+        layer = LayerId(int(head.removeprefix("# qn n=")), int(r_text))
+        g = LayerSubgraph.induced(
+            layer,
+            [int(x, 16) for x in lower_text.split()],
+            [int(y, 16) for y in upper_text.split()],
+        )
+    except ValueError:
+        return None
+    at = 0
+    for piece in layer_graph_text(g):
+        if not text.startswith(piece, at):
+            return None
+        at += len(piece)
+    return g if at == len(text) else None
+
+
+def _parse_layer_lines(text: str) -> LayerSubgraph:
+    """Any layer file, read line by line; blank and unknown comment lines
+    are skipped, and each error names its line."""
     lines = text.splitlines()
     if not lines or not lines[0].startswith("# qn n="):
         raise ValueError("layer file must start with a '# qn n=<n>' header")
@@ -606,3 +637,11 @@ def parse_layer_graph(text: str) -> LayerSubgraph:
     if len(ends) != 2 * edge_count(g) or any(map(ne, ends, chain.from_iterable(edge_pairs(g)))):
         raise ValueError("edge lines do not match the inclusion pairs of the vertex sections")
     return g
+
+
+def parse_layer_graph(text: str) -> LayerSubgraph:
+    """The layer graph of a layer file.  Text exactly as layer_graph_text
+    writes it takes a fast path; any other text, and every error, goes
+    through the line reader."""
+    g = _parse_canonical_layer(text)
+    return _parse_layer_lines(text) if g is None else g

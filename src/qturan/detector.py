@@ -5,32 +5,39 @@ Two independent routes for 6-cycles inside a layer:
 * a structured scan over 3-dimensional subcube patterns (a 6-cycle in a
   layer flips exactly three coordinates, so it is the middle layer of a
   3-cube), and
-* a generic exhaustive backtracking search that works on any subgraph of
-  Q_n and any even cycle length.
+* a generic exhaustive search, meeting in the middle to find the start
+  and backtracking from it for the witness, that works on any subgraph
+  of Q_n and any even cycle length.
 
 The generic searches take one graph form, CubeSubgraph: sorted vertex
 masks, each with the mask of its edges upward, as in a layer graph, so a
 layer and the odd-layer union are merged from the layers' own masks.
 
-The generic search breaks symmetry canonically (cycles start at their
-smallest vertex; the second vertex is smaller than the last) and prunes by
-Hamming distance back to the start, which is a lower bound on remaining
-graph distance.  It walks a map from each vertex mask to the tuple of its
-neighbors in ascending order, at most n of them, read off the edge masks,
-so its memory is linear in the number of vertices.  Its last two levels
-are tests against closing sets fixed once per start s: at most n
-vertices, and at most n^2 in their neighborhood.  A cycle closes through a neighbor of s above s, and such
-closers must number at least two; the C6- path ends at a vertex above s
-at Hamming distance 1 from it.  The vertex before the end must be a
-neighbor of one of these, so candidates for it are cut to that
-neighborhood (which also implies the Hamming bound there), and the end is
-the first neighbor of that vertex off the path that lies in the closing
-set, and for a cycle above the second vertex.  Pruning only drops
-branches that cannot close, and every tuple is walked in ascending order,
-the order in which the plain DFS tries candidates, so no cycle is lost and
-the first witness is the one the plain DFS finds.  Scans are splittable
-over start vertices; the witness with the lowest canonical order always
-wins, so results do not depend on the worker count.
+The generic cycle search breaks symmetry canonically: a cycle starts at
+its smallest vertex, and its second vertex is smaller than its last.  It
+walks a map from each vertex mask to the tuple of its neighbors in
+ascending order, at most n of them, read off the edge masks, so its memory
+is linear in the number of vertices.  It finds the start by meeting in the
+middle: a cycle of length 2k has least vertex s exactly when two simple
+k-step paths from s over vertices above s share their end and have
+disjoint interiors.  For each s in ascending order it lists those paths,
+groups them by end and compares the interiors within each group; only one
+start's paths are held at a time.  A start needs two closers, neighbors
+above s, and a start with fewer is skipped before any listing.
+
+The witness comes from a DFS from that start alone, which prunes by
+Hamming distance back to s (a lower bound on the remaining graph
+distance).  Its last two levels are tests against closing sets fixed for
+s: the closers, at most n, and their neighbors above s, at most n^2.  The
+vertex before the end must be one of those neighbors, and the end is the
+first neighbor of it off the path that is a closer above the second
+vertex.  Pruning only drops branches that cannot close, and every tuple is
+walked in ascending order, so the witness is the first one a plain DFS
+over every start finds.  The C6- path search runs such a DFS from every
+start: its path ends at a vertex above s at Hamming distance 1 from s,
+and the vertex before the end must be a neighbor of one of these.
+Scans are splittable over start vertices; the witness with the lowest
+canonical order always wins, so results do not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -245,57 +252,97 @@ def _neighbor_map(graph: CubeSubgraph) -> dict[int, tuple[int, ...]]:
     return nbrs
 
 
+def _closes_at(
+    nbrs: dict[int, tuple[int, ...]], s: int, closers: tuple[int, ...], half: int
+) -> bool:
+    """True when a cycle of 2 * half steps has least vertex s, given the
+    neighbors of s above it, its closers.
+
+    Such a cycle is two paths of half steps from s over vertices above s,
+    with one end and disjoint interiors; so the half paths are listed,
+    grouped by their end, and the interiors compared within each group;
+    most starts have no end that two paths share.
+    """
+    paths = [(c,) for c in closers]
+    for _ in range(half - 2):
+        paths = [p + (w,) for p in paths for w in nbrs[p[-1]] if w > s and w not in p]
+        if not paths:
+            return False
+    ends = [t for p in paths for t in nbrs[p[-1]] if t > s and t not in p]
+    if len(set(ends)) == len(ends):  # every end has one path
+        return False
+    groups: dict[int, list[tuple[int, ...]]] = {}
+    for p in paths:
+        for t in nbrs[p[-1]]:
+            if t > s and t not in p:
+                groups.setdefault(t, []).append(p)
+    for interiors in groups.values():
+        for at, p in enumerate(interiors[:-1]):
+            seen = set(p)
+            for q in interiors[at + 1 :]:
+                if seen.isdisjoint(q):
+                    return True
+    return False
+
+
+def _extend(
+    nbrs: dict[int, tuple[int, ...]],
+    path: list[int],
+    closers: set[int],
+    reach: set[int],
+    length: int,
+) -> list[int] | None:
+    """The first cycle of the given length that continues path, by DFS."""
+    s = path[0]
+    pos_next = len(path)
+    if pos_next == length - 2:
+        # the closing vertex is a neighbor of s above path[1], so only
+        # neighbors of closers (reach holds those above s) can precede it
+        first = path[1]
+        for w in nbrs[path[-1]]:
+            if w in reach and w not in path:
+                for c in nbrs[w]:
+                    if c > first and c in closers and c not in path:
+                        return path + [w, c]
+        return None
+    # w, pos_next steps from s, must get back in length - pos_next steps,
+    # which before the middle always holds.  This already caps the
+    # coordinates the path flips: p steps that flip o coordinates an odd
+    # number of times and e an even number have p >= o + 2e, so passing
+    # o <= length - p gives o + e <= length / 2, and a prune on the set
+    # of flipped coordinates would cut nothing more.
+    check_dist = 2 * pos_next > length
+    budget = length - pos_next
+    for w in nbrs[path[-1]]:
+        if w <= s or w in path:
+            continue
+        if check_dist and (w ^ s).bit_count() > budget:
+            continue
+        found = _extend(nbrs, path + [w], closers, reach, length)
+        if found is not None:
+            return found
+    return None
+
+
 def _first_cycle_in_range(
     graph: CubeSubgraph, start_lo: int, start_hi: int, length: int
 ) -> tuple[int, ...] | None:
+    """The canonically first cycle of the given length whose least vertex is
+    in graph.vertices[start_lo:start_hi]: the DFS from the first start at
+    which _closes_at finds one."""
     nbrs = _neighbor_map(graph)
-    last = length - 2  # the last position chosen by a loop; position length-1 closes
-
-    def extend(
-        path: list[int], s: int, closers: set[int], reach: set[int]
-    ) -> list[int] | None:
-        pos_next = len(path)
-        if pos_next == last:
-            # the closing vertex is a neighbor of s above path[1], so only
-            # neighbors of closers (reach holds those above s) can precede it
-            first = path[1]
-            for w in nbrs[path[-1]]:
-                if w in reach and w not in path:
-                    for c in nbrs[w]:
-                        if c > first and c in closers and c not in path:
-                            return path + [w, c]
-            return None
-        # w, pos_next steps from s, must get back in length - pos_next steps,
-        # which before the middle always holds.  This already caps the
-        # coordinates the path flips: p steps that flip o coordinates an odd
-        # number of times and e an even number have p >= o + 2e, so passing
-        # o <= length - p gives o + e <= length / 2, and a prune on the set
-        # of flipped coordinates would cut nothing more.
-        check_dist = 2 * pos_next > length
-        budget = length - pos_next
-        for w in nbrs[path[-1]]:
-            if w <= s or w in path:
-                continue
-            if check_dist and (w ^ s).bit_count() > budget:
-                continue
-            found = extend(path + [w], s, closers, reach)
-            if found is not None:
-                return found
-        return None
-
-    found = None
-    for s in graph.vertices[start_lo:start_hi]:
-        closers = {c for c in nbrs[s] if c > s}
-        if len(closers) < 2:  # the cycle needs two closers
+    starts = slice(start_lo, start_hi)
+    for s, up in zip(graph.vertices[starts], graph.edge_masks[starts]):
+        if not up & (up - 1):  # the cycle needs two closers
             continue
-        reach = {w for c in closers for w in nbrs[c] if w > s}
-        found = extend([s], s, closers, reach)
-        if found is not None:
-            break
-    # extend refers to itself through its closure, a reference cycle that
-    # would keep nbrs alive until the cyclic collector next runs
-    del extend
-    return None if found is None else tuple(found)
+        # the neighbors above s are its edges upward, last in its tuple
+        closers = nbrs[s][-up.bit_count() :]
+        if _closes_at(nbrs, s, closers, length // 2):
+            reach = {w for c in closers for w in nbrs[c] if w > s}
+            found = _extend(nbrs, [s], set(closers), reach, length)
+            if found is not None:
+                return tuple(found)
+    return None
 
 
 def _first_c6_minus_in_range(
@@ -356,8 +403,11 @@ def find_cycle_generic(
     """Exhaustive search for a cycle of exactly the given even length.
 
     Returns the canonically first witness (lowest start vertex, then DFS
-    order) or None.  workers > 1 splits the start vertices over processes;
-    the answer is identical for every worker count.
+    order) or None.  The start is found by meeting in the middle, the first
+    vertex s from which two paths of length / 2 steps above s close a
+    cycle; the witness is the first cycle of a DFS from s alone.  workers > 1
+    splits the start vertices over processes; the answer is identical for
+    every worker count.
     """
     if length < 4 or length % 2:
         raise ValueError(f"cycle length must be even and >= 4, got {length}")

@@ -7,6 +7,8 @@ every subset separately with gf2.rank_bits, as before the one-pass layer
 scan.
 The DFS references search cycles and C6- paths one vertex per call, as
 before the detector's closing sets, and must return the same witnesses.
+The closing-set reference runs that DFS, with the closing sets, from every
+start in turn, as before a meet-in-the-middle test picked the start.
 The coloring references parse and validate a certificate as a dict keyed
 by (base, coord), as before the one-byte-per-edge layout.  The
 coordinate-major reference parses into the byte layout the certificate had
@@ -40,7 +42,7 @@ from qturan.cube import (
     require_capacity,
     subsets_of_size,
 )
-from qturan.detector import CubeSubgraph, SubcubePattern, find_cycle_generic
+from qturan.detector import CubeSubgraph, SubcubePattern, _neighbor_map, find_cycle_generic
 from qturan.gf2 import GF2Vec, rank_bits
 
 EXPECTATION_CAP = 10**7
@@ -312,6 +314,54 @@ def first_cycle_dfs(graph, start_lo, start_hi, length):
         if found is not None:
             return tuple(masks[i] for i in found)
     return None
+
+
+def first_cycle_closing_sets(graph, start_lo, start_hi, length):
+    """Canonically first cycle of the given length, by the closing-set DFS
+    from every start in turn.
+
+    The generic search before the meet-in-the-middle test chose its start:
+    the last two levels are tests against the start's closers (its
+    neighbors above it, at least two) and their neighbors above it.
+    """
+    nbrs = _neighbor_map(graph)
+    last = length - 2  # the last position chosen by a loop; position length-1 closes
+    found = None
+
+    def extend(path, s, closers, reach):
+        pos_next = len(path)
+        if pos_next == last:
+            first = path[1]
+            for w in nbrs[path[-1]]:
+                if w in reach and w not in path:
+                    for c in nbrs[w]:
+                        if c > first and c in closers and c not in path:
+                            return path + [w, c]
+            return None
+        check_dist = 2 * pos_next > length
+        budget = length - pos_next
+        for w in nbrs[path[-1]]:
+            if w <= s or w in path:
+                continue
+            if check_dist and (w ^ s).bit_count() > budget:
+                continue
+            found = extend(path + [w], s, closers, reach)
+            if found is not None:
+                return found
+        return None
+
+    for s in graph.vertices[start_lo:start_hi]:
+        closers = {c for c in nbrs[s] if c > s}
+        if len(closers) < 2:
+            continue
+        reach = {w for c in closers for w in nbrs[c] if w > s}
+        found = extend([s], s, closers, reach)
+        if found is not None:
+            break
+    # extend refers to itself through its closure, a reference cycle that
+    # would keep nbrs alive until the cyclic collector next runs
+    del extend
+    return None if found is None else tuple(found)
 
 
 def first_c6_minus_dfs(graph, start_lo, start_hi):

@@ -695,6 +695,66 @@ class TestTextFormats:
             parse_layer_graph(broken)
 
 
+def layer_read(parse, text):
+    """The graph parse reads from text, or the message of its ValueError."""
+    try:
+        return parse(text)
+    except ValueError as exc:
+        return str(exc)
+
+
+def layer_variants(text):
+    """Spellings of a layer file other than the canonical one, each of which
+    the line reader either reads as the same graph or rejects."""
+    lines = text.splitlines(keepends=True)
+    vertex_at = lines.index("# lower\n")
+    upper_at = lines.index("# upper\n")
+    edge_lines = [i for i, line in enumerate(lines) if " " in line and line[0] != "#"]
+    hex_lines = [line if line[0] == "#" else line.upper() for line in lines]
+    middle = len(lines) // 2
+    yield text.replace("\n", "\r\n")
+    yield text.replace("\n", " \n")
+    yield text + "\n \n"
+    yield "".join(lines[:middle] + ["\n", "# a comment\n"] + lines[middle:])
+    yield "".join(hex_lines)
+    yield "".join(line if line[0] == "#" else "0" + line for line in lines)
+    yield text[:-1]
+    if edge_lines:
+        yield "".join(lines[: edge_lines[0]] + lines[edge_lines[0] + 1 :])
+    if len(edge_lines) > 1:
+        a, b = edge_lines[:2]
+        yield "".join(lines[:a] + [lines[b], lines[a]] + lines[b + 1 :])
+    if upper_at > vertex_at + 1:  # the first lower vertex moved to the upper side
+        moved = lines[vertex_at + 1]
+        yield "".join(lines[: vertex_at + 1] + lines[vertex_at + 2 :] + [moved])
+    if upper_at + 1 < len(lines):  # the first upper vertex moved to the lower side
+        moved = [lines[upper_at + 1]]
+        at = vertex_at + 1
+        yield "".join(lines[:at] + moved + lines[at : upper_at + 1] + lines[upper_at + 2 :])
+
+
+class TestCanonicalLayerRead:
+    """The fast path for canonical layer files gives the line reader's
+    graph, and leaves every other spelling and every error to it."""
+
+    @pytest.mark.parametrize("n", range(4, 15))
+    def test_every_layer_and_its_variants(self, n):
+        outcomes = set()
+        for r in range(1, n + 1):
+            g = build_layer_graph(sample_assignment(n, r, derive_seed(n, r)))
+            text = format_layer_graph(g)
+            assert con._parse_canonical_layer(text) == con._parse_layer_lines(text) == g
+            for variant in layer_variants(text):
+                if variant == text:  # uppercase hex without a letter
+                    continue
+                assert con._parse_canonical_layer(variant) is None
+                expected = layer_read(con._parse_layer_lines, variant)
+                assert layer_read(parse_layer_graph, variant) == expected
+                outcomes.add(type(expected))
+        # some variants read as the graph, and some are rejected
+        assert outcomes == {LayerSubgraph, str}
+
+
 @st.composite
 def assignment_texts(draw):
     n = draw(st.integers(1, 5))
@@ -725,6 +785,17 @@ def layer_texts(draw):
     g = LayerSubgraph.induced(layer, frozenset(lower), frozenset(upper))
     plausible = ["# lower", "# upper", "# layer r=2", "# layer r=x", "# qn n=3", "1 3", "3", "0", "-1", ""]
     return draw(edited_text(format_layer_graph(g).splitlines(), plausible))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(layer_texts())
+def test_layer_graph_parse_matches_the_line_reader(text):
+    """On edited layer texts, the fast path accepts only canonical text and
+    the reader gives the line reader's graph or message."""
+    expected = layer_read(con._parse_layer_lines, text)
+    assert layer_read(parse_layer_graph, text) == expected
+    fast = con._parse_canonical_layer(text)
+    assert fast is None or (fast == expected and format_layer_graph(fast) == text)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)

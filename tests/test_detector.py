@@ -1,5 +1,7 @@
 import random
 import tracemalloc
+from functools import lru_cache
+from itertools import permutations
 
 import pytest
 
@@ -29,7 +31,12 @@ from qturan.detector import (
     subgraph_of_union,
     witness_line,
 )
-from qturan.detector import _first_c6_minus_in_range, _first_cycle_in_range, _neighbor_map
+from qturan.detector import (
+    _closes_at,
+    _first_c6_minus_in_range,
+    _first_cycle_in_range,
+    _neighbor_map,
+)
 from qturan.gf2 import GF2Vec
 
 from oracles import (
@@ -37,6 +44,7 @@ from oracles import (
     coloring_bytes,
     find_c6_structured_by_probe,
     first_c6_minus_dfs,
+    first_cycle_closing_sets,
     first_cycle_dfs,
     has_c6_minus_naive,
     has_cycle_naive,
@@ -285,6 +293,134 @@ class TestClosingSets:
                 assert (None if w is None else w.vertices) == expected
             w = find_c6_minus(sub)
             assert (None if w is None else w.vertices) == first_c6_minus_dfs(sub, 0, count)
+
+
+# the coordinate rule and the rank rule: edge (x, x | 1 << j) gets j mod 3,
+# or the number of elements of x below j, mod 3
+COLOR_RULES = {
+    "coordinate": lambda x, j: j % 3,
+    "rank": lambda x, j: (x & ((1 << j) - 1)).bit_count() % 3,
+}
+
+
+@lru_cache(maxsize=None)
+def rule_colors(n, name):
+    """The colors of E(Q_n) under a rule, in file order."""
+    rule = COLOR_RULES[name]
+    return bytes(rule(x, j) for x in range(1 << n) for j in range(n) if not x >> j & 1)
+
+
+def rule_classes(union, name):
+    """The union's color classes under a named rule."""
+    return _class_graphs(union, rule_colors(union.n, name))
+
+
+class TestMeetInTheMiddle:
+    """The scan that finds the start by meeting in the middle returns the
+    witness of the closing-set DFS over every start, which it replaced."""
+
+    LENGTHS = (4, 6, 8, 10)
+
+    def first_cycles(self, graphs, ranges=None):
+        """Checks every graph at every length; returns the set of (length,
+        found) outcomes seen."""
+        outcomes = set()
+        for at, g in enumerate(graphs):
+            lo, hi = (0, len(g.vertices)) if ranges is None else ranges[at]
+            for length in self.LENGTHS:
+                expected = first_cycle_closing_sets(g, lo, hi, length)
+                assert _first_cycle_in_range(g, lo, hi, length) == expected, (length, lo, hi)
+                outcomes.add((length, expected is not None))
+        return outcomes
+
+    def test_every_edge_subset_of_q3(self):
+        edges = list(cube.cube_edges(3))
+        graphs = [
+            CubeSubgraph.explicit(3, range(8), [e for i, e in enumerate(edges) if bits >> i & 1])
+            for bits in range(1 << len(edges))
+        ]
+        # Q_3 holds C4, C6 and C8, and no C10
+        assert self.first_cycles(graphs) == {
+            (4, False), (4, True), (6, False), (6, True), (8, False), (8, True), (10, False)
+        }
+
+    def test_each_start_of_every_edge_subset_of_q3(self):
+        """_closes_at accepts s exactly when a cycle of the length has least
+        vertex s, so it never sends the DFS to a start without one.  The
+        cycles of Q_3 are listed once, each as its edge bits."""
+        edges = list(cube.cube_edges(3))
+        bit_of = {e: 1 << i for i, e in enumerate(edges)}
+        cycles = {length: [] for length in (4, 6, 8)}
+        for length in cycles:
+            for walk in permutations(range(8), length):
+                steps = list(zip(walk, walk[1:] + walk[:1]))
+                if walk[0] == min(walk) and walk[1] < walk[-1] and all(
+                    (x ^ y).bit_count() == 1 for x, y in steps
+                ):
+                    cycles[length].append((sum(bit_of[min(e), max(e)] for e in steps), walk[0]))
+        assert [len(found) for found in cycles.values()] == [6, 16, 6]
+        for bits in range(1 << len(edges)):
+            g = CubeSubgraph.explicit(3, range(8), [e for e in edges if bit_of[e] & bits])
+            nbrs = _neighbor_map(g)
+            for length, found in cycles.items():
+                starts = {s for cycle, s in found if cycle & bits == cycle}
+                for s, up in zip(g.vertices, g.edge_masks):
+                    if up & (up - 1):
+                        closes = _closes_at(nbrs, s, nbrs[s][-up.bit_count() :], length // 2)
+                        assert closes == (s in starts), (bits, length, s)
+
+    @pytest.mark.parametrize("n", range(4, 15))
+    def test_odd_layers(self, n):
+        """The pipeline's odd layers at seed 0, and the full odd layers."""
+        graphs = [subgraph_of_layer(g) for g in density_report_suite(n, 0).union.layers.values()]
+        graphs += [subgraph_of_layer(full_layer(n, r)) for r in range(1, n + 1, 2)]
+        assert (6, False) in self.first_cycles(graphs)
+
+    @pytest.mark.parametrize("n", range(10, 17))
+    def test_color_classes(self, n):
+        """The three classes of each rule over the union, seeds 0-2.  The
+        rank rule leaves no C10 in any class, so the C10 scan runs over
+        every start, and from n = 13 the coordinate rule leaves one."""
+        outcomes = set()
+        for seed in range(3):
+            union = density_report_suite(n, seed).union
+            for name in COLOR_RULES:
+                outcomes |= self.first_cycles(rule_classes(union, name))
+        assert {(8, True), (10, False), (10, n >= 13)} <= outcomes
+
+    def test_random_induced_subgraphs(self):
+        rng = random.Random(1616)
+        graphs, ranges = [], []
+        for _ in range(300):
+            n = rng.randint(5, 8)
+            density = rng.choice([0.2, 0.35, 0.5, 0.7])
+            g = CubeSubgraph.induced(n, [v for v in range(1 << n) if rng.random() < density])
+            count = len(g.vertices)
+            lo = rng.choice([0, rng.randint(0, count)])
+            graphs.append(g)
+            ranges.append((lo, rng.choice([count, rng.randint(lo, count)])))
+        outcomes = self.first_cycles(graphs, ranges)
+        assert outcomes == {(length, found) for length in self.LENGTHS for found in (False, True)}
+
+    def test_per_start_memory_on_a_c10_free_class(self):
+        """The C10 scan holds the half paths of one start at a time beyond
+        the neighbor map.  On the largest rank class at n = 14 (5,636
+        vertices), which is C10-free, the peak over all starts measured
+        below 4 KB; holding every start's paths at once would grow with the
+        vertex count."""
+        classes = rule_classes(density_report_suite(14, 0).union, "rank")
+        sub = max(classes, key=lambda c: sum(m.bit_count() for m in c.edge_masks))
+        assert find_cycle_generic(sub, 10) is None
+        nbrs = _neighbor_map(sub)
+        tracemalloc.start()
+        try:
+            for s, up in zip(sub.vertices, sub.edge_masks):
+                if up & (up - 1):
+                    assert not _closes_at(nbrs, s, nbrs[s][-up.bit_count() :], 5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 1024
 
 
 class TestNeighborMap:
