@@ -41,10 +41,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import accumulate, chain
-from typing import Iterator, Mapping, TextIO
+from typing import Callable, Iterator, Mapping, TextIO
 
 from . import cube
 from .construction import (
+    LayerSubgraph,
     SearchResult,
     TrialsExhausted,
     UnionGraph,
@@ -52,9 +53,10 @@ from .construction import (
     constant_c_enclosure,
     derive_seed,
     find_good_assignment,
+    union_odd_layers,
 )
 from .cube import LayerId, cube_edge_count
-from .detector import CubeSubgraph, CycleWitness, find_cycle_generic, subgraph_of_union
+from .detector import CubeSubgraph, CycleWitness, find_cycle_generic, subgraph_of_layer
 
 __all__ = [
     "BOUND_DIVISORS",
@@ -247,21 +249,28 @@ class PipelineOutcome:
     class_edge_counts: tuple[int, ...]
     free_classes: tuple[int, ...]
     witnesses: Mapping[int, CycleWitness]
-    subgraph: CubeSubgraph | None
     report: DensityReport | None
 
 
-def _class_graphs(union: UnionGraph, colors: bytes | bytearray) -> list[CubeSubgraph]:
-    """The union's edges split by their certificate color, one graph per color,
-    each on all of the union's vertices.
+def _check_certificate(cert: ColoringCertificate, n: int) -> None:
+    if cert.n != n:
+        raise ValueError(f"certificate is for n={cert.n}, union graph has n={n}")
+    problems = coloring_problems(cert)
+    if problems:
+        raise ValueError("invalid coloring certificate: " + "; ".join(problems))
 
-    Each edge mask of subgraph_of_union is split bit by bit into one mask
+
+def _split_layer(g: LayerSubgraph, colors: bytes | bytearray) -> list[CubeSubgraph]:
+    """The layer's edges split by their certificate color, one graph per
+    color, each on all of the layer's vertices.
+
+    Each edge mask of subgraph_of_layer is split bit by bit into one mask
     per color, so the classes share its vertex tuple and build no edge list.
     The edges of a lower vertex x sit from slot _first_slot(n, x) on, one
     per clear bit of x in increasing order.
     """
-    n = union.n
-    whole = subgraph_of_union(union)
+    n = g.layer.n
+    whole = subgraph_of_layer(g)
     classes: list[list[int]] = [[] for _ in range(COLOR_COUNT)]
     for x, m in zip(whole.vertices, whole.edge_masks):
         parts = [0] * COLOR_COUNT
@@ -276,44 +285,65 @@ def _class_graphs(union: UnionGraph, colors: bytes | bytearray) -> list[CubeSubg
     return [CubeSubgraph(n, whole.vertices, tuple(masks)) for masks in classes]
 
 
+class _ClassSearch:
+    """The color classes of a union searched for a C10 one layer at a time.
+
+    Odd layers share no vertex and no union edge joins two of them, so every
+    cycle of a class lies in one layer, and the union's first C10 in a class
+    is the first one of a layer with the least start.  A class keeps the
+    best witness seen so far, and a later layer is scanned only for starts
+    below it, in any order of the layers.
+    """
+
+    def __init__(self, colors: bytes | bytearray, workers: int = 1):
+        self.colors = colors
+        self.workers = workers
+        self.counts = [0] * COLOR_COUNT
+        self.witnesses: dict[int, CycleWitness] = {}
+
+    def add(self, g: LayerSubgraph) -> None:
+        for k, sub in enumerate(_split_layer(g, self.colors)):
+            self.counts[k] += sum(map(int.bit_count, sub.edge_masks))
+            best = self.witnesses.get(k)
+            below = None if best is None else best.vertices[0]
+            witness = find_cycle_generic(sub, 10, self.workers, below)
+            if witness is not None:
+                self.witnesses[k] = witness
+
+    def outcome(self, n: int) -> PipelineOutcome:
+        counts = tuple(self.counts)
+        witnesses = dict(sorted(self.witnesses.items()))
+        free = tuple(k for k in range(COLOR_COUNT) if k not in witnesses)
+        if not free:
+            return PipelineOutcome(False, None, counts, (), witnesses, None)
+        best = min(free, key=lambda k: (-counts[k], k))
+        if len(free) == COLOR_COUNT and COLOR_COUNT * counts[best] < sum(counts):
+            # Averaging over three classes: the best one carries >= a third.
+            raise RuntimeError(f"best class {best} holds under a third of the edges {counts}")
+        report = make_report(n, None, "final", counts[best], cube_edge_count(n), "c/12")
+        return PipelineOutcome(True, best, counts, free, witnesses, report)
+
+
+def _search_union(union: UnionGraph, colors: bytes | bytearray, workers: int = 1) -> _ClassSearch:
+    classes = _ClassSearch(colors, workers)
+    for g in union.layers.values():
+        classes.add(g)
+    return classes
+
+
 def c10_pipeline(
     union: UnionGraph, cert: ColoringCertificate, workers: int = 1
 ) -> PipelineOutcome:
-    """Score the densest C10-free color class of the union graph against c/12."""
-    if cert.n != union.n:
-        raise ValueError(f"certificate is for n={cert.n}, union graph has n={union.n}")
-    problems = coloring_problems(cert)
-    if problems:
-        raise ValueError("invalid coloring certificate: " + "; ".join(problems))
-    graphs = _class_graphs(union, cert.colors)
-    counts = tuple(sum(map(int.bit_count, sub.edge_masks)) for sub in graphs)
-    free = []
-    witnesses = {}
-    for k, sub in enumerate(graphs):
-        witness = find_cycle_generic(sub, 10, workers=workers)
-        if witness is None:
-            free.append(k)
-        else:
-            witnesses[k] = witness
-    if not free:
-        return PipelineOutcome(False, None, counts, (), witnesses, None, None)
-    best = min(free, key=lambda k: (-counts[k], k))
-    if len(free) == COLOR_COUNT and COLOR_COUNT * counts[best] < sum(counts):
-        # Averaging over three classes: the best one carries >= a third.
-        raise RuntimeError(f"best class {best} holds under a third of the edges {counts}")
-    report = make_report(
-        union.n, None, "final", counts[best], cube_edge_count(union.n), "c/12"
-    )
-    return PipelineOutcome(True, best, counts, tuple(free), witnesses, graphs[best], report)
+    """Score the densest C10-free color class of the union graph against
+    c/12, splitting and searching one layer at a time."""
+    _check_certificate(cert, union.n)
+    return _search_union(union, cert.colors, workers).outcome(union.n)
 
 
 def _first_c10_in_classes(union: UnionGraph, colors: bytes | bytearray) -> CycleWitness | None:
     """A C10 in the lowest color class that holds one, or None when all are C10-free."""
-    for sub in _class_graphs(union, colors):
-        witness = find_cycle_generic(sub, 10)
-        if witness is not None:
-            return witness
-    return None
+    witnesses = _search_union(union, colors).witnesses
+    return witnesses[min(witnesses)] if witnesses else None
 
 
 def search_coloring_small_n(
@@ -350,11 +380,19 @@ def search_coloring_small_n(
 
 @dataclass(frozen=True)
 class SuiteResult:
+    """What density_report_suite keeps: the reports, and each layer's
+    assignment and trials.  union is rebuilt from the assignments on each
+    access, since the suite holds one layer graph at a time."""
+
+    n: int
     reports: tuple[DensityReport, ...]
-    union: UnionGraph
     assignments: Mapping[int, VectorAssignment]
     trials: Mapping[int, int]
     pipeline: PipelineOutcome | None
+
+    @property
+    def union(self) -> UnionGraph:
+        return union_odd_layers(self.n, self.assignments)
 
 
 class SuiteExhausted(RuntimeError):
@@ -372,6 +410,7 @@ def density_report_suite(
     certificate: ColoringCertificate | None = None,
     max_trials: int = 512,
     workers: int = 1,
+    on_layer: Callable[[int, SearchResult], None] | None = None,
 ) -> SuiteResult:
     """Run the whole chain: per-layer searches, the odd-layer union, and the
     certificate step when a certificate is supplied.
@@ -379,33 +418,48 @@ def density_report_suite(
     Layer r uses the derived seed (seed, r).  Per-layer reports are checked
     against c/2, the union against c/4 and the best color class against
     c/12; all ratios are exact.
+
+    The layers are taken one at a time: each is found, handed to
+    on_layer(r, result) when given, split by the certificate's colors and
+    its classes searched for a C10, then dropped, so the suite holds one
+    layer graph at a time.  The certificate is checked before the first
+    layer.
     """
+    classes = None
+    if certificate is not None:
+        _check_certificate(certificate, n)
+        classes = _ClassSearch(certificate.colors, workers)
     reports: list[DensityReport] = []
-    searches: dict[int, SearchResult] = {}
+    assignments: dict[int, VectorAssignment] = {}
+    trials: dict[int, int] = {}
     for r in range(1, n + 1, 2):
         try:
             found = find_good_assignment(n, r, derive_seed(seed, r), max_trials)
         except TrialsExhausted as exc:
             raise SuiteExhausted(exc, tuple(reports)) from exc
-        searches[r] = found
+        assignments[r], trials[r] = found.assignment, found.trials
         reports.append(
             make_report(
                 n, r, "layer", found.edges, cube.layer_edge_count(LayerId(n, r)), "c/2"
             )
         )
-    union = UnionGraph(n, {r: s.graph for r, s in searches.items()})
-    achieved = sum(s.edges for s in searches.values())
+        if on_layer is not None:
+            on_layer(r, found)
+        if classes is not None:
+            classes.add(found.graph)
+        del found  # the layer goes before the next one is searched
+    achieved = sum(rep.achieved_edges for rep in reports)
     reports.append(make_report(n, None, "union", achieved, cube_edge_count(n), "c/4"))
     pipeline = None
-    if certificate is not None:
-        pipeline = c10_pipeline(union, certificate, workers=workers)
+    if classes is not None:
+        pipeline = classes.outcome(n)
         if pipeline.report is not None:
             reports.append(pipeline.report)
     return SuiteResult(
+        n=n,
         reports=tuple(reports),
-        union=union,
-        assignments={r: s.assignment for r, s in searches.items()},
-        trials={r: s.trials for r, s in searches.items()},
+        assignments=assignments,
+        trials=trials,
         pipeline=pipeline,
     )
 

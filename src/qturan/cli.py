@@ -100,6 +100,19 @@ def _cmd_verify(args) -> int:
     return EXIT_WITNESS
 
 
+def _layer_writer(out: Path, n: int):
+    """The on_layer callback of pipeline --out: the layer's assignment and
+    layer files, written as the suite passes the layer."""
+
+    def write(r: int, found: construction.SearchResult) -> None:
+        out.mkdir(parents=True, exist_ok=True)
+        (out / f"assignment_n{n}_r{r}.txt").write_text(construction.format_assignment(found.assignment))
+        with (out / f"layer_n{n}_r{r}.txt").open("w") as stream:
+            stream.writelines(construction.layer_graph_text(found.graph))
+
+    return write
+
+
 def _cmd_pipeline(args) -> int:
     certificate = None
     if args.coloring is not None:
@@ -114,6 +127,7 @@ def _cmd_pipeline(args) -> int:
             certificate=certificate,
             max_trials=args.trials,
             workers=args.workers,
+            on_layer=None if args.out is None else _layer_writer(Path(args.out), args.n),
         )
     except bounds.SuiteExhausted as exc:
         sys.stdout.write(_report_lines(exc.partial_reports, args.format))
@@ -123,24 +137,16 @@ def _cmd_pipeline(args) -> int:
     pipeline = suite.pipeline
     if certificate is None and args.budget is not None:
         # no external certificate: try the experimental search on this union
+        union = suite.union
         found = bounds.search_coloring_small_n(
-            suite.union, args.budget, seed=construction.derive_seed(args.seed, 1 << 32)
+            union, args.budget, seed=construction.derive_seed(args.seed, 1 << 32)
         )
         if found is None:
             sys.stderr.write(f"no coloring found within budget {args.budget}\n")
         else:
-            pipeline = bounds.c10_pipeline(suite.union, found, workers=args.workers)
+            pipeline = bounds.c10_pipeline(union, found, workers=args.workers)
             if pipeline.report is not None:
                 reports.append(pipeline.report)
-    if args.out is not None:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        for r, assignment in sorted(suite.assignments.items()):
-            (out / f"assignment_n{args.n}_r{r}.txt").write_text(
-                construction.format_assignment(assignment)
-            )
-            with (out / f"layer_n{args.n}_r{r}.txt").open("w") as stream:
-                stream.writelines(construction.layer_graph_text(suite.union.layers[r]))
     sys.stdout.write(_report_lines(reports, args.format))
     all_pass = all(rep.passed for rep in reports)
     if certificate is not None and not pipeline.success:

@@ -11,7 +11,7 @@ Two independent routes for 6-cycles inside a layer:
 
 The generic searches take one graph form, CubeSubgraph: sorted vertex
 masks, each with the mask of its edges upward, as in a layer graph, so a
-layer and the odd-layer union are merged from the layers' own masks.
+layer is merged from its two sides and its own masks.
 
 The generic cycle search breaks symmetry canonically: a cycle starts at
 its smallest vertex, and its second vertex is smaller than its last.  It
@@ -42,12 +42,13 @@ canonical order always wins, so results do not depend on the worker count.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import chain
 from typing import Callable, Iterable
 
 from . import cube
-from .construction import LayerSubgraph, UnionGraph, VectorAssignment
+from .construction import LayerSubgraph, VectorAssignment
 from .cube import bit_indices, upward_edges, upward_masks
 from .gf2 import GF2Vec, quotient_image, rank_bits
 
@@ -58,7 +59,6 @@ __all__ = [
     "SubcubePattern",
     "C6Obstruction",
     "subgraph_of_layer",
-    "subgraph_of_union",
     "find_cycle_generic",
     "find_c6_minus",
     "find_c6_structured",
@@ -117,29 +117,19 @@ def _checked_vertices(n: int, vertices: Iterable[int]) -> tuple[int, ...]:
     return verts
 
 
-def _subgraph_of_layers(n: int, layers: list[LayerSubgraph]) -> CubeSubgraph:
-    """The disjoint union of layer graphs, each with its own edges.
-
-    Layer r holds popcounts r-1 and r only, and the layers given never share
-    a popcount, so a vertex's popcount names its side: a lower vertex takes
-    the next mask of its layer, in the same increasing order, and an upper
-    vertex has no edge upward.
-    """
-    vertices = tuple(sorted(chain.from_iterable(chain(g.lower, g.upper) for g in layers)))
-    lower_masks = {g.layer.r - 1: iter(g.edge_masks) for g in layers}
-    no_masks = iter(())
-    masks = tuple(next(lower_masks.get(v.bit_count(), no_masks), 0) for v in vertices)
-    return CubeSubgraph(n, vertices, masks)
-
-
 def subgraph_of_layer(g: LayerSubgraph) -> CubeSubgraph:
-    """The layer subgraph as a subgraph of Q_n (same edges)."""
-    return _subgraph_of_layers(g.layer.n, [g])
+    """The layer subgraph as a subgraph of Q_n (same edges).
 
-
-def subgraph_of_union(u: UnionGraph) -> CubeSubgraph:
-    """The union graph with its per-layer edges."""
-    return _subgraph_of_layers(u.n, list(u.layers.values()))
+    The layer holds popcounts r-1 and r only, so a vertex's popcount names
+    its side: a lower vertex takes the next mask of the layer, in the same
+    increasing order, and an upper vertex has no edge upward.
+    """
+    low = g.layer.r - 1
+    vertices = tuple(sorted(chain(g.lower, g.upper)))
+    masks = iter(g.edge_masks)
+    return CubeSubgraph(
+        g.layer.n, vertices, tuple(next(masks) if v.bit_count() == low else 0 for v in vertices)
+    )
 
 
 @dataclass(frozen=True)
@@ -375,14 +365,19 @@ def _first_c6_minus_in_range(
 
 
 def _first_over_starts(
-    scan: Callable[..., tuple[int, ...] | None], graph: CubeSubgraph, workers: int, *args: int
+    scan: Callable[..., tuple[int, ...] | None],
+    graph: CubeSubgraph,
+    count: int,
+    workers: int,
+    *args: int,
 ) -> tuple[int, ...] | None:
     """The first result of scan(graph, lo, hi, *args) that is not None, in
-    start order, over all start vertices.  workers > 1 splits the starts
-    into that many ranges, scanned in a process pool whose module is
-    imported here, so a one-process run never loads it.
+    start order, over the first count start vertices.  workers > 1 splits
+    the starts into that many ranges, scanned in a process pool whose
+    module is imported here, so a one-process run never loads it.
     """
-    count = len(graph.vertices)
+    if not count:
+        return None
     if workers <= 1:
         return scan(graph, 0, count, *args)
     from concurrent.futures import ProcessPoolExecutor
@@ -398,14 +393,16 @@ def _first_over_starts(
 
 
 def find_cycle_generic(
-    graph: CubeSubgraph, length: int, workers: int = 1
+    graph: CubeSubgraph, length: int, workers: int = 1, below: int | None = None
 ) -> CycleWitness | None:
     """Exhaustive search for a cycle of exactly the given even length.
 
     Returns the canonically first witness (lowest start vertex, then DFS
     order) or None.  The start is found by meeting in the middle, the first
     vertex s from which two paths of length / 2 steps above s close a
-    cycle; the witness is the first cycle of a DFS from s alone.  workers > 1
+    cycle; the witness is the first cycle of a DFS from s alone.  With
+    below, only cycles whose least vertex is below that mask count, and a
+    graph with no vertex below it is not scanned at all.  workers > 1
     splits the start vertices over processes; the answer is identical for
     every worker count.
     """
@@ -413,7 +410,8 @@ def find_cycle_generic(
         raise ValueError(f"cycle length must be even and >= 4, got {length}")
     if len(graph.vertices) < length:
         return None
-    found = _first_over_starts(_first_cycle_in_range, graph, workers, length)
+    count = len(graph.vertices) if below is None else bisect_left(graph.vertices, below)
+    found = _first_over_starts(_first_cycle_in_range, graph, count, workers, length)
     return None if found is None else CycleWitness(found)
 
 
@@ -426,7 +424,7 @@ def find_c6_minus(graph: CubeSubgraph, workers: int = 1) -> PathWitness | None:
     """
     if len(graph.vertices) < 6:
         return None
-    found = _first_over_starts(_first_c6_minus_in_range, graph, workers)
+    found = _first_over_starts(_first_c6_minus_in_range, graph, len(graph.vertices), workers)
     return None if found is None else PathWitness(found)
 
 

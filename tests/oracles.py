@@ -15,7 +15,9 @@ coordinate-major reference parses into the byte layout the certificate had
 before file order, with the any-order bulk path for canonical chunks.
 The color-class references split a union through CubeSubgraph.explicit
 over the set of its vertices, as before bounds built the class graphs
-straight from the layers.
+straight from the layers, or from the union's masks merged into one graph
+and searched whole, as before bounds split and searched one layer at a
+time.
 The neighbor-map reference probes a vertex set or walks a sorted edge list,
 as before a CubeSubgraph held the edge mask of each vertex.
 The layer-graph references find the edges, write the layer file and scan
@@ -588,14 +590,53 @@ def explicit_class_graphs(union, colors):
     return [CubeSubgraph.explicit(union.n, vertices, edges) for edges in classes]
 
 
-def explicit_c10_pipeline(union, cert):
-    """bounds.c10_pipeline over explicit_class_graphs, run serially."""
+def subgraph_of_union(u):
+    """The union graph as one CubeSubgraph with its per-layer edges, merged
+    from the layers' masks, as the library built it before the pipeline
+    took one layer at a time.
+
+    The layers never share a popcount, so a vertex's popcount names its
+    side: a lower vertex takes the next mask of its layer, in the same
+    increasing order, and an upper vertex has no edge upward.
+    """
+    layers = list(u.layers.values())
+    vertices = tuple(sorted(chain.from_iterable(chain(g.lower, g.upper) for g in layers)))
+    lower_masks = {g.layer.r - 1: iter(g.edge_masks) for g in layers}
+    no_masks = iter(())
+    masks = tuple(next(lower_masks.get(v.bit_count(), no_masks), 0) for v in vertices)
+    return CubeSubgraph(u.n, vertices, masks)
+
+
+def class_graphs(union, colors):
+    """The union's edges split by their certificate color, one graph per
+    color, each on all of the union's vertices: each edge mask of
+    subgraph_of_union split bit by bit, as bounds did before it split one
+    layer at a time."""
+    n = union.n
+    whole = subgraph_of_union(union)
+    classes = [[] for _ in range(3)]
+    for x, m in zip(whole.vertices, whole.edge_masks):
+        parts = [0] * 3
+        if m:
+            start, free = bounds._first_slot(n, x), ~x
+            while m:
+                bit = m & -m
+                m ^= bit
+                parts[colors[start + (free & (bit - 1)).bit_count()]] |= bit
+        for masks, part in zip(classes, parts):
+            masks.append(part)
+    return [CubeSubgraph(n, whole.vertices, tuple(masks)) for masks in classes]
+
+
+def union_c10_pipeline(union, cert, split=class_graphs):
+    """bounds.c10_pipeline over the class graphs of the whole union, each
+    searched once, as before the pipeline took one layer at a time."""
     if cert.n != union.n:
         raise ValueError(f"certificate is for n={cert.n}, union graph has n={union.n}")
     problems = coloring_problems(cert)
     if problems:
         raise ValueError("invalid coloring certificate: " + "; ".join(problems))
-    graphs = explicit_class_graphs(union, cert.colors)
+    graphs = split(union, cert.colors)
     counts = tuple(len(sub.edge_list()) for sub in graphs)
     free = []
     witnesses = {}
@@ -606,10 +647,15 @@ def explicit_c10_pipeline(union, cert):
         else:
             witnesses[k] = witness
     if not free:
-        return PipelineOutcome(False, None, counts, (), witnesses, None, None)
+        return PipelineOutcome(False, None, counts, (), witnesses, None)
     best = min(free, key=lambda k: (-counts[k], k))
     report = make_report(union.n, None, "final", counts[best], cube_edge_count(union.n), "c/12")
-    return PipelineOutcome(True, best, counts, tuple(free), witnesses, graphs[best], report)
+    return PipelineOutcome(True, best, counts, tuple(free), witnesses, report)
+
+
+def explicit_c10_pipeline(union, cert):
+    """union_c10_pipeline over explicit_class_graphs."""
+    return union_c10_pipeline(union, cert, explicit_class_graphs)
 
 
 def reduced_echelon(basis):

@@ -29,10 +29,9 @@ from qturan.detector import (
     find_c6_structured,
     find_cycle_generic,
     subgraph_of_layer,
-    subgraph_of_union,
 )
 
-from oracles import exact_expected_edges, find_c6_structured_by_probe
+from oracles import exact_expected_edges, find_c6_structured_by_probe, subgraph_of_union
 
 # prod_{k>=1}(1 - 2^-k), frozen from an independent high-precision
 # partial-product computation (60 decimal digits, 200 factors).

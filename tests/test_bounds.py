@@ -33,14 +33,15 @@ from qturan.construction import (
     UnionGraph,
     constant_c_enclosure,
     derive_seed,
+    edge_count,
     sample_assignment,
-    union_edge_count,
     union_odd_layers,
 )
 from qturan.cube import CapacityError, LayerId, cube_edge_count, cube_edges, layer_vertices
-from qturan.detector import find_cycle_generic, subgraph_of_union
+from qturan.detector import find_cycle_generic
 
 from oracles import (
+    class_graphs,
     coloring_bytes,
     coloring_dict_problems,
     edge_slot_by_coordinate,
@@ -48,6 +49,8 @@ from oracles import (
     explicit_class_graphs,
     parse_coloring_by_coordinate,
     parse_coloring_dict,
+    subgraph_of_union,
+    union_c10_pipeline,
 )
 
 
@@ -252,8 +255,10 @@ class TestPipeline:
 
 
 class TestClassGraphs:
-    """The class graphs built straight from the layers equal the explicit ones
-    of the reference, and so do the pipeline outcomes built on them."""
+    """The class graphs split straight from each layer equal the explicit
+    ones of that layer alone, the merged union split of the reference
+    equals the explicit one of the union, and the pipeline outcomes built on
+    them agree."""
 
     def test_seeded_corpus(self):
         outcomes = []
@@ -263,8 +268,11 @@ class TestClassGraphs:
                 rng = random.Random(n * 10 + seed)
                 random_cert = certificate(n, lambda base, coord: rng.randrange(3))
                 for cert in (random_cert, monochromatic_certificate(n)):
+                    for r, g in union.layers.items():
+                        alone = UnionGraph(n, {r: g})
+                        assert bnd._split_layer(g, cert.colors) == explicit_class_graphs(alone, cert.colors)
                     expected = explicit_class_graphs(union, cert.colors)
-                    assert bnd._class_graphs(union, cert.colors) == expected
+                    assert class_graphs(union, cert.colors) == expected
                     outcome = c10_pipeline(union, cert)
                     assert outcome == explicit_c10_pipeline(union, cert)
                     outcomes.append(outcome)
@@ -272,21 +280,98 @@ class TestClassGraphs:
         assert any(outcome.free_classes for outcome in outcomes)
 
     def test_memory_per_union_edge(self):
-        """Over the n=14 union with the coordinate-mod-3 coloring: one mask per
-        vertex and class takes about 48 bytes per union edge at the peak,
-        against about 110 for one (x, y) tuple per edge."""
+        """Over each layer of the n=14 union with the coordinate-mod-3
+        coloring: one mask per vertex and class takes about 50 bytes per
+        edge of the big layers at the peak of the split, plus a few KB on
+        any layer, against about 110 bytes for one (x, y) tuple per edge.
+        Each layer is split once before it is measured, so that the slot
+        tables are cached."""
         n = 14
         union = density_report_suite(n, 0).union
         colors = certificate(n, lambda base, coord: coord % 3).colors
-        tracemalloc.start()
-        try:
-            graphs = bnd._class_graphs(union, colors)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        edges = sum(len(sub.edge_list()) for sub in graphs)
-        assert edges == union_edge_count(union)
-        assert peak < 64 * edges
+        for g in union.layers.values():
+            bnd._split_layer(g, colors)
+            tracemalloc.start()
+            try:
+                graphs = bnd._split_layer(g, colors)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            edges = sum(len(sub.edge_list()) for sub in graphs)
+            assert edges == edge_count(g)
+            assert peak < 64 * edges + 8192, g.layer
+
+
+def rule_certificates(n, seed):
+    """The certificates the layer fold is checked on: the coordinate-mod-3
+    and rank rules, one color, and a seeded random coloring."""
+    rng = random.Random(n * 10 + seed)
+    return {
+        "mod3": certificate(n, lambda base, coord: coord % 3),
+        "rank": certificate(n, lambda base, coord: (base & ((1 << coord) - 1)).bit_count() % 3),
+        "mono": monochromatic_certificate(n),
+        "random": certificate(n, lambda base, coord: rng.randrange(3)),
+    }
+
+
+class TestLayerFold:
+    """The suite and c10_pipeline split and search the classes one layer at
+    a time, scanning a later layer only for starts below a class's best
+    witness so far.  Their outcome equals the search of each class over the
+    whole union that they replaced: witnesses, class counts, free classes
+    and best class."""
+
+    @pytest.mark.parametrize("n", range(4, 15))
+    def test_matches_the_union_route(self, n):
+        for seed in range(3):
+            for cert in rule_certificates(n, seed).values():
+                suite = density_report_suite(n, seed, certificate=cert)
+                union = suite.union
+                expected = union_c10_pipeline(union, cert)
+                assert suite.pipeline == expected
+                assert c10_pipeline(union, cert) == expected
+                # taken from the top layer down, a later layer often holds
+                # the smaller start
+                downward = UnionGraph(n, dict(reversed(union.layers.items())))
+                assert c10_pipeline(downward, cert) == expected
+
+    def test_a_later_layer_holds_the_first_witness(self):
+        """At n=14, seed 1, class 0 of the mod-3 rule has a C10 in layer 5
+        starting at 0x200b and one in layer 7 starting at 0xe7: the suite
+        meets layer 5 first, and the bound must still let layer 7's
+        smaller start through."""
+        n = 14
+        cert = rule_certificates(n, 1)["mod3"]
+        union = density_report_suite(n, 1).union
+        firsts = {}
+        for r, g in union.layers.items():
+            witness = find_cycle_generic(bnd._split_layer(g, cert.colors)[0], 10)
+            if witness is not None:
+                firsts[r] = witness.vertices
+        assert firsts[5][0] == 0x200B and firsts[7][0] == 0xE7
+        assert min(firsts) == 5 and min(firsts.values()) == firsts[7]
+        outcome = density_report_suite(n, 1, certificate=cert).pipeline
+        assert outcome.witnesses[0].vertices == firsts[7]
+        assert outcome == union_c10_pipeline(union, cert)
+
+    def test_invalid_certificate_fails_before_the_first_layer(self):
+        calls = []
+        bad = {
+            r"edge \(0x0, coord 0\) is missing": recolored(monochromatic_certificate(6), {(0, 0): UNSET}),
+            "certificate is for n=4, union graph has n=6": monochromatic_certificate(4),
+        }
+        for message, cert in bad.items():
+            with pytest.raises(ValueError, match=message):
+                density_report_suite(6, 0, certificate=cert, on_layer=lambda r, found: calls.append(r))
+        assert calls == []
+
+    def test_on_layer_sees_each_layer_in_order(self):
+        seen = []
+        suite = density_report_suite(9, 2, on_layer=lambda r, found: seen.append((r, found)))
+        assert [r for r, _ in seen] == [1, 3, 5, 7, 9]
+        assert {r: found.assignment for r, found in seen} == suite.assignments
+        assert {r: found.trials for r, found in seen} == suite.trials
+        assert {r: found.graph for r, found in seen} == dict(suite.union.layers)
 
 
 class TestSearchColoring:

@@ -202,6 +202,27 @@ class TestPipeline:
         assert len(lines) == 2  # only the r=1 layer row survived
         assert "error" in err
 
+    def test_exhaustion_keeps_the_layers_written(self, tmp_path, capsys):
+        """Layers are written as the suite passes them, so a run that
+        exhausts its trials at r=3 leaves the files of r=1 and no others."""
+        out_dir = tmp_path / "artifacts"
+        argv = ["pipeline", "--n", "3", "--seed", "1", "--trials", "1", "--out", str(out_dir)]
+        code, out, err = run(argv, capsys)
+        assert code == 4
+        assert out.splitlines()[1:] == ["3,1,layer,3,3,1/1,c/2,72197023771781931/500000000000000000,true"]
+        assert err.startswith("error: no assignment with n=3, r=3 beat the threshold after 1 trials")
+        assert sorted(p.name for p in out_dir.iterdir()) == ["assignment_n3_r1.txt", "layer_n3_r1.txt"]
+
+    def test_invalid_certificate_writes_no_layer(self, tmp_path, capsys):
+        coloring = tmp_path / "partial.txt"
+        coloring.write_text(format_coloring(monochromatic_certificate(4)).replace("\n0 0 0\n", "\n"))
+        out_dir = tmp_path / "artifacts"
+        argv = ["pipeline", "--n", "4", "--coloring", str(coloring), "--out", str(out_dir)]
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: invalid coloring certificate: edge (0x0, coord 0) is missing\n"
+        assert not out_dir.exists()
+
     def test_coloring_header_beyond_cap_exits_3(self, tmp_path, capsys):
         coloring = tmp_path / "big.txt"
         coloring.write_text("# qn-coloring n=40\n")
@@ -446,6 +467,31 @@ def test_artifacts_are_pinned(tmp_path, capsys, argv):
     assert code == 0
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
     assert digests == PINNED_ARTIFACTS[argv]
+
+
+# `pipeline --n 12 --seed 0 --coloring <mod-3> --out`, frozen from the code
+# that held every layer and split the merged union before it wrote any
+# file: the exit code, stderr, the sha256 of stdout and of every file.  The
+# layer files are those of the same call without a coloring.
+PINNED_CERTIFIED_RUN = {
+    "code": 0,
+    "stderr": "",
+    "stdout": "30811710fbfc58f5dad8db301c08ecb4fc10db4133724144f1c493e34a033795",
+    "files": PINNED_ARTIFACTS[("pipeline", "--n", "12", "--seed", "0")],
+}
+
+
+def test_certified_run_is_pinned(tmp_path, capsys):
+    n = 12
+    coloring = tmp_path / "mod3.txt"
+    colors = bytes(j % 3 for x in range(1 << n) for j in range(n) if not x >> j & 1)
+    coloring.write_text(format_coloring(bounds.ColoringCertificate(n, colors)))
+    out = tmp_path / "out"
+    argv = ["pipeline", "--n", str(n), "--seed", "0", "--coloring", str(coloring), "--out", str(out)]
+    code, stdout, stderr = run(argv, capsys)
+    files = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+    got = {"code": code, "stderr": stderr, "stdout": hashlib.sha256(stdout.encode()).hexdigest(), "files": files}
+    assert got == PINNED_CERTIFIED_RUN
 
 
 class TestUsage:

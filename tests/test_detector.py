@@ -6,7 +6,7 @@ from itertools import permutations
 import pytest
 
 from qturan import cube
-from qturan.bounds import _class_graphs, density_report_suite
+from qturan.bounds import density_report_suite
 from qturan.construction import (
     LayerSubgraph,
     VectorAssignment,
@@ -28,7 +28,6 @@ from qturan.detector import (
     find_c6_structured,
     find_cycle_generic,
     subgraph_of_layer,
-    subgraph_of_union,
     witness_line,
 )
 from qturan.detector import (
@@ -40,6 +39,7 @@ from qturan.detector import (
 from qturan.gf2 import GF2Vec
 
 from oracles import (
+    class_graphs,
     color_classes,
     coloring_bytes,
     find_c6_structured_by_probe,
@@ -50,6 +50,7 @@ from oracles import (
     has_cycle_naive,
     induced_cube_edges,
     neighbor_map_by_probe,
+    subgraph_of_union,
 )
 
 
@@ -311,8 +312,9 @@ def rule_colors(n, name):
 
 
 def rule_classes(union, name):
-    """The union's color classes under a named rule."""
-    return _class_graphs(union, rule_colors(union.n, name))
+    """The union's color classes under a named rule, each on all of the
+    union's vertices."""
+    return class_graphs(union, rule_colors(union.n, name))
 
 
 class TestMeetInTheMiddle:
@@ -402,6 +404,24 @@ class TestMeetInTheMiddle:
         outcomes = self.first_cycles(graphs, ranges)
         assert outcomes == {(length, found) for length in self.LENGTHS for found in (False, True)}
 
+    def test_start_bound(self):
+        """find_cycle_generic(..., below=b) returns the first cycle whose
+        least vertex is below the mask b, on random induced subgraphs with
+        b a vertex, a mask between vertices, or past every vertex."""
+        rng = random.Random(1617)
+        seen = set()
+        for _ in range(200):
+            n = rng.randint(5, 8)
+            g = CubeSubgraph.induced(n, [v for v in range(1 << n) if rng.random() < 0.5])
+            below = rng.choice([rng.choice(g.vertices or (0,)), rng.randrange(1 << n), 1 << n])
+            hi = sum(1 for v in g.vertices if v < below)
+            for length in self.LENGTHS:
+                expected = first_cycle_closing_sets(g, 0, hi, length)
+                found = find_cycle_generic(g, length, below=below)
+                assert (None if found is None else found.vertices) == expected, (length, below)
+                seen.add((length, expected is not None))
+        assert seen == {(length, found) for length in self.LENGTHS for found in (False, True)}
+
     def test_per_start_memory_on_a_c10_free_class(self):
         """The C10 scan holds the half paths of one start at a time beyond
         the neighbor map.  On the largest rank class at n = 14 (5,636
@@ -454,7 +474,7 @@ class TestNeighborMap:
         for rule in (lambda b, j: j % 3, lambda b, j: b.bit_count() % 3):
             colors = coloring_bytes(n, {(b, j): rule(b, j) for b, j in edges})
             classes = color_classes(union, colors)
-            for sub, class_edges in zip(_class_graphs(union, colors), classes):
+            for sub, class_edges in zip(class_graphs(union, colors), classes):
                 assert _neighbor_map(sub) == neighbor_map_by_probe(n, vertices, class_edges)
 
     @pytest.mark.parametrize("kind", ["class", "layer"])

@@ -1,4 +1,5 @@
-"""No public entry point leaves reference cycles behind.
+"""No public entry point leaves reference cycles behind, and the report
+suite holds one layer at a time.
 
 Ints are not tracked by the cyclic collector, so allocating them never
 triggers it.  A cycle left by a call, such as a nested function that
@@ -11,11 +12,13 @@ find nothing to free.
 
 import gc
 import io
+import tracemalloc
 
 import pytest
 
 from qturan.bounds import (
     ColoringCertificate,
+    _split_layer,
     c10_pipeline,
     density_report_suite,
     format_coloring,
@@ -24,13 +27,16 @@ from qturan.bounds import (
 )
 from qturan.construction import (
     build_layer_graph,
+    edge_count,
     find_good_assignment,
     format_layer_graph,
     layer_graph_text,
     parse_layer_graph,
     sample_assignment,
 )
-from qturan.detector import find_c6_minus, find_cycle_generic, subgraph_of_union
+from qturan.detector import find_c6_minus, find_cycle_generic
+
+from oracles import subgraph_of_union
 
 N = 10
 
@@ -38,6 +44,9 @@ CALLS = {
     "build_layer_graph": lambda d: build_layer_graph(sample_assignment(N, 5, 0)),
     "find_good_assignment": lambda d: find_good_assignment(N, 5, 0),
     "density_report_suite": lambda d: density_report_suite(N, 0),
+    "density_report_suite_on_layer": lambda d: density_report_suite(
+        N, 0, certificate=d["cert"], on_layer=lambda r, found: "".join(layer_graph_text(found.graph))
+    ),
     "find_cycle_generic_6": lambda d: find_cycle_generic(d["graph"], 6),
     "find_cycle_generic_10": lambda d: find_cycle_generic(d["graph"], 10),
     "find_c6_minus": lambda d: find_c6_minus(d["graph"]),
@@ -49,12 +58,15 @@ CALLS = {
 }
 
 
+def mod3_certificate(n):
+    # slots follow the edges in (base, coord) order: color each coord mod 3
+    return ColoringCertificate(n, bytes(j % 3 for x in range(1 << n) for j in range(n) if not x >> j & 1))
+
+
 @pytest.fixture(scope="module")
 def inputs():
     union = density_report_suite(N, 0).union
-    # slots follow the edges in (base, coord) order: color each coord mod 3
-    colors = bytes(j % 3 for x in range(1 << N) for j in range(N) if not x >> j & 1)
-    cert = ColoringCertificate(N, colors)
+    cert = mod3_certificate(N)
     return {
         "union": union,
         "graph": subgraph_of_union(union),
@@ -75,3 +87,34 @@ def test_no_garbage_cycles(inputs, name):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def traced_peak(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_one_layer_sets_the_peak():
+    """At n=14 with the mod-3 certificate, the suite's tracemalloc peak
+    stays within 1.25 times the peak of its largest layer alone: built from
+    its assignment, split into its classes and each class searched for a
+    C10.  It measured 1.03 times (364 against 353 KB); the suite that held
+    every layer, their merged union and three class graphs over all of its
+    vertices peaked at 1065 KB, 3.0 times.  A first run fills the caches."""
+    n = 14
+    cert = mod3_certificate(n)
+    suite = density_report_suite(n, 0, certificate=cert)
+    largest = max(suite.assignments.values(), key=lambda a: edge_count(build_layer_graph(a)))
+
+    def one_layer():
+        for sub in _split_layer(build_layer_graph(largest), cert.colors):
+            find_cycle_generic(sub, 10)
+
+    one_layer()
+    layer_peak = traced_peak(one_layer)
+    suite_peak = traced_peak(lambda: density_report_suite(n, 0, certificate=cert))
+    assert suite_peak < 1.25 * layer_peak, (suite_peak, layer_peak)
