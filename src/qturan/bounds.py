@@ -340,12 +340,6 @@ def c10_pipeline(
     return _search_union(union, cert.colors, workers).outcome(union.n)
 
 
-def _first_c10_in_classes(union: UnionGraph, colors: bytes | bytearray) -> CycleWitness | None:
-    """A C10 in the lowest color class that holds one, or None when all are C10-free."""
-    witnesses = _search_union(union, colors).witnesses
-    return witnesses[min(witnesses)] if witnesses else None
-
-
 def search_coloring_small_n(
     union: UnionGraph, budget: int, seed: int = 0
 ) -> ColoringCertificate | None:
@@ -364,10 +358,10 @@ def search_coloring_small_n(
     rng = random.Random(seed)
     colors = bytearray(rng.randrange(COLOR_COUNT) for _ in range(cube_edge_count(n)))
     for _ in range(budget):
-        witness = _first_c10_in_classes(union, colors)
-        if witness is None:
+        witnesses = _search_union(union, colors).witnesses
+        if not witnesses:
             return ColoringCertificate(n, bytes(colors))
-        cycle = witness.vertices
+        cycle = witnesses[min(witnesses)].vertices
         i = rng.randrange(len(cycle))
         slot = edge_slot(n, *edge_key(cycle[i], cycle[(i + 1) % len(cycle)]))
         colors[slot] = (colors[slot] + 1 + rng.randrange(COLOR_COUNT - 1)) % COLOR_COUNT

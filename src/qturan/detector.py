@@ -5,9 +5,8 @@ Two independent routes for 6-cycles inside a layer:
 * a structured scan over 3-dimensional subcube patterns (a 6-cycle in a
   layer flips exactly three coordinates, so it is the middle layer of a
   3-cube), and
-* a generic exhaustive search, meeting in the middle to find the start
-  and backtracking from it for the witness, that works on any subgraph
-  of Q_n and any even cycle length.
+* a generic exhaustive search, meeting in the middle, that works on any
+  subgraph of Q_n and any even cycle length.
 
 The generic searches take one graph form, CubeSubgraph: sorted vertex
 masks, each with the mask of its edges upward, as in a layer graph, so a
@@ -17,25 +16,20 @@ The generic cycle search breaks symmetry canonically: a cycle starts at
 its smallest vertex, and its second vertex is smaller than its last.  It
 walks a map from each vertex mask to the tuple of its neighbors in
 ascending order, at most n of them, read off the edge masks, so its memory
-is linear in the number of vertices.  It finds the start by meeting in the
-middle: a cycle of length 2k has least vertex s exactly when two simple
-k-step paths from s over vertices above s share their end and have
-disjoint interiors.  For each s in ascending order it lists those paths,
-groups them by end and compares the interiors within each group; only one
-start's paths are held at a time.  A start needs two closers, neighbors
-above s, and a start with fewer is skipped before any listing.
+is linear in the number of vertices.  It meets in the middle: a cycle of
+length 2k has least vertex s exactly when two simple k-step paths from s
+over vertices above s share their end and have disjoint interiors.  For
+each s in ascending order it lists those paths, groups them by end and
+compares the interiors within each group; only one start's paths are held
+at a time.  A start needs two closers, neighbors above s, and a start with
+fewer is skipped before any listing.  The paths are listed in ascending
+order, so the witness, the first cycle a plain DFS over every start finds,
+is read off the groups of the first start that has one.
 
-The witness comes from a DFS from that start alone, which prunes by
-Hamming distance back to s (a lower bound on the remaining graph
-distance).  Its last two levels are tests against closing sets fixed for
-s: the closers, at most n, and their neighbors above s, at most n^2.  The
-vertex before the end must be one of those neighbors, and the end is the
-first neighbor of it off the path that is a closer above the second
-vertex.  Pruning only drops branches that cannot close, and every tuple is
-walked in ascending order, so the witness is the first one a plain DFS
-over every start finds.  The C6- path search runs such a DFS from every
-start: its path ends at a vertex above s at Hamming distance 1 from s,
-and the vertex before the end must be a neighbor of one of these.
+The C6- path search is a DFS from every start whose last two levels are
+tests against closing sets fixed for s: its path ends at a vertex above s
+at Hamming distance 1 from s, and the vertex before the end must be a
+neighbor of one of these.
 Scans are splittable over start vertices; the witness with the lowest
 canonical order always wins, so results do not depend on the worker count.
 """
@@ -242,96 +236,59 @@ def _neighbor_map(graph: CubeSubgraph) -> dict[int, tuple[int, ...]]:
     return nbrs
 
 
-def _closes_at(
+def _cycle_at(
     nbrs: dict[int, tuple[int, ...]], s: int, closers: tuple[int, ...], half: int
-) -> bool:
-    """True when a cycle of 2 * half steps has least vertex s, given the
-    neighbors of s above it, its closers.
+) -> tuple[int, ...] | None:
+    """The canonically first cycle of 2 * half steps whose least vertex is
+    s, given the neighbors of s above it, its closers; or None.
 
     Such a cycle is two paths of half steps from s over vertices above s,
     with one end and disjoint interiors; so the half paths are listed,
     grouped by their end, and the interiors compared within each group;
-    most starts have no end that two paths share.
+    most starts have no end that two paths share.  The paths, and so each
+    group, are listed in ascending order: the cycle s, p, t, q backward is
+    canonical when p comes before q, and the least one through end t takes
+    the first p of t's group with a disjoint q after it, and the least such
+    q reversed.  The least of these over all ends is the first cycle of a
+    DFS from s.
     """
     paths = [(c,) for c in closers]
     for _ in range(half - 2):
         paths = [p + (w,) for p in paths for w in nbrs[p[-1]] if w > s and w not in p]
         if not paths:
-            return False
+            return None
     ends = [t for p in paths for t in nbrs[p[-1]] if t > s and t not in p]
     if len(set(ends)) == len(ends):  # every end has one path
-        return False
+        return None
     groups: dict[int, list[tuple[int, ...]]] = {}
     for p in paths:
         for t in nbrs[p[-1]]:
             if t > s and t not in p:
                 groups.setdefault(t, []).append(p)
-    for interiors in groups.values():
-        for at, p in enumerate(interiors[:-1]):
+    cycles = []
+    for t, group in groups.items():
+        for at, p in enumerate(group[:-1]):
             seen = set(p)
-            for q in interiors[at + 1 :]:
-                if seen.isdisjoint(q):
-                    return True
-    return False
-
-
-def _extend(
-    nbrs: dict[int, tuple[int, ...]],
-    path: list[int],
-    closers: set[int],
-    reach: set[int],
-    length: int,
-) -> list[int] | None:
-    """The first cycle of the given length that continues path, by DFS."""
-    s = path[0]
-    pos_next = len(path)
-    if pos_next == length - 2:
-        # the closing vertex is a neighbor of s above path[1], so only
-        # neighbors of closers (reach holds those above s) can precede it
-        first = path[1]
-        for w in nbrs[path[-1]]:
-            if w in reach and w not in path:
-                for c in nbrs[w]:
-                    if c > first and c in closers and c not in path:
-                        return path + [w, c]
-        return None
-    # w, pos_next steps from s, must get back in length - pos_next steps,
-    # which before the middle always holds.  This already caps the
-    # coordinates the path flips: p steps that flip o coordinates an odd
-    # number of times and e an even number have p >= o + 2e, so passing
-    # o <= length - p gives o + e <= length / 2, and a prune on the set
-    # of flipped coordinates would cut nothing more.
-    check_dist = 2 * pos_next > length
-    budget = length - pos_next
-    for w in nbrs[path[-1]]:
-        if w <= s or w in path:
-            continue
-        if check_dist and (w ^ s).bit_count() > budget:
-            continue
-        found = _extend(nbrs, path + [w], closers, reach, length)
-        if found is not None:
-            return found
-    return None
+            backs = [q[::-1] for q in group[at + 1 :] if seen.isdisjoint(q)]
+            if backs:
+                cycles.append((s, *p, t, *min(backs)))
+                break
+    return min(cycles, default=None)
 
 
 def _first_cycle_in_range(
     graph: CubeSubgraph, start_lo: int, start_hi: int, length: int
 ) -> tuple[int, ...] | None:
     """The canonically first cycle of the given length whose least vertex is
-    in graph.vertices[start_lo:start_hi]: the DFS from the first start at
-    which _closes_at finds one."""
+    in graph.vertices[start_lo:start_hi]."""
     nbrs = _neighbor_map(graph)
     starts = slice(start_lo, start_hi)
     for s, up in zip(graph.vertices[starts], graph.edge_masks[starts]):
-        if not up & (up - 1):  # the cycle needs two closers
-            continue
-        # the neighbors above s are its edges upward, last in its tuple
-        closers = nbrs[s][-up.bit_count() :]
-        if _closes_at(nbrs, s, closers, length // 2):
-            reach = {w for c in closers for w in nbrs[c] if w > s}
-            found = _extend(nbrs, [s], set(closers), reach, length)
+        if up & (up - 1):  # the cycle needs two closers
+            # the neighbors above s are its edges upward, last in its tuple
+            found = _cycle_at(nbrs, s, nbrs[s][-up.bit_count() :], length // 2)
             if found is not None:
-                return tuple(found)
+                return found
     return None
 
 
@@ -398,13 +355,12 @@ def find_cycle_generic(
     """Exhaustive search for a cycle of exactly the given even length.
 
     Returns the canonically first witness (lowest start vertex, then DFS
-    order) or None.  The start is found by meeting in the middle, the first
-    vertex s from which two paths of length / 2 steps above s close a
-    cycle; the witness is the first cycle of a DFS from s alone.  With
-    below, only cycles whose least vertex is below that mask count, and a
-    graph with no vertex below it is not scanned at all.  workers > 1
-    splits the start vertices over processes; the answer is identical for
-    every worker count.
+    order) or None, by meeting in the middle: the first vertex s from which
+    two paths of length / 2 steps above s close a cycle, and the first such
+    pair in path order.  With below, only cycles whose least vertex is below
+    that mask count, and a graph with no vertex below it is not scanned at
+    all.  workers > 1 splits the start vertices over processes; the answer
+    is identical for every worker count.
     """
     if length < 4 or length % 2:
         raise ValueError(f"cycle length must be even and >= 4, got {length}")

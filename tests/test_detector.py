@@ -1,7 +1,6 @@
 import random
 import tracemalloc
 from functools import lru_cache
-from itertools import permutations
 
 import pytest
 
@@ -31,7 +30,7 @@ from qturan.detector import (
     witness_line,
 )
 from qturan.detector import (
-    _closes_at,
+    _cycle_at,
     _first_c6_minus_in_range,
     _first_cycle_in_range,
     _neighbor_map,
@@ -318,8 +317,8 @@ def rule_classes(union, name):
 
 
 class TestMeetInTheMiddle:
-    """The scan that finds the start by meeting in the middle returns the
-    witness of the closing-set DFS over every start, which it replaced."""
+    """The scan that meets in the middle returns the witness of the
+    closing-set DFS over every start, which it replaced."""
 
     LENGTHS = (4, 6, 8, 10)
 
@@ -347,29 +346,22 @@ class TestMeetInTheMiddle:
         }
 
     def test_each_start_of_every_edge_subset_of_q3(self):
-        """_closes_at accepts s exactly when a cycle of the length has least
-        vertex s, so it never sends the DFS to a start without one.  The
-        cycles of Q_3 are listed once, each as its edge bits."""
+        """_cycle_at returns, for each start s with two closers on its own,
+        the closing-set DFS's first cycle from s: the same witness, or None
+        exactly when no cycle of the length has least vertex s."""
         edges = list(cube.cube_edges(3))
-        bit_of = {e: 1 << i for i, e in enumerate(edges)}
-        cycles = {length: [] for length in (4, 6, 8)}
-        for length in cycles:
-            for walk in permutations(range(8), length):
-                steps = list(zip(walk, walk[1:] + walk[:1]))
-                if walk[0] == min(walk) and walk[1] < walk[-1] and all(
-                    (x ^ y).bit_count() == 1 for x, y in steps
-                ):
-                    cycles[length].append((sum(bit_of[min(e), max(e)] for e in steps), walk[0]))
-        assert [len(found) for found in cycles.values()] == [6, 16, 6]
+        outcomes = set()
         for bits in range(1 << len(edges)):
-            g = CubeSubgraph.explicit(3, range(8), [e for e in edges if bit_of[e] & bits])
+            g = CubeSubgraph.explicit(3, range(8), [e for i, e in enumerate(edges) if bits >> i & 1])
             nbrs = _neighbor_map(g)
-            for length, found in cycles.items():
-                starts = {s for cycle, s in found if cycle & bits == cycle}
-                for s, up in zip(g.vertices, g.edge_masks):
-                    if up & (up - 1):
-                        closes = _closes_at(nbrs, s, nbrs[s][-up.bit_count() :], length // 2)
-                        assert closes == (s in starts), (bits, length, s)
+            for i, (s, up) in enumerate(zip(g.vertices, g.edge_masks)):
+                if up & (up - 1):
+                    for length in (4, 6, 8):
+                        found = _cycle_at(nbrs, s, nbrs[s][-up.bit_count() :], length // 2)
+                        expected = first_cycle_closing_sets(g, i, i + 1, length)
+                        assert found == expected, (bits, length, s)
+                        outcomes.add((length, found is not None))
+        assert outcomes == {(length, found) for length in (4, 6, 8) for found in (False, True)}
 
     @pytest.mark.parametrize("n", range(4, 15))
     def test_odd_layers(self, n):
@@ -436,7 +428,7 @@ class TestMeetInTheMiddle:
         try:
             for s, up in zip(sub.vertices, sub.edge_masks):
                 if up & (up - 1):
-                    assert not _closes_at(nbrs, s, nbrs[s][-up.bit_count() :], 5)
+                    assert _cycle_at(nbrs, s, nbrs[s][-up.bit_count() :], 5) is None
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -1,11 +1,13 @@
 """Every name a source imports is read somewhere in it.  A name listed in
-the module's __all__ counts as read, and so does a __future__ import."""
+the module's __all__ counts as read, and so does a __future__ import.
+Every private function, class and method of the package is read somewhere
+in the package outside its own definition."""
 
 import ast
 
 import pytest
 
-from test_python_floor import SOURCES
+from test_python_floor import ROOT, SOURCES
 
 
 def unused_imports(source):
@@ -44,3 +46,68 @@ def test_the_check_sees_an_unused_name():
         "print(os.sep)\n"
     )
     assert unused_imports(source) == ["comb (line 3)", "root (line 3)"]
+
+
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _is_private(name):
+    return name.startswith("_") and not name.endswith("__")
+
+
+def unused_private_names(sources):
+    """The private module-level functions and classes, and the private
+    methods, of the sources (a dict from file name to text) that no
+    expression outside their own definition loads, as an ast.Name or an
+    ast.Attribute, in any of the sources."""
+    loads = []
+    defined = []
+    for file, source in sources.items():
+        tree = ast.parse(source)
+        loads += [
+            (node.id if isinstance(node, ast.Name) else node.attr, node)
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+        ]
+        for node in tree.body:
+            methods = node.body if isinstance(node, ast.ClassDef) else []
+            for item in [node] + [m for m in methods if isinstance(m, FUNCTIONS)]:
+                if isinstance(item, (*FUNCTIONS, ast.ClassDef)) and _is_private(item.name):
+                    defined.append((file, item))
+    unused = []
+    for file, item in defined:
+        inside = {id(n) for n in ast.walk(item)}
+        if not any(name == item.name and id(node) not in inside for name, node in loads):
+            unused.append(f"{file}: {item.name} (line {item.lineno})")
+    return unused
+
+
+def test_no_unused_private_name():
+    package = sorted((ROOT / "src" / "qturan").glob("*.py"))
+    assert unused_private_names({p.name: p.read_text() for p in package}) == []
+
+
+def test_the_check_sees_an_unused_private_name():
+    sources = {
+        "a.py": (
+            "def _walk(n):\n"
+            "    return _walk(n - 1) if n else 0\n"
+            "def _used():\n"
+            "    return 1\n"
+            "class _Kept:\n"
+            "    def _twice(self):\n"
+            "        return self._twice()\n"
+            "    def _read(self):\n"
+            "        return 2\n"
+            "    def __len__(self):\n"
+            "        return 0\n"
+            "class _Dropped:\n"
+            "    pass\n"
+        ),
+        "b.py": "from a import _used, _Kept\nprint(_used(), _Kept()._read)\n",
+    }
+    assert unused_private_names(sources) == [
+        "a.py: _walk (line 1)",
+        "a.py: _twice (line 6)",
+        "a.py: _Dropped (line 12)",
+    ]
