@@ -26,10 +26,13 @@ fewer is skipped before any listing.  The paths are listed in ascending
 order, so the witness, the first cycle a plain DFS over every start finds,
 is read off the groups of the first start that has one.
 
-The C6- path search is a DFS from every start whose last two levels are
-tests against closing sets fixed for s: its path ends at a vertex above s
-at Hamming distance 1 from s, and the vertex before the end must be a
-neighbor of one of these.
+The C6- path search starts at the smaller endpoint s; its ends are the
+vertices of the graph above s at Hamming distance 1 from it.  When the
+graph joins every end to s, as an induced graph does, s is the first start
+with a path exactly when it is the least vertex of a 6-cycle, so the
+meet-in-the-middle test decides it.  Only a start with an end the graph
+does not join to it, or the start that has a path, runs the 5-level DFS,
+whose last two levels test against the ends and their neighbors.
 Scans are splittable over start vertices; the witness with the lowest
 canonical order always wins, so results do not depend on the worker count.
 """
@@ -292,32 +295,71 @@ def _first_cycle_in_range(
     return None
 
 
+def _c6_minus_from(
+    nbrs: dict[int, tuple[int, ...]], s: int, ends: set[int]
+) -> tuple[int, ...] | None:
+    """The first 5-edge path of a DFS from s, in neighbor order, that ends
+    in ends, or None.
+
+    ends are the vertices above s at Hamming distance 1 from it, whether or
+    not the graph joins them to s; v4 must be a neighbor of one.  v1..v3
+    need no Hamming test: three steps stay within distance 3.
+    """
+    reach = {w for e in ends for w in nbrs[e]}
+    for v1 in nbrs[s]:
+        for v2 in nbrs[v1]:
+            if v2 == s:
+                continue
+            for v3 in nbrs[v2]:
+                if v3 == s or v3 == v1:
+                    continue
+                for v4 in nbrs[v3]:
+                    if v4 not in reach or v4 == s or v4 == v1 or v4 == v2:
+                        continue
+                    for v5 in nbrs[v4]:
+                        if v5 in ends and v5 != v1 and v5 != v2 and v5 != v3:
+                            return (s, v1, v2, v3, v4, v5)
+    return None
+
+
 def _first_c6_minus_in_range(
     graph: CubeSubgraph, start_lo: int, start_hi: int
 ) -> tuple[int, ...] | None:
+    """The first C6- path, by start and then DFS order, whose start is in
+    graph.vertices[start_lo:start_hi], provided no start below start_lo has
+    one; otherwise some later start's path, or None.
+
+    The ends of s are the vertices s | b of the graph.  When the graph joins
+    every end to s, a C6- path from s and the edge (s, v5) form a 6-cycle.
+    Its least vertex m has its two cycle neighbors above it and joined to
+    it, so m starts a C6- path too; no start before s has one, so m = s.
+    Such an s therefore has a C6- path exactly when it is the least vertex
+    of a 6-cycle, which _cycle_at decides by meeting in the middle.  Only
+    starts with an end the graph does not join to them, and the start that
+    has a path, run the DFS, so the path is the one a DFS from every start
+    would find.  An induced graph joins every end, so it runs the DFS only
+    from the start that has a path.
+    """
     nbrs = _neighbor_map(graph)
-    flips = [1 << j for j in range(graph.n)]
-    for s in graph.vertices[start_lo:start_hi]:
-        # v5 ends the path: a vertex above s at Hamming distance 1 from it,
-        # whether or not the graph joins the two; v4 is a neighbor of one.
-        # v1..v3 need no Hamming test: three steps stay within distance 3.
-        ends = {e for b in flips if not s & b and (e := s | b) in nbrs}
-        if not ends:
-            continue
-        reach = {w for e in ends for w in nbrs[e]}
-        for v1 in nbrs[s]:
-            for v2 in nbrs[v1]:
-                if v2 == s:
-                    continue
-                for v3 in nbrs[v2]:
-                    if v3 == s or v3 == v1:
-                        continue
-                    for v4 in nbrs[v3]:
-                        if v4 not in reach or v4 == s or v4 == v1 or v4 == v2:
-                            continue
-                        for v5 in nbrs[v4]:
-                            if v5 in ends and v5 != v1 and v5 != v2 and v5 != v3:
-                                return (s, v1, v2, v3, v4, v5)
+    full = (1 << graph.n) - 1
+    starts = slice(start_lo, start_hi)
+    for s, up in zip(graph.vertices[starts], graph.edge_masks[starts]):
+        joined = nbrs[s][-up.bit_count() :] if up else ()  # the neighbors above s
+        # the other ends: probe only the clear bits that are not edges upward
+        unjoined = set()
+        free = full ^ (s | up)
+        while free:
+            b = free & -free
+            free ^= b
+            if (s | b) in nbrs:
+                unjoined.add(s | b)
+        if unjoined:
+            found = _c6_minus_from(nbrs, s, unjoined.union(joined))
+            if found is not None:
+                return found
+        elif len(joined) > 1 and _cycle_at(nbrs, s, joined, 3) is not None:
+            # the 6-cycle less its edge (s, q) is a path from s to the end q
+            return _c6_minus_from(nbrs, s, set(joined))
     return None
 
 
@@ -330,8 +372,11 @@ def _first_over_starts(
 ) -> tuple[int, ...] | None:
     """The first result of scan(graph, lo, hi, *args) that is not None, in
     start order, over the first count start vertices.  workers > 1 splits
-    the starts into that many ranges, scanned in a process pool whose
-    module is imported here, so a one-process run never loads it.
+    the starts into at most min(workers, count) ranges, scanned in a
+    process pool with one process per range; its module is imported here,
+    so a one-process run never loads it.  A range is taken only when every
+    range before it returned None, so a scan need only be right when no
+    start below its range has a result.
     """
     if not count:
         return None
@@ -341,7 +386,7 @@ def _first_over_starts(
 
     chunk = -(-count // workers)
     tasks = [(graph, lo, min(lo + chunk, count), *args) for lo in range(0, count, chunk)]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(max_workers=len(tasks)) as pool:
         # map takes one iterable per parameter of scan
         for found in pool.map(scan, *zip(*tasks)):
             if found is not None:
@@ -374,9 +419,15 @@ def find_cycle_generic(
 def find_c6_minus(graph: CubeSubgraph, workers: int = 1) -> PathWitness | None:
     """Exhaustive search for a 5-edge path with endpoints at Hamming distance 1.
 
-    This is a direct path search, not a 6-cycle search: outside a single
-    layer the two are not equivalent, because the closing pair only needs
-    to be a Q_n edge, not an edge of the graph.
+    Returns the first path of a DFS from each start in ascending order, the
+    start being the smaller endpoint.  This is a path search, not a 6-cycle
+    search: outside a single layer the two are not equivalent, because the
+    closing pair only needs to be a Q_n edge, not an edge of the graph.
+    Where the graph does join every end to its start, the first start with a
+    path is the least vertex of a 6-cycle, so starts whose ends are all
+    joined are decided by the C6 meet-in-the-middle test, and the DFS runs
+    only from the other starts and from the start that has a path.  The
+    answer is identical for every worker count.
     """
     if len(graph.vertices) < 6:
         return None

@@ -7,8 +7,9 @@ every subset separately with gf2.rank_bits, as before the one-pass layer
 scan.
 The DFS references search cycles and C6- paths one vertex per call, as
 before the detector's closing sets, and must return the same witnesses.
-The closing-set reference runs that DFS, with the closing sets, from every
-start in turn, as before a meet-in-the-middle test picked the start.
+The closing-set references run those DFSs, with the closing sets, from
+every start in turn, as before a meet-in-the-middle test picked the cycle
+start, or decided each C6- start whose ends are all joined to it.
 The coloring references parse and validate a certificate as a dict keyed
 by (base, coord), as before the one-byte-per-edge layout.  The
 coordinate-major reference parses into the byte layout the certificate had
@@ -400,6 +401,38 @@ def first_c6_minus_dfs(graph, start_lo, start_hi):
         found = extend([s], 1 << s, masks[s], -1 << (s + 1))
         if found is not None:
             return tuple(masks[i] for i in found)
+    return None
+
+
+def first_c6_minus_closing_sets(graph, start_lo, start_hi):
+    """Canonically first 5-edge path whose endpoints differ in one bit, by
+    the closing-set DFS from every start in turn.
+
+    The path search before the meet-in-the-middle test decided the starts
+    whose ends are all joined to them: the ends are the vertices above s at
+    Hamming distance 1, found by probing every coordinate, and the vertex
+    before the end must be a neighbor of one.
+    """
+    nbrs = _neighbor_map(graph)
+    flips = [1 << j for j in range(graph.n)]
+    for s in graph.vertices[start_lo:start_hi]:
+        ends = {e for b in flips if not s & b and (e := s | b) in nbrs}
+        if not ends:
+            continue
+        reach = {w for e in ends for w in nbrs[e]}
+        for v1 in nbrs[s]:
+            for v2 in nbrs[v1]:
+                if v2 == s:
+                    continue
+                for v3 in nbrs[v2]:
+                    if v3 == s or v3 == v1:
+                        continue
+                    for v4 in nbrs[v3]:
+                        if v4 not in reach or v4 == s or v4 == v1 or v4 == v2:
+                            continue
+                        for v5 in nbrs[v4]:
+                            if v5 in ends and v5 != v1 and v5 != v2 and v5 != v3:
+                                return (s, v1, v2, v3, v4, v5)
     return None
 
 

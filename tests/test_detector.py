@@ -1,3 +1,4 @@
+import concurrent.futures
 import random
 import tracemalloc
 from functools import lru_cache
@@ -33,6 +34,7 @@ from qturan.detector import (
     _cycle_at,
     _first_c6_minus_in_range,
     _first_cycle_in_range,
+    _first_over_starts,
     _neighbor_map,
 )
 from qturan.gf2 import GF2Vec
@@ -42,6 +44,7 @@ from oracles import (
     color_classes,
     coloring_bytes,
     find_c6_structured_by_probe,
+    first_c6_minus_closing_sets,
     first_c6_minus_dfs,
     first_cycle_closing_sets,
     first_cycle_dfs,
@@ -276,7 +279,9 @@ class TestClosingSets:
             w = find_c6_minus(g)
             expected = first_c6_minus_dfs(g, 0, count)
             assert (None if w is None else w.vertices) == expected
-            assert _first_c6_minus_in_range(g, lo, hi) == first_c6_minus_dfs(g, lo, hi)
+            # a C6- range scan is exact only when no earlier start has a path
+            if first_c6_minus_dfs(g, 0, lo) is None:
+                assert _first_c6_minus_in_range(g, lo, hi) == first_c6_minus_dfs(g, lo, hi)
             outcomes.add(("c6minus", expected is None))
         # both free and non-free graphs were checked for every search
         assert len(outcomes) == 10
@@ -558,6 +563,99 @@ class TestFindC6Minus:
     def test_worker_split_is_invisible(self):
         sub = subgraph_of_layer(full_layer(4, 2))
         assert find_c6_minus(sub, workers=2) == find_c6_minus(sub)
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Replaces ProcessPoolExecutor by a pool that maps in this process, so
+    no worker starts; returns the list of the max_workers it was given."""
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    return sizes
+
+
+def q3_edge_subsets():
+    """Every edge subset of Q_3, on all 8 vertices and on the edge ends."""
+    edges = list(cube.cube_edges(3))
+    for bits in range(1 << len(edges)):
+        chosen = [e for i, e in enumerate(edges) if bits >> i & 1]
+        yield CubeSubgraph.explicit(3, range(8), chosen)
+        yield CubeSubgraph.explicit(3, {v for e in chosen for v in e}, chosen)
+
+
+def layer_graphs():
+    """Every layer of a seeded assignment for n = 4..12, which holds no C6,
+    then every full layer of Q_n for n = 2..7."""
+    for n in range(4, 13):
+        for r in range(1, n + 1):
+            yield subgraph_of_layer(build_layer_graph(sample_assignment(n, r, derive_seed(n, r))))
+    for n in range(2, 8):
+        for r in range(1, n + 1):
+            yield subgraph_of_layer(full_layer(n, r))
+
+
+class TestC6MinusReduction:
+    """A start whose ends are all joined to it is decided by the C6 test;
+    the C6- scan still returns the DFS's first path."""
+
+    def test_ranges_folded_in_order_match_the_dfs(self, pool_sizes):
+        """The starts split into k = 1..4 ranges, scanned in order and the
+        first result taken, as _first_over_starts does."""
+        rng = random.Random(8019)
+        graphs = list(q3_edge_subsets())
+        graphs += [random_cube_subgraph(rng) for _ in range(300)]
+        outcomes = set()
+        for g in graphs:
+            count = len(g.vertices)
+            expected = first_c6_minus_dfs(g, 0, count)
+            for k in range(1, 5):
+                assert _first_over_starts(_first_c6_minus_in_range, g, count, k) == expected
+            outcomes.add(expected is None)
+        assert outcomes == {False, True}
+
+    def test_induced_graphs_have_a_path_exactly_when_they_have_a_c6(self):
+        """Seeded layers n <= 12, full layers of Q_n n <= 7 and every induced
+        subgraph of Q_3."""
+        graphs = list(layer_graphs())
+        graphs += [
+            CubeSubgraph.induced(3, [v for v in range(8) if bits >> v & 1]) for bits in range(256)
+        ]
+        outcomes = set()
+        for g in graphs:
+            has_c6 = find_cycle_generic(g, 6) is not None
+            assert (find_c6_minus(g) is not None) == has_c6
+            outcomes.add(has_c6)
+        assert outcomes == {False, True}
+
+    def test_layers_match_the_closing_set_dfs(self):
+        outcomes = set()
+        for g in layer_graphs():
+            count = len(g.vertices)
+            expected = first_c6_minus_closing_sets(g, 0, count)
+            assert _first_c6_minus_in_range(g, 0, count) == expected
+            outcomes.add(expected is None)
+        assert outcomes == {False, True}
+
+    def test_pool_has_at_most_one_process_per_range(self, pool_sizes):
+        g = CubeSubgraph.induced(3, [0, 1, 2, 3, 4, 5])
+        expected = find_c6_minus(g)
+        assert find_c6_minus(g, workers=64) == expected
+        assert find_cycle_generic(g, 4, workers=64) == find_cycle_generic(g, 4)
+        assert pool_sizes and max(pool_sizes) <= 6
 
 
 class TestFindC6Structured:
