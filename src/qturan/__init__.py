@@ -16,7 +16,6 @@ from .bounds import (
     c10_pipeline,
     density_report_suite,
     monochromatic_certificate,
-    search_coloring_small_n,
     verify_coloring,
 )
 from .construction import (
@@ -91,6 +90,5 @@ __all__ = [
     "verify_coloring",
     "monochromatic_certificate",
     "c10_pipeline",
-    "search_coloring_small_n",
     "density_report_suite",
 ]

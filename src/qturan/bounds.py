@@ -8,10 +8,13 @@ constant enters only through a certified rational enclosure of width below
 of the enclosure divided by the bound's denominator, so a recorded pass
 implies the strict inequality against the true constant.
 
-The 3-coloring of E(Q_n) driving the final bound is an external input.  It
-is verified for shape (every edge colored exactly once) and its color
-classes are checked for C10-freeness; nothing about it is trusted or
-reconstructed here.
+The 3-coloring of E(Q_n) driving the final bound is either an external
+certificate or a rule on (x, j) for the edge (x, x | 1 << j).  A
+certificate is verified for shape (every edge colored exactly once); a
+rule colors every edge once by construction and splits each layer's edge
+masks straight into its classes, so no per-edge array is built.  Either
+way the classes are checked for C10-freeness; nothing about the coloring
+is trusted.
 
 In memory a certificate holds one byte per edge of Q_n, n * 2^(n-1) bytes
 in all (512 KiB at n=16), in file order: slot i holds the color of the
@@ -36,10 +39,9 @@ piece.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 from itertools import accumulate, chain
 from typing import Callable, Iterator, Mapping, TextIO
 
@@ -60,19 +62,18 @@ from .detector import CubeSubgraph, CycleWitness, find_cycle_generic, subgraph_o
 
 __all__ = [
     "BOUND_DIVISORS",
+    "COLORING_RULES",
     "ColoringCertificate",
     "DensityReport",
     "PipelineOutcome",
     "SuiteResult",
     "SuiteExhausted",
-    "edge_key",
     "edge_slot",
     "monochromatic_certificate",
     "coloring_problems",
     "verify_coloring",
     "make_report",
     "c10_pipeline",
-    "search_coloring_small_n",
     "density_report_suite",
     "reports_to_csv",
     "format_coloring",
@@ -89,14 +90,6 @@ UNSET = 0xFF
 # Characters per chunk when a coloring is parsed; a chunk runs on to the
 # next newline when its last line is longer.
 COLORING_CHUNK_CHARS = 1 << 14
-
-
-def edge_key(x: int, y: int) -> tuple[int, int]:
-    """Canonical key of a Q_n edge: (smaller endpoint, flipped coordinate)."""
-    if (x ^ y).bit_count() != 1:
-        raise ValueError(f"(0x{x:x}, 0x{y:x}) is not a Q_n edge")
-    base = min(x, y)
-    return base, (x ^ y).bit_length() - 1
 
 
 @cache
@@ -237,7 +230,7 @@ def reports_to_csv(reports: list[DensityReport]) -> str:
 
 @dataclass(frozen=True)
 class PipelineOutcome:
-    """Result of splitting a union graph by certificate color classes.
+    """Result of splitting a union graph into its color classes.
 
     success means at least one class is C10-free; best_class is then the
     free class with the most edges (smallest index on ties) and report
@@ -252,12 +245,15 @@ class PipelineOutcome:
     report: DensityReport | None
 
 
-def _check_certificate(cert: ColoringCertificate, n: int) -> None:
+def _certificate_split(cert: ColoringCertificate, n: int) -> Callable[[LayerSubgraph], list[CubeSubgraph]]:
+    """The layer split by cert's colors, once cert is checked to be a whole
+    coloring of E(Q_n)."""
     if cert.n != n:
         raise ValueError(f"certificate is for n={cert.n}, union graph has n={n}")
     problems = coloring_problems(cert)
     if problems:
         raise ValueError("invalid coloring certificate: " + "; ".join(problems))
+    return partial(_split_layer, colors=cert.colors)
 
 
 def _split_layer(g: LayerSubgraph, colors: bytes | bytearray) -> list[CubeSubgraph]:
@@ -285,24 +281,52 @@ def _split_layer(g: LayerSubgraph, colors: bytes | bytearray) -> list[CubeSubgra
     return [CubeSubgraph(n, whole.vertices, tuple(masks)) for masks in classes]
 
 
+def _split_by_rank(g: LayerSubgraph) -> list[CubeSubgraph]:
+    """The layer's edges split by the rank rule, in the form of _split_layer:
+    edge (x, x | 1 << j) goes to class |x & (2^j - 1)| mod 3.
+
+    The class is read from x and the edge bit alone, so no per-edge array
+    is built.  Walking the set bits of x instead, and taking the edge bits
+    between two of them at once, measured a third slower on the seeded
+    unions at n = 14..18, whose lower vertices have fewer edges than set
+    bits.
+    """
+    whole = subgraph_of_layer(g)
+    classes: list[list[int]] = [[] for _ in range(COLOR_COUNT)]
+    for x, m in zip(whole.vertices, whole.edge_masks):
+        parts = [0] * COLOR_COUNT
+        while m:
+            bit = m & -m
+            m ^= bit
+            parts[(x & (bit - 1)).bit_count() % COLOR_COUNT] |= bit
+        for masks, part in zip(classes, parts):
+            masks.append(part)
+    return [CubeSubgraph(g.layer.n, whole.vertices, tuple(masks)) for masks in classes]
+
+
+# The coloring rules by name, each a layer split in the form of _split_layer.
+COLORING_RULES = {"rank": _split_by_rank}
+
+
 class _ClassSearch:
     """The color classes of a union searched for a C10 one layer at a time.
 
-    Odd layers share no vertex and no union edge joins two of them, so every
-    cycle of a class lies in one layer, and the union's first C10 in a class
-    is the first one of a layer with the least start.  A class keeps the
-    best witness seen so far, and a later layer is scanned only for starts
-    below it, in any order of the layers.
+    split(g) gives a layer's class graphs.  Odd layers share no vertex and
+    no union edge joins two of them, so every cycle of a class lies in one
+    layer, and the union's first C10 in a class is the first one of a layer
+    with the least start.  A class keeps the best witness seen so far, and a
+    later layer is scanned only for starts below it, in any order of the
+    layers.
     """
 
-    def __init__(self, colors: bytes | bytearray, workers: int = 1):
-        self.colors = colors
+    def __init__(self, split: Callable[[LayerSubgraph], list[CubeSubgraph]], workers: int = 1):
+        self.split = split
         self.workers = workers
         self.counts = [0] * COLOR_COUNT
         self.witnesses: dict[int, CycleWitness] = {}
 
     def add(self, g: LayerSubgraph) -> None:
-        for k, sub in enumerate(_split_layer(g, self.colors)):
+        for k, sub in enumerate(self.split(g)):
             self.counts[k] += sum(map(int.bit_count, sub.edge_masks))
             best = self.witnesses.get(k)
             below = None if best is None else best.vertices[0]
@@ -324,48 +348,15 @@ class _ClassSearch:
         return PipelineOutcome(True, best, counts, free, witnesses, report)
 
 
-def _search_union(union: UnionGraph, colors: bytes | bytearray, workers: int = 1) -> _ClassSearch:
-    classes = _ClassSearch(colors, workers)
-    for g in union.layers.values():
-        classes.add(g)
-    return classes
-
-
 def c10_pipeline(
     union: UnionGraph, cert: ColoringCertificate, workers: int = 1
 ) -> PipelineOutcome:
     """Score the densest C10-free color class of the union graph against
     c/12, splitting and searching one layer at a time."""
-    _check_certificate(cert, union.n)
-    return _search_union(union, cert.colors, workers).outcome(union.n)
-
-
-def search_coloring_small_n(
-    union: UnionGraph, budget: int, seed: int = 0
-) -> ColoringCertificate | None:
-    """Look for a certificate whose classes restricted to the union are C10-free.
-
-    Randomized at every n: draw a coloring from seed, then up to budget
-    times look for a C10 in the lowest class that holds one and recolor one
-    of its edges at random.  For n <= 3, Q_n has no C10, so the first draw
-    is returned.  Returns None when the budget runs out.  Experimental
-    stand-in for a real external certificate; a success here says nothing
-    beyond this graph.
-    """
-    if budget < 1:
-        raise ValueError(f"budget must be >= 1, got {budget}")
-    n = union.n
-    rng = random.Random(seed)
-    colors = bytearray(rng.randrange(COLOR_COUNT) for _ in range(cube_edge_count(n)))
-    for _ in range(budget):
-        witnesses = _search_union(union, colors).witnesses
-        if not witnesses:
-            return ColoringCertificate(n, bytes(colors))
-        cycle = witnesses[min(witnesses)].vertices
-        i = rng.randrange(len(cycle))
-        slot = edge_slot(n, *edge_key(cycle[i], cycle[(i + 1) % len(cycle)]))
-        colors[slot] = (colors[slot] + 1 + rng.randrange(COLOR_COUNT - 1)) % COLOR_COUNT
-    return None
+    classes = _ClassSearch(_certificate_split(cert, union.n), workers)
+    for g in union.layers.values():
+        classes.add(g)
+    return classes.outcome(union.n)
 
 
 # ---------------------------------------------------------------------------
@@ -405,24 +396,30 @@ def density_report_suite(
     max_trials: int = 512,
     workers: int = 1,
     on_layer: Callable[[int, SearchResult], None] | None = None,
+    coloring_rule: str | None = None,
 ) -> SuiteResult:
     """Run the whole chain: per-layer searches, the odd-layer union, and the
-    certificate step when a certificate is supplied.
+    color-class step when a certificate or a rule of COLORING_RULES is
+    named; not both.
 
     Layer r uses the derived seed (seed, r).  Per-layer reports are checked
     against c/2, the union against c/4 and the best color class against
     c/12; all ratios are exact.
 
     The layers are taken one at a time: each is found, handed to
-    on_layer(r, result) when given, split by the certificate's colors and
-    its classes searched for a C10, then dropped, so the suite holds one
-    layer graph at a time.  The certificate is checked before the first
-    layer.
+    on_layer(r, result) when given, split into its color classes and the
+    classes searched for a C10, then dropped, so the suite holds one layer
+    graph at a time.  The coloring is checked before the first layer.
     """
     classes = None
+    if certificate is not None and coloring_rule is not None:
+        raise ValueError("give a coloring certificate or a coloring rule, not both")
     if certificate is not None:
-        _check_certificate(certificate, n)
-        classes = _ClassSearch(certificate.colors, workers)
+        classes = _ClassSearch(_certificate_split(certificate, n), workers)
+    elif coloring_rule is not None:
+        if coloring_rule not in COLORING_RULES:
+            raise ValueError(f"unknown coloring rule {coloring_rule!r}")
+        classes = _ClassSearch(COLORING_RULES[coloring_rule], workers)
     reports: list[DensityReport] = []
     assignments: dict[int, VectorAssignment] = {}
     trials: dict[int, int] = {}

@@ -86,7 +86,13 @@ def _load_graph(path: Path) -> detector.CubeSubgraph:
     return detector.CubeSubgraph.explicit(n, vertices, edges)
 
 
+def _require_positive(flag: str, value: int) -> None:
+    if value < 1:
+        raise ValueError(f"{flag} must be >= 1, got {value}")
+
+
 def _cmd_verify(args) -> int:
+    _require_positive("--workers", args.workers)
     graph = _load_graph(Path(args.path))
     if args.target == "c6minus":
         witness = detector.find_c6_minus(graph, workers=args.workers)
@@ -114,6 +120,7 @@ def _layer_writer(out: Path, n: int):
 
 
 def _cmd_pipeline(args) -> int:
+    _require_positive("--workers", args.workers)
     certificate = None
     if args.coloring is not None:
         with Path(args.coloring).open() as stream:
@@ -128,32 +135,19 @@ def _cmd_pipeline(args) -> int:
             max_trials=args.trials,
             workers=args.workers,
             on_layer=None if args.out is None else _layer_writer(Path(args.out), args.n),
+            coloring_rule=args.coloring_rule,
         )
     except bounds.SuiteExhausted as exc:
         sys.stdout.write(_report_lines(exc.partial_reports, args.format))
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_EXHAUSTED
-    reports = list(suite.reports)
+    sys.stdout.write(_report_lines(suite.reports, args.format))
     pipeline = suite.pipeline
-    if certificate is None and args.budget is not None:
-        # no external certificate: try the experimental search on this union
-        union = suite.union
-        found = bounds.search_coloring_small_n(
-            union, args.budget, seed=construction.derive_seed(args.seed, 1 << 32)
-        )
-        if found is None:
-            sys.stderr.write(f"no coloring found within budget {args.budget}\n")
-        else:
-            pipeline = bounds.c10_pipeline(union, found, workers=args.workers)
-            if pipeline.report is not None:
-                reports.append(pipeline.report)
-    sys.stdout.write(_report_lines(reports, args.format))
-    all_pass = all(rep.passed for rep in reports)
-    if certificate is not None and not pipeline.success:
+    if pipeline is not None and not pipeline.success:
         for k, witness in sorted(pipeline.witnesses.items()):
             sys.stderr.write(f"class {k}: {detector.witness_line(witness)}\n")
         return EXIT_WITNESS
-    return EXIT_FREE if all_pass else EXIT_WITNESS
+    return EXIT_FREE if all(rep.passed for rep in suite.reports) else EXIT_WITNESS
 
 
 def _parse_r_spec(spec: str) -> list[int]:
@@ -170,10 +164,10 @@ def _parse_r_spec(spec: str) -> list[int]:
 
 
 def _cmd_stats(args) -> int:
-    if args.trials < 1:
-        raise ValueError(f"--trials must be >= 1, got {args.trials}")
+    _require_positive("--trials", args.trials)
+    rs = _parse_r_spec(args.r)
     sys.stdout.write("r,n,trials,successes,empirical,exact,exact_float,z,within_4_sigma\n")
-    for r in _parse_r_spec(args.r):
+    for r in rs:
         n = 2 * r
         x = (1 << (r - 1)) - 1
         y = (1 << r) - 1
@@ -218,11 +212,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("pipeline", help="layer + union (+ certificate) density reports")
+    p = sub.add_parser("pipeline", help="layer + union (+ color class) density reports")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--coloring", help="path to a 3-coloring certificate of E(Q_n)")
-    p.add_argument("--budget", type=int, help="search for a certificate when none is supplied")
+    coloring = p.add_mutually_exclusive_group()
+    coloring.add_argument("--coloring", help="path to a 3-coloring certificate of E(Q_n)")
+    coloring.add_argument(
+        "--coloring-rule",
+        choices=sorted(bounds.COLORING_RULES),
+        help="color edge (x, x | 1<<j) by a rule; rank: |x & (2^j - 1)| mod 3",
+    )
     p.add_argument("--trials", type=int, default=512)
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", help="directory for assignment and layer artifacts")

@@ -30,6 +30,8 @@ The two-level layer scan is the survivor scan as it was before its last
 three levels were emitted inline.
 The dependency reference lists the null space of a set of columns by
 trying every combination of them.
+The rank certificate is the rank rule written out as one color per edge,
+the route that bounds' rule split replaces.
 """
 
 import re
@@ -37,7 +39,7 @@ from fractions import Fraction
 from itertools import chain, combinations, count, permutations, product
 
 from qturan import bounds
-from qturan.bounds import PipelineOutcome, coloring_problems, edge_slot, make_report
+from qturan.bounds import ColoringCertificate, PipelineOutcome, coloring_problems, edge_slot, make_report
 from qturan.cube import (
     CapacityError,
     bit_indices,
@@ -601,6 +603,22 @@ def _store_lines_by_coordinate(n, colors, duplicates, lineno, lines):
         if colors[slot] != 0xFF:
             duplicates.append(f"line {lineno}: duplicate edge (0x{base:x}, {coord})")
         colors[slot] = color
+
+
+def edge_key(x, y):
+    """Canonical key of a Q_n edge: (smaller endpoint, flipped coordinate)."""
+    if (x ^ y).bit_count() != 1:
+        raise ValueError(f"(0x{x:x}, 0x{y:x}) is not a Q_n edge")
+    return min(x, y), (x ^ y).bit_length() - 1
+
+
+def rank_certificate(n):
+    """The rank rule as a certificate: edge (x, x | 1 << j) gets
+    |x & (2^j - 1)| mod 3, the number of elements of x below j, in file
+    order."""
+    return ColoringCertificate(
+        n, bytes((x & ((1 << j) - 1)).bit_count() % 3 for x in range(1 << n) for j in range(n) if not x >> j & 1)
+    )
 
 
 def color_classes(union, colors):

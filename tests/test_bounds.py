@@ -1,4 +1,3 @@
-import hashlib
 import io
 import random
 import tracemalloc
@@ -17,7 +16,6 @@ from qturan.bounds import (
     c10_pipeline,
     coloring_problems,
     density_report_suite,
-    edge_key,
     edge_slot,
     format_coloring,
     make_report,
@@ -25,7 +23,6 @@ from qturan.bounds import (
     parse_coloring,
     read_coloring,
     reports_to_csv,
-    search_coloring_small_n,
     verify_coloring,
 )
 from qturan.construction import (
@@ -44,11 +41,13 @@ from oracles import (
     class_graphs,
     coloring_bytes,
     coloring_dict_problems,
+    edge_key,
     edge_slot_by_coordinate,
     explicit_c10_pipeline,
     explicit_class_graphs,
     parse_coloring_by_coordinate,
     parse_coloring_dict,
+    rank_certificate,
     subgraph_of_union,
     union_c10_pipeline,
 )
@@ -89,6 +88,8 @@ def recolored(cert, changes):
 
 
 class TestEdgeKey:
+    """The edge key the certificates of these tests are built through."""
+
     def test_canonical(self):
         assert edge_key(0b010, 0b011) == (0b010, 0)
         assert edge_key(0b011, 0b010) == (0b010, 0)
@@ -308,7 +309,7 @@ def rule_certificates(n, seed):
     rng = random.Random(n * 10 + seed)
     return {
         "mod3": certificate(n, lambda base, coord: coord % 3),
-        "rank": certificate(n, lambda base, coord: (base & ((1 << coord) - 1)).bit_count() % 3),
+        "rank": rank_certificate(n),
         "mono": monochromatic_certificate(n),
         "random": certificate(n, lambda base, coord: rng.randrange(3)),
     }
@@ -374,30 +375,30 @@ class TestLayerFold:
         assert {r: found.graph for r, found in seen} == dict(suite.union.layers)
 
 
-class TestSearchColoring:
-    def test_small_cubes_take_the_first_draw(self):
-        # Q_n for n <= 3 has no C10, so one draw is enough
-        for n in (1, 2, 3):
-            union = constructed_union(n)
-            cert = search_coloring_small_n(union, budget=1)
-            assert cert is not None and verify_coloring(cert)
-            assert c10_pipeline(union, cert).free_classes == (0, 1, 2)
+class TestRankRule:
+    """pipeline --coloring-rule rank splits each layer by the rule straight
+    from its edge masks, where a certificate route splits it through the
+    rank certificate's bytes."""
 
-    # sha256 of format_coloring of the certificate found below, pinned
-    # before the certificate's bytes were laid out in file order
-    FOUND_SHA256 = "2df6090140d2ddad415f32873b0de82d015ccb5a45fb6177266dff5e4366ea2d"
+    @pytest.mark.parametrize("n", range(4, 17))
+    def test_split_matches_the_certificate_split(self, n):
+        colors = rank_certificate(n).colors
+        for seed in range(3):
+            for g in density_report_suite(n, seed).union.layers.values():
+                assert bnd._split_by_rank(g) == bnd._split_layer(g, colors), (seed, g.layer)
 
-    def test_randomized_mode_returns_valid_certificate(self):
-        union = constructed_union(5, seed=4)
-        cert = search_coloring_small_n(union, budget=50, seed=9)
-        assert cert is not None and verify_coloring(cert)
-        assert hashlib.sha256(format_coloring(cert).encode()).hexdigest() == self.FOUND_SHA256
-        outcome = c10_pipeline(union, cert)
-        assert len(outcome.free_classes) == 3
+    def test_suite_matches_the_certificate_suite(self):
+        for n in (6, 9, 12):
+            for seed in range(2):
+                by_rule = density_report_suite(n, seed, coloring_rule="rank")
+                assert by_rule == density_report_suite(n, seed, certificate=rank_certificate(n))
+                assert by_rule.pipeline.success
 
-    def test_budget_validation(self):
-        with pytest.raises(ValueError):
-            search_coloring_small_n(constructed_union(2), budget=0)
+    def test_one_coloring_at_a_time(self):
+        with pytest.raises(ValueError, match="not both"):
+            density_report_suite(4, 0, certificate=rank_certificate(4), coloring_rule="rank")
+        with pytest.raises(ValueError, match="unknown coloring rule 'mod3'"):
+            density_report_suite(4, 0, coloring_rule="mod3")
 
 
 class TestSuite:

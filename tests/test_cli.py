@@ -11,6 +11,7 @@ from qturan.bounds import format_coloring, monochromatic_certificate
 from qturan.construction import LayerSubgraph, format_layer_graph
 from qturan.cube import LayerId, layer_vertices
 
+from oracles import rank_certificate
 from test_detector import planted_graph, ring
 
 
@@ -250,13 +251,48 @@ class TestPipeline:
         assert (code, out) == (2, "")
         assert err == "error: certificate is for n=4, union graph has n=16\n"
 
-    def test_budget_searches_a_certificate(self, capsys):
-        # Q_3 is too small for a C10, so the search returns its first random
-        # draw and a final row appears
-        code, out, _ = run(["pipeline", "--n", "3", "--seed", "0", "--budget", "10"], capsys)
-        assert code == 0
-        scopes = [line.split(",")[2] for line in out.splitlines()[1:]]
-        assert scopes == ["layer", "layer", "union", "final"]
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (
+                ["--coloring", "c.txt", "--coloring-rule", "rank"],
+                "qturan pipeline: error: argument --coloring-rule: not allowed with argument --coloring\n",
+            ),
+            (["--budget", "10"], "qturan: error: unrecognized arguments: --budget 10\n"),
+            (["--coloring-rule", "mod3"], "qturan pipeline: error: argument --coloring-rule: invalid choice: 'mod3'"),
+        ],
+        ids=["coloring and rule", "budget", "unknown rule"],
+    )
+    def test_coloring_usage_errors(self, capsys, extra, message):
+        with pytest.raises(SystemExit) as info:
+            cli.main(["pipeline", "--n", "4", *extra])
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+
+
+class TestRankRule:
+    """pipeline --coloring-rule rank runs as pipeline --coloring with the
+    rank certificate written out, and passes."""
+
+    @staticmethod
+    def call(argv, out, capsys):
+        code, stdout, stderr = run([*argv, "--out", str(out)], capsys)
+        return code, stdout, stderr, {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+    @pytest.mark.parametrize("n", range(4, 17))
+    def test_matches_the_certificate_and_passes(self, tmp_path, capsys, n):
+        coloring = tmp_path / "rank.txt"
+        coloring.write_text(format_coloring(rank_certificate(n)))
+        base = ["pipeline", "--n", str(n), "--seed", "0"]
+        by_rule = self.call([*base, "--coloring-rule", "rank"], tmp_path / "rule", capsys)
+        by_file = self.call([*base, "--coloring", str(coloring)], tmp_path / "file", capsys)
+        assert by_rule == by_file
+        code, stdout, stderr, _ = by_rule
+        assert (code, stderr) == (0, "")
+        final = stdout.splitlines()[-1].split(",")
+        assert final[2] == "final" and final[-1] == "true"
 
 
 class TestStreamedColoring:
@@ -360,14 +396,27 @@ class TestStats:
         assert rows[1].split(",")[5] == "96/343"
 
     def test_bad_spec(self, capsys):
-        code, _, err = run(["stats", "--r", "0"], capsys)
-        assert code == 2
+        for spec in ("0", "1:0"):
+            code, out, err = run(["stats", "--r", spec], capsys)
+            assert (code, out) == (2, "")
+            assert err == f"error: bad dimension spec {spec!r}\n"
 
     @pytest.mark.parametrize("trials", ["0", "-5"])
     def test_trials_below_one_is_usage_error(self, capsys, trials):
         code, out, err = run(["stats", "--r", "3", "--trials", trials], capsys)
         assert (code, out) == (2, "")
         assert err == f"error: --trials must be >= 1, got {trials}\n"
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+@pytest.mark.parametrize("command", ["verify", "pipeline"])
+def test_workers_below_one_is_usage_error(tmp_path, capsys, command, workers):
+    path = tmp_path / "layer.txt"
+    path.write_text(full_layer_text(4, 1))
+    argv = [command, str(path), "--target", "c6"] if command == "verify" else [command, "--n", "4"]
+    code, out, err = run([*argv, "--workers", workers], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: --workers must be >= 1, got {workers}\n"
 
 
 class TestWorkersDefault:

@@ -52,6 +52,7 @@ from oracles import (
     has_cycle_naive,
     induced_cube_edges,
     neighbor_map_by_probe,
+    rank_certificate,
     subgraph_of_union,
 )
 
@@ -300,19 +301,19 @@ class TestClosingSets:
             assert (None if w is None else w.vertices) == first_c6_minus_dfs(sub, 0, count)
 
 
-# the coordinate rule and the rank rule: edge (x, x | 1 << j) gets j mod 3,
-# or the number of elements of x below j, mod 3
+# the coordinate rule and the rank rule as the colors of E(Q_n) in file
+# order: edge (x, x | 1 << j) gets j mod 3, or the number of elements of x
+# below j, mod 3
 COLOR_RULES = {
-    "coordinate": lambda x, j: j % 3,
-    "rank": lambda x, j: (x & ((1 << j) - 1)).bit_count() % 3,
+    "coordinate": lambda n: bytes(j % 3 for x in range(1 << n) for j in range(n) if not x >> j & 1),
+    "rank": lambda n: rank_certificate(n).colors,
 }
 
 
 @lru_cache(maxsize=None)
 def rule_colors(n, name):
-    """The colors of E(Q_n) under a rule, in file order."""
-    rule = COLOR_RULES[name]
-    return bytes(rule(x, j) for x in range(1 << n) for j in range(n) if not x >> j & 1)
+    """The colors of E(Q_n) under a named rule, in file order."""
+    return COLOR_RULES[name](n)
 
 
 def rule_classes(union, name):
@@ -773,3 +774,54 @@ class TestExplainImpossibility:
         a = sample_assignment(3, 2, 0)
         with pytest.raises(ValueError):
             explain_c6_impossibility(a, SubcubePattern(0, (0, 1, 5)))
+
+
+def test_c10_of_an_uncolored_layer_has_the_reduced_shape():
+    """The first C10 that find_cycle_generic finds in an odd layer of the
+    seeded unions, n = 6..12 and seeds 0-3, with no coloring, has the shape
+    a finite C10 check of a coloring rule can rest on.
+
+    The reduction:
+    - odd layers share no vertex, so every cycle of the union lies in one
+      layer;
+    - a C10 flips each coordinate an even number of times, 10 flips in all;
+      two adjacent levels of Q_4 hold at most 4 and 6 vertices, so a C10 in
+      a layer flips exactly 5 coordinates S, each twice;
+    - its vertices are K + T with T a subset of S and K fixed, and |T|
+      takes the values t and t + 1, t in {1, 2, 3};
+    - if the vectors of K are dependent no vertex of the pattern survives;
+      otherwise survival depends only on the images of the anchor and of
+      the vectors of S in F_2^r / span(K), which is F_2^(t+1);
+    - with t = 1, each lower vertex K + {a} needs v'_a outside {0, anchor'},
+      two values of F_2^2, and each upper K + {a, b} needs v'_a != v'_b, so
+      the five lower vertices would properly 2-color a 5-cycle; t = 3
+      should follow through the dual code, and a finite check over every
+      draw keeps no C10 with t = 1 or t = 3;
+    - so a C10 that a layer keeps has t = 2, and the rank color of
+      (K + T, j) is (|K & [0, j)| + |T & [0, j)|) mod 3: K enters only as
+      one offset in Z_3 per coordinate of S.
+
+    Both outcomes occur: 59 of the 132 layers hold a C10 and 73 are
+    C10-free."""
+    shapes, found = set(), 0
+    layers = [
+        g
+        for n in range(6, 13)
+        for seed in range(4)
+        for g in density_report_suite(n, seed).union.layers.values()
+    ]
+    for g in layers:
+        witness = find_cycle_generic(subgraph_of_layer(g), 10)
+        if witness is None:
+            continue
+        found += 1
+        v = witness.vertices
+        flips = [(a ^ b).bit_length() - 1 for a, b in zip(v, v[1:] + v[:1])]
+        s = sum(1 << j for j in set(flips))
+        shapes.add((
+            tuple(sorted(flips.count(j) for j in set(flips))),
+            len({x & ~s for x in v}),
+            frozenset((x & s).bit_count() for x in v),
+        ))
+    assert shapes == {((2, 2, 2, 2, 2), 1, frozenset({2, 3}))}
+    assert (found, len(layers) - found) == (59, 73)

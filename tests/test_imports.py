@@ -1,9 +1,12 @@
 """Every name a source imports is read somewhere in it.  A name listed in
 the module's __all__ counts as read, and so does a __future__ import.
 Every private function, class and method of the package is read somewhere
-in the package outside its own definition."""
+in the package outside its own definition.  Every name a module of the
+package exports in __all__ exists in it."""
 
 import ast
+import importlib
+import types
 
 import pytest
 
@@ -111,3 +114,21 @@ def test_the_check_sees_an_unused_private_name():
         "a.py: _twice (line 6)",
         "a.py: _Dropped (line 12)",
     ]
+
+
+def missing_exports(module):
+    """The names of module.__all__ that the module does not define."""
+    return [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+
+
+@pytest.mark.parametrize(
+    "name", ["qturan"] + [f"qturan.{p.stem}" for p in sorted((ROOT / "src" / "qturan").glob("*.py")) if p.stem != "__init__"]
+)
+def test_every_export_resolves(name):
+    assert missing_exports(importlib.import_module(name)) == []
+
+
+def test_the_check_sees_a_stale_export():
+    module = types.ModuleType("synthetic")
+    exec("__all__ = ['kept', 'removed', 'Gone']\ndef kept():\n    return 1\n", module.__dict__)
+    assert missing_exports(module) == ["removed", "Gone"]
