@@ -14,7 +14,8 @@ certificate is verified for shape (every edge colored exactly once); a
 rule colors every edge once by construction and splits each layer's edge
 masks straight into its classes, so no per-edge array is built.  Either
 way the classes are checked for C10-freeness; nothing about the coloring
-is trusted.
+is trusted.  detector is imported by the class step alone, so a suite
+without a coloring never loads it.
 
 In memory a certificate holds one byte per edge of Q_n, n * 2^(n-1) bytes
 in all (512 KiB at n=16), in file order: slot i holds the color of the
@@ -43,11 +44,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial
 from itertools import accumulate, chain
-from typing import Callable, Iterator, Mapping, TextIO
+from typing import TYPE_CHECKING, Callable, Iterator, Mapping, TextIO
 
 from . import cube
 from .construction import (
-    LayerSubgraph,
     SearchResult,
     TrialsExhausted,
     UnionGraph,
@@ -57,8 +57,10 @@ from .construction import (
     find_good_assignment,
     union_odd_layers,
 )
-from .cube import LayerId, cube_edge_count
-from .detector import CubeSubgraph, CycleWitness, find_cycle_generic, subgraph_of_layer
+from .cube import LayerId, LayerSubgraph, cube_edge_count
+
+if TYPE_CHECKING:
+    from .detector import CubeSubgraph, CycleWitness
 
 __all__ = [
     "BOUND_DIVISORS",
@@ -265,6 +267,8 @@ def _split_layer(g: LayerSubgraph, colors: bytes | bytearray) -> list[CubeSubgra
     The edges of a lower vertex x sit from slot _first_slot(n, x) on, one
     per clear bit of x in increasing order.
     """
+    from .detector import CubeSubgraph, subgraph_of_layer
+
     n = g.layer.n
     whole = subgraph_of_layer(g)
     classes: list[list[int]] = [[] for _ in range(COLOR_COUNT)]
@@ -291,6 +295,8 @@ def _split_by_rank(g: LayerSubgraph) -> list[CubeSubgraph]:
     unions at n = 14..18, whose lower vertices have fewer edges than set
     bits.
     """
+    from .detector import CubeSubgraph, subgraph_of_layer
+
     whole = subgraph_of_layer(g)
     classes: list[list[int]] = [[] for _ in range(COLOR_COUNT)]
     for x, m in zip(whole.vertices, whole.edge_masks):
@@ -326,6 +332,8 @@ class _ClassSearch:
         self.witnesses: dict[int, CycleWitness] = {}
 
     def add(self, g: LayerSubgraph) -> None:
+        from .detector import find_cycle_generic
+
         for k, sub in enumerate(self.split(g)):
             self.counts[k] += sum(map(int.bit_count, sub.edge_masks))
             best = self.witnesses.get(k)

@@ -4,6 +4,9 @@ Exit codes encode outcomes: 0 = free/pass, 1 = witness found or a failed
 bound, 2 = usage or input error, 3 = capacity exceeded, 4 = trial budget
 exhausted.  Every output is a deterministic function of the subcommand,
 its flags and the seed.
+
+Each subcommand imports the modules it runs, so that verify never loads
+the sampler and the density code, nor an uncolored pipeline the detectors.
 """
 
 from __future__ import annotations
@@ -12,8 +15,13 @@ import argparse
 import sys
 from math import sqrt
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import bounds, construction, cube, detector
+from . import cube
+
+if TYPE_CHECKING:
+    from .construction import SearchResult
+    from .detector import CubeSubgraph
 
 EXIT_FREE = 0
 EXIT_WITNESS = 1
@@ -21,8 +29,13 @@ EXIT_USAGE = 2
 EXIT_CAPACITY = 3
 EXIT_EXHAUSTED = 4
 
+# the names of bounds.COLORING_RULES, so that parsing the flags loads no bounds
+COLORING_RULES = ("rank",)
+
 
 def _report_lines(reports, fmt: str) -> str:
+    from . import bounds
+
     if fmt == "csv":
         return bounds.reports_to_csv(list(reports))
     rows = [("n", "r", "scope", "achieved", "ambient", "ratio", "bound", "pass")]
@@ -44,14 +57,20 @@ def _report_lines(reports, fmt: str) -> str:
 
 
 def _cmd_construct(args) -> int:
-    result = construction.find_good_assignment(args.n, args.r, args.seed, args.trials)
+    from . import bounds, construction
+
+    try:
+        result = construction.find_good_assignment(args.n, args.r, args.seed, args.trials)
+    except construction.TrialsExhausted as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return EXIT_EXHAUSTED
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     assignment_path = out / f"assignment_n{args.n}_r{args.r}.txt"
     layer_path = out / f"layer_n{args.n}_r{args.r}.txt"
     assignment_path.write_text(construction.format_assignment(result.assignment))
     with layer_path.open("w") as stream:
-        stream.writelines(construction.layer_graph_text(result.graph))
+        stream.writelines(cube.layer_graph_text(result.graph))
     layer = cube.LayerId(args.n, args.r)
     report = bounds.make_report(
         args.n, args.r, "layer", result.edges, cube.layer_edge_count(layer), "c/2"
@@ -76,11 +95,12 @@ def _is_layer_text(text: str) -> bool:
     return False
 
 
-def _load_graph(path: Path) -> detector.CubeSubgraph:
+def _load_graph(path: Path) -> CubeSubgraph:
+    from . import detector
+
     text = path.read_text()
     if _is_layer_text(text):
-        g = construction.parse_layer_graph(text)
-        return detector.subgraph_of_layer(g)
+        return detector.subgraph_of_layer(cube.parse_layer_graph(text))
     n, edges = cube.parse_edge_list(text)
     vertices = {v for edge in edges for v in edge}
     return detector.CubeSubgraph.explicit(n, vertices, edges)
@@ -92,6 +112,8 @@ def _require_positive(flag: str, value: int) -> None:
 
 
 def _cmd_verify(args) -> int:
+    from . import detector
+
     _require_positive("--workers", args.workers)
     graph = _load_graph(Path(args.path))
     if args.target == "c6minus":
@@ -109,17 +131,20 @@ def _cmd_verify(args) -> int:
 def _layer_writer(out: Path, n: int):
     """The on_layer callback of pipeline --out: the layer's assignment and
     layer files, written as the suite passes the layer."""
+    from .construction import format_assignment
 
-    def write(r: int, found: construction.SearchResult) -> None:
+    def write(r: int, found: SearchResult) -> None:
         out.mkdir(parents=True, exist_ok=True)
-        (out / f"assignment_n{n}_r{r}.txt").write_text(construction.format_assignment(found.assignment))
+        (out / f"assignment_n{n}_r{r}.txt").write_text(format_assignment(found.assignment))
         with (out / f"layer_n{n}_r{r}.txt").open("w") as stream:
-            stream.writelines(construction.layer_graph_text(found.graph))
+            stream.writelines(cube.layer_graph_text(found.graph))
 
     return write
 
 
 def _cmd_pipeline(args) -> int:
+    from . import bounds
+
     _require_positive("--workers", args.workers)
     certificate = None
     if args.coloring is not None:
@@ -144,8 +169,10 @@ def _cmd_pipeline(args) -> int:
     sys.stdout.write(_report_lines(suite.reports, args.format))
     pipeline = suite.pipeline
     if pipeline is not None and not pipeline.success:
+        from .detector import witness_line
+
         for k, witness in sorted(pipeline.witnesses.items()):
-            sys.stderr.write(f"class {k}: {detector.witness_line(witness)}\n")
+            sys.stderr.write(f"class {k}: {witness_line(witness)}\n")
         return EXIT_WITNESS
     return EXIT_FREE if all(rep.passed for rep in suite.reports) else EXIT_WITNESS
 
@@ -164,6 +191,8 @@ def _parse_r_spec(spec: str) -> list[int]:
 
 
 def _cmd_stats(args) -> int:
+    from . import construction
+
     _require_positive("--trials", args.trials)
     rs = _parse_r_spec(args.r)
     sys.stdout.write("r,n,trials,successes,empirical,exact,exact_float,z,within_4_sigma\n")
@@ -219,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     coloring.add_argument("--coloring", help="path to a 3-coloring certificate of E(Q_n)")
     coloring.add_argument(
         "--coloring-rule",
-        choices=sorted(bounds.COLORING_RULES),
+        choices=COLORING_RULES,
         help="color edge (x, x | 1<<j) by a rule; rank: |x & (2^j - 1)| mod 3",
     )
     p.add_argument("--trials", type=int, default=512)
@@ -245,9 +274,6 @@ def main(argv: list[str] | None = None) -> int:
     except cube.CapacityError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_CAPACITY
-    except construction.TrialsExhausted as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_EXHAUSTED
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE

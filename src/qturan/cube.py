@@ -14,13 +14,19 @@ Edge-list text format (shared by the exporters in other modules):
 one edge per line, lowercase hex masks, with popcount(y) = popcount(x) + 1
 and x a subset of y.  Bit i of a mask represents element i+1 of the ground
 set {1, ..., n}.
+
+A layer graph, LayerSubgraph, is a subgraph of one layer; its file is the
+edge list followed by a '# layer r=<r>' line and the '# lower' and
+'# upper' vertex sections, one hex mask per line.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from itertools import chain
 from math import comb
+from operator import ne
 from typing import Container, Iterable, Iterator
 
 __all__ = [
@@ -39,6 +45,12 @@ __all__ = [
     "upward_edges",
     "format_edge_list",
     "parse_edge_list",
+    "LayerSubgraph",
+    "edge_count",
+    "edge_pairs",
+    "layer_graph_text",
+    "format_layer_graph",
+    "parse_layer_graph",
 ]
 
 DEFAULT_ENUMERATION_CAP = 24
@@ -210,3 +222,170 @@ def parse_edge_list(text: str) -> tuple[int, list[tuple[int, int]]]:
             raise ValueError(f"line {lineno}: {parts[0]} {parts[1]} is not an inclusion edge")
         edges.append((x, y))
     return n, edges
+
+
+# ---------------------------------------------------------------------------
+# Layer graphs and the layer file
+
+
+@dataclass(frozen=True)
+class LayerSubgraph:
+    """Induced subgraph of a layer: the surviving lower vertices in
+    increasing mask order, each with the mask of its edge coordinates.
+
+    edge_masks[i] holds bit j exactly when (lower[i], lower[i] | 1 << j) is
+    an edge, so the edges come straight from the masks in (lower, upper)
+    order, with no set lookup.  upper is the surviving upper side in
+    increasing order; it may hold vertices without an edge.  induced checks
+    the two sides and derives the masks; the dataclass constructor trusts
+    its fields.
+    """
+
+    layer: LayerId
+    lower: tuple[int, ...]
+    upper: tuple[int, ...]
+    edge_masks: tuple[int, ...]
+
+    @classmethod
+    def induced(cls, layer: LayerId, lower: Iterable[int], upper: Iterable[int]) -> LayerSubgraph:
+        """The subgraph induced on the two sides, given as any iterables of
+        masks, with the edge masks from one probe pass over the upper side."""
+        n, r = layer.n, layer.r
+        lower, upper = frozenset(lower), frozenset(upper)
+        for x in lower:
+            if x >> n or x.bit_count() != r - 1:
+                raise ValueError(f"lower vertex 0x{x:x} is not an (r-1)-subset of [{n}]")
+        for y in upper:
+            if y >> n or y.bit_count() != r:
+                raise ValueError(f"upper vertex 0x{y:x} is not an r-subset of [{n}]")
+        lows = tuple(sorted(lower))
+        return cls(layer, lows, tuple(sorted(upper)), tuple(upward_masks(n, lows, upper)))
+
+
+def edge_count(g: LayerSubgraph) -> int:
+    """Number of inclusion pairs between the surviving sides."""
+    return sum(map(int.bit_count, g.edge_masks))
+
+
+def edge_pairs(g: LayerSubgraph) -> Iterator[tuple[int, int]]:
+    """The implicit edges, ordered by (lower mask, upper mask)."""
+    return upward_edges(g.lower, g.edge_masks)
+
+
+# lower vertices per block of layer text; the writer holds one block's
+# tuple of edge ends and its text at a time, so its peak does not grow
+# with the layer
+_TEXT_BLOCK = 256
+
+
+def _vertex_lines(vertices: tuple[int, ...]) -> Iterator[str]:
+    for at in range(0, len(vertices), _TEXT_BLOCK):
+        block = vertices[at : at + _TEXT_BLOCK]
+        yield "%x\n" * len(block) % block
+
+
+def layer_graph_text(g: LayerSubgraph) -> Iterator[str]:
+    """The layer file in pieces: the edge-list body in the shared format,
+    then the two vertex sections, one str per block of vertices."""
+    yield f"# qn n={g.layer.n}\n"
+    for at in range(0, len(g.lower), _TEXT_BLOCK):
+        block = slice(at, at + _TEXT_BLOCK)
+        ends = tuple(chain.from_iterable(upward_edges(g.lower[block], g.edge_masks[block])))
+        yield "%x %x\n" * (len(ends) // 2) % ends
+    yield f"# layer r={g.layer.r}\n# lower\n"
+    yield from _vertex_lines(g.lower)
+    yield "# upper\n"
+    yield from _vertex_lines(g.upper)
+
+
+def format_layer_graph(g: LayerSubgraph) -> str:
+    """The whole layer file as one str."""
+    return "".join(layer_graph_text(g))
+
+
+def _parse_canonical_layer(text: str) -> LayerSubgraph | None:
+    """The graph of a layer file exactly as layer_graph_text writes it, or
+    None for any other text.
+
+    Only the header and the vertex sections are read; the graph they
+    induce is accepted when its own text is the whole of text, so the edge
+    lines and every byte of spelling are checked in one compare per piece.
+    """
+    head, _, rest = text.partition("\n")
+    _, _, rest = rest.partition("# layer r=")
+    r_text, _, rest = rest.partition("\n# lower\n")
+    lower_text, _, upper_text = rest.partition("# upper\n")
+    try:
+        layer = LayerId(int(head.removeprefix("# qn n=")), int(r_text))
+        g = LayerSubgraph.induced(
+            layer,
+            [int(x, 16) for x in lower_text.split()],
+            [int(y, 16) for y in upper_text.split()],
+        )
+    except ValueError:
+        return None
+    at = 0
+    for piece in layer_graph_text(g):
+        if not text.startswith(piece, at):
+            return None
+        at += len(piece)
+    return g if at == len(text) else None
+
+
+def _parse_layer_lines(text: str) -> LayerSubgraph:
+    """Any layer file, read line by line; blank and unknown comment lines
+    are skipped, and each error names its line."""
+    lines = text.splitlines()
+    if not lines or not lines[0].startswith("# qn n="):
+        raise ValueError("layer file must start with a '# qn n=<n>' header")
+    try:
+        n = int(lines[0].split("=", 1)[1])
+    except ValueError as exc:
+        raise ValueError(f"bad layer-file header: {lines[0]!r}") from exc
+    r = None
+    section = "edges"
+    ends: list[int] = []  # both masks of every edge line, in file order
+    lower: set[int] = set()
+    upper: set[int] = set()
+    for lineno, line in enumerate(lines[1:], start=2):
+        stripped = line.strip()
+        if not stripped:
+            continue
+        if stripped[0] == "#":
+            if stripped.startswith("# layer r="):
+                try:
+                    r = int(stripped.split("=", 1)[1])
+                except ValueError as exc:
+                    raise ValueError(f"line {lineno}: bad layer line {line!r}") from exc
+            elif stripped == "# lower":
+                section = "lower"
+            elif stripped == "# upper":
+                section = "upper"
+            continue
+        parts = stripped.split()
+        if section == "edges" and len(parts) != 2:
+            raise ValueError(f"line {lineno}: expected an edge, got {line!r}")
+        if section != "edges" and len(parts) != 1:
+            raise ValueError(f"line {lineno}: expected a vertex mask, got {line!r}")
+        try:
+            if section == "edges":
+                ends.append(int(parts[0], 16))
+                ends.append(int(parts[1], 16))
+            else:
+                (lower if section == "lower" else upper).add(int(parts[0], 16))
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: bad hex mask in {line!r}") from exc
+    if r is None:
+        raise ValueError("layer file is missing its '# layer r=<r>' line")
+    g = LayerSubgraph.induced(LayerId(n, r), lower, upper)
+    if len(ends) != 2 * edge_count(g) or any(map(ne, ends, chain.from_iterable(edge_pairs(g)))):
+        raise ValueError("edge lines do not match the inclusion pairs of the vertex sections")
+    return g
+
+
+def parse_layer_graph(text: str) -> LayerSubgraph:
+    """The layer graph of a layer file.  Text exactly as layer_graph_text
+    writes it takes a fast path; any other text, and every error, goes
+    through the line reader."""
+    g = _parse_canonical_layer(text)
+    return _parse_layer_lines(text) if g is None else g

@@ -42,12 +42,14 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import chain
-from typing import Callable, Iterable
+from typing import TYPE_CHECKING, Callable, Iterable
 
 from . import cube
-from .construction import LayerSubgraph, VectorAssignment
-from .cube import bit_indices, upward_edges, upward_masks
+from .cube import LayerSubgraph, bit_indices, upward_edges, upward_masks
 from .gf2 import GF2Vec, quotient_image, rank_bits
+
+if TYPE_CHECKING:
+    from .construction import VectorAssignment
 
 __all__ = [
     "CubeSubgraph",
@@ -283,11 +285,15 @@ def _first_cycle_in_range(
     graph: CubeSubgraph, start_lo: int, start_hi: int, length: int
 ) -> tuple[int, ...] | None:
     """The canonically first cycle of the given length whose least vertex is
-    in graph.vertices[start_lo:start_hi]."""
-    nbrs = _neighbor_map(graph)
+    in graph.vertices[start_lo:start_hi].  The neighbor map is built when
+    the first start with two closers is reached, so a range without one
+    returns None before any map."""
+    nbrs = None
     starts = slice(start_lo, start_hi)
     for s, up in zip(graph.vertices[starts], graph.edge_masks[starts]):
         if up & (up - 1):  # the cycle needs two closers
+            if nbrs is None:
+                nbrs = _neighbor_map(graph)
             # the neighbors above s are its edges upward, last in its tuple
             found = _cycle_at(nbrs, s, nbrs[s][-up.bit_count() :], length // 2)
             if found is not None:
@@ -338,16 +344,18 @@ def _first_c6_minus_in_range(
     starts with an end the graph does not join to them, and the start that
     has a path, run the DFS, so the path is the one a DFS from every start
     would find.  An induced graph joins every end, so it runs the DFS only
-    from the start that has a path.
+    from the start that has a path.  Ends are probed for only when the graph
+    holds a vertex with one bit more than s; for a layer's upper side it does not.
     """
     nbrs = _neighbor_map(graph)
     full = (1 << graph.n) - 1
+    popcounts = set(map(int.bit_count, graph.vertices))
     starts = slice(start_lo, start_hi)
     for s, up in zip(graph.vertices[starts], graph.edge_masks[starts]):
         joined = nbrs[s][-up.bit_count() :] if up else ()  # the neighbors above s
         # the other ends: probe only the clear bits that are not edges upward
         unjoined = set()
-        free = full ^ (s | up)
+        free = full ^ (s | up) if s.bit_count() + 1 in popcounts else 0
         while free:
             b = free & -free
             free ^= b

@@ -79,13 +79,17 @@ class TestConstruct:
 
     def test_exhaustion_exit_code(self, tmp_path, capsys):
         # seed 0, trial 0 draws equal vectors at n=2, r=2
-        code, _, err = run(
+        code, out, err = run(
             ["construct", "--n", "2", "--r", "2", "--seed", "0", "--trials", "1",
              "--out", str(tmp_path)],
             capsys,
         )
-        assert code == 4
-        assert "threshold" in err
+        assert (code, out) == (4, "")
+        assert err == (
+            "error: no assignment with n=2, r=2 beat the threshold after 1 trials "
+            "(best: 0 edges vs threshold 72197023771781931/250000000000000000)\n"
+        )
+        assert list(tmp_path.iterdir()) == []
 
     def test_text_format(self, tmp_path, capsys):
         code, out, _ = run(
@@ -275,6 +279,13 @@ class TestPipeline:
 class TestRankRule:
     """pipeline --coloring-rule rank runs as pipeline --coloring with the
     rank certificate written out, and passes."""
+
+    def test_the_flag_offers_the_library_rules(self):
+        """The flag's choices are named in cli, so that parsing loads no
+        bounds; they are the rules bounds knows."""
+        sub = next(a for a in cli.build_parser()._actions if a.dest == "command")
+        rule = next(a for a in sub.choices["pipeline"]._actions if a.dest == "coloring_rule")
+        assert list(rule.choices) == sorted(bounds.COLORING_RULES)
 
     @staticmethod
     def call(argv, out, capsys):

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qturan import construction as con
+from qturan import cube
 from qturan.construction import (
     LayerSubgraph,
     TrialsExhausted,
@@ -743,12 +744,12 @@ class TestCanonicalLayerRead:
         for r in range(1, n + 1):
             g = build_layer_graph(sample_assignment(n, r, derive_seed(n, r)))
             text = format_layer_graph(g)
-            assert con._parse_canonical_layer(text) == con._parse_layer_lines(text) == g
+            assert cube._parse_canonical_layer(text) == cube._parse_layer_lines(text) == g
             for variant in layer_variants(text):
                 if variant == text:  # uppercase hex without a letter
                     continue
-                assert con._parse_canonical_layer(variant) is None
-                expected = layer_read(con._parse_layer_lines, variant)
+                assert cube._parse_canonical_layer(variant) is None
+                expected = layer_read(cube._parse_layer_lines, variant)
                 assert layer_read(parse_layer_graph, variant) == expected
                 outcomes.add(type(expected))
         # some variants read as the graph, and some are rejected
@@ -792,9 +793,9 @@ def layer_texts(draw):
 def test_layer_graph_parse_matches_the_line_reader(text):
     """On edited layer texts, the fast path accepts only canonical text and
     the reader gives the line reader's graph or message."""
-    expected = layer_read(con._parse_layer_lines, text)
+    expected = layer_read(cube._parse_layer_lines, text)
     assert layer_read(parse_layer_graph, text) == expected
-    fast = con._parse_canonical_layer(text)
+    fast = cube._parse_canonical_layer(text)
     assert fast is None or (fast == expected and format_layer_graph(fast) == text)
 
 

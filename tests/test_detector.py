@@ -442,6 +442,23 @@ class TestMeetInTheMiddle:
 
 
 class TestNeighborMap:
+    def test_a_range_without_two_closers_builds_no_map(self, monkeypatch):
+        """A path has no start with two neighbors above it, so the cycle scan
+        returns None before any map; a graph with a cycle builds one."""
+        import qturan.detector as det
+
+        def no_map(graph):
+            raise AssertionError("a neighbor map was built")
+
+        monkeypatch.setattr(det, "_neighbor_map", no_map)
+        path = [0, 1, 3, 7, 15, 31, 63]
+        g = CubeSubgraph.explicit(6, path, list(zip(path, path[1:])))
+        for length in (4, 6, 10):
+            assert _first_cycle_in_range(g, 0, len(path), length) is None
+        square = CubeSubgraph.induced(2, range(4))
+        with pytest.raises(AssertionError, match="neighbor map"):
+            _first_cycle_in_range(square, 0, 4, 4)
+
     def test_tuples_are_the_sorted_neighbors(self):
         rng = random.Random(77)
         for _ in range(100):
@@ -650,6 +667,32 @@ class TestC6MinusReduction:
             assert _first_c6_minus_in_range(g, 0, count) == expected
             outcomes.add(expected is None)
         assert outcomes == {False, True}
+
+    def test_probe_skip_matches_the_closing_set_dfs(self):
+        """The unjoined ends of a start are probed only when the graph holds
+        a vertex one bit above it.  In an induced layer the upper side has
+        none and every end is joined; with edges dropped from a layer, the
+        lower side has unjoined ends.  Seeded layers n = 4..10 and full
+        layers of Q_n n = 4..7, each whole and with a fifth of its edges
+        dropped."""
+        rng = random.Random(2111)
+        layers = [
+            build_layer_graph(sample_assignment(n, r, derive_seed(n, r)))
+            for n in range(4, 11)
+            for r in range(2, n)
+        ]
+        layers += [full_layer(n, r) for n in range(4, 8) for r in range(2, n)]
+        outcomes = set()
+        for layer in layers:
+            g = subgraph_of_layer(layer)
+            kept = [e for e in g.edge_list() if rng.random() < 0.8]
+            dropped = CubeSubgraph.explicit(g.n, g.vertices, kept)
+            for graph in (g, dropped):
+                count = len(graph.vertices)
+                expected = first_c6_minus_closing_sets(graph, 0, count)
+                assert _first_c6_minus_in_range(graph, 0, count) == expected
+                outcomes.add((graph is g, expected is None))
+        assert outcomes == {(True, True), (True, False), (False, True), (False, False)}
 
     def test_pool_has_at_most_one_process_per_range(self, pool_sizes):
         g = CubeSubgraph.induced(3, [0, 1, 2, 3, 4, 5])

@@ -2,10 +2,14 @@
 the module's __all__ counts as read, and so does a __future__ import.
 Every private function, class and method of the package is read somewhere
 in the package outside its own definition.  Every name a module of the
-package exports in __all__ exists in it."""
+package exports in __all__ exists in it.  Each CLI subcommand loads only
+the package modules it runs, and the package root loads none."""
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 import types
 
 import pytest
@@ -30,7 +34,8 @@ def unused_imports(source):
         if isinstance(node, ast.Assign) and any(
             isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
         ):
-            read.update(ast.literal_eval(node.value))
+            # the strings it lists; a computed part, such as *names, adds none
+            read.update(c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant))
     return [f"{name} (line {line})" for name, line in imported.items() if name not in read]
 
 
@@ -45,7 +50,7 @@ def test_the_check_sees_an_unused_name():
         "import os.path\n"
         "from math import comb, sqrt as root\n"
         "from typing import Iterator\n"
-        "__all__ = ['Iterator']\n"
+        "__all__ = ['Iterator', *sorted(os.environ)]\n"
         "print(os.sep)\n"
     )
     assert unused_imports(source) == ["comb (line 3)", "root (line 3)"]
@@ -132,3 +137,91 @@ def test_the_check_sees_a_stale_export():
     module = types.ModuleType("synthetic")
     exec("__all__ = ['kept', 'removed', 'Gone']\ndef kept():\n    return 1\n", module.__dict__)
     assert missing_exports(module) == ["removed", "Gone"]
+
+
+# A fresh interpreter runs cli.main on its arguments and prints, last, the
+# qturan modules it loaded.
+FOOTPRINT = (
+    "import sys\n"
+    "from qturan import cli\n"
+    "code = cli.main(sys.argv[1:])\n"
+    "print(code, *sorted(m for m in sys.modules if m.split('.')[0] == 'qturan'))\n"
+)
+
+
+def loaded_modules(*argv, cwd):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", FOOTPRINT, *argv], env=env, cwd=cwd, capture_output=True, text=True, check=True
+    )
+    code, *modules = proc.stdout.splitlines()[-1].split()
+    return int(code), {m.removeprefix("qturan.") for m in modules}
+
+
+@pytest.fixture(scope="module")
+def cli_inputs(tmp_path_factory):
+    """A layer file, an edge list and a coloring of Q_6 on disk."""
+    from qturan import bounds, construction, cube
+
+    work = tmp_path_factory.mktemp("footprint")
+    g = construction.build_layer_graph(construction.sample_assignment(6, 3, 0))
+    (work / "layer.txt").write_text(cube.format_layer_graph(g))
+    (work / "edges.txt").write_text(cube.format_edge_list(6, list(cube.edge_pairs(g))))
+    (work / "coloring.txt").write_text(bounds.format_coloring(bounds.monochromatic_certificate(6)))
+    return work
+
+
+ROOT_AND_CLI = {"qturan", "cli", "cube"}
+SAMPLER = {"gf2", "construction"}
+
+
+@pytest.mark.parametrize(
+    "argv, modules",
+    [
+        (["verify", "layer.txt", "--target", "c6"], {"gf2", "detector"}),
+        (["verify", "edges.txt", "--target", "c10"], {"gf2", "detector"}),
+        (["construct", "--n", "6", "--r", "3", "--out", "out"], SAMPLER | {"bounds"}),
+        (["pipeline", "--n", "6"], SAMPLER | {"bounds"}),
+        (["pipeline", "--n", "6", "--coloring-rule", "rank"], SAMPLER | {"bounds", "detector"}),
+        (["pipeline", "--n", "6", "--coloring", "coloring.txt"], SAMPLER | {"bounds", "detector"}),
+        (["stats", "--r", "2", "--trials", "10"], SAMPLER),
+    ],
+    ids=["verify layer", "verify edges", "construct", "pipeline", "pipeline rank", "pipeline coloring", "stats"],
+)
+def test_a_subcommand_loads_only_what_it_runs(cli_inputs, argv, modules):
+    code, loaded = loaded_modules(*argv, cwd=cli_inputs)
+    assert code in (0, 1)
+    assert loaded == ROOT_AND_CLI | modules
+
+
+def test_importing_the_package_loads_no_submodule(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    script = "import sys, qturan\nprint(*sorted(m for m in sys.modules if m.split('.')[0] == 'qturan'))\n"
+    proc = subprocess.run([sys.executable, "-c", script], env=env, cwd=tmp_path, capture_output=True, text=True)
+    assert proc.stdout.split() == ["qturan"]
+
+
+class TestPackageRoot:
+    def test_every_export_is_listed_by_dir(self):
+        import qturan
+
+        assert set(qturan.__all__) <= set(dir(qturan))
+
+    def test_an_export_is_its_home_module_object(self):
+        import qturan
+        from qturan import cube, detector
+
+        assert qturan.LayerSubgraph is cube.LayerSubgraph
+        assert qturan.find_c6_minus is detector.find_c6_minus
+
+    def test_an_unknown_name_is_an_attribute_error(self):
+        import qturan
+
+        with pytest.raises(AttributeError, match="no attribute 'not_a_name'"):
+            qturan.not_a_name
+        assert not hasattr(qturan, "edge_key")
+
+    def test_a_submodule_still_imports_by_name(self):
+        from qturan import cli
+
+        assert cli.main.__module__ == "qturan.cli"
