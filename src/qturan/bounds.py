@@ -11,10 +11,11 @@ implies the strict inequality against the true constant.
 The 3-coloring of E(Q_n) driving the final bound is either an external
 certificate or a rule on (x, j) for the edge (x, x | 1 << j).  A
 certificate is verified for shape (every edge colored exactly once); a
-rule colors every edge once by construction and splits each layer's edge
-masks straight into its classes, so no per-edge array is built.  Either
-way the classes are checked for C10-freeness; nothing about the coloring
-is trusted.  detector is imported by the class step alone, so a suite
+rule colors every edge once by construction, and reads its colors from a
+table of n bytes, so no per-edge array is built.  Both split each layer's
+edge masks into its classes through one loop, _split_layer.  Either way
+the classes are checked for C10-freeness; nothing about the coloring is
+trusted.  detector is imported by the class step alone, so a suite
 without a coloring never loads it.
 
 In memory a certificate holds one byte per edge of Q_n, n * 2^(n-1) bytes
@@ -42,7 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, partial
+from functools import cache
 from itertools import accumulate, chain
 from typing import TYPE_CHECKING, Callable, Iterator, Mapping, TextIO
 
@@ -247,86 +248,78 @@ class PipelineOutcome:
     report: DensityReport | None
 
 
-def _certificate_split(cert: ColoringCertificate, n: int) -> Callable[[LayerSubgraph], list[CubeSubgraph]]:
-    """The layer split by cert's colors, once cert is checked to be a whole
-    coloring of E(Q_n)."""
+# A coloring as the class step reads it: a table of colors and, for each
+# lower vertex x, an offset (start, y).  The edge (x, x | bit) has color
+# colors[start + popcount(y & (bit - 1))].
+Coloring = tuple[bytes | bytearray, Callable[[int], tuple[int, int]]]
+
+
+def _certificate_coloring(cert: ColoringCertificate, n: int) -> Coloring:
+    """cert as a Coloring, once it is checked to be a whole coloring of
+    E(Q_n).  The edges of a lower vertex x sit from slot _first_slot(n, x)
+    on, one per clear bit of x in increasing order."""
     if cert.n != n:
         raise ValueError(f"certificate is for n={cert.n}, union graph has n={n}")
     problems = coloring_problems(cert)
     if problems:
         raise ValueError("invalid coloring certificate: " + "; ".join(problems))
-    return partial(_split_layer, colors=cert.colors)
+    return cert.colors, lambda x: (_first_slot(n, x), ~x)
 
 
-def _split_layer(g: LayerSubgraph, colors: bytes | bytearray) -> list[CubeSubgraph]:
-    """The layer's edges split by their certificate color, one graph per
-    color, each on all of the layer's vertices.
+def _rank_coloring(n: int) -> Coloring:
+    """The rank rule as a Coloring: edge (x, x | 1 << j) has color
+    |x & (2^j - 1)| mod 3, read from a table of i mod 3 for i < n, so no
+    per-edge array is built."""
+    return bytes(i % COLOR_COUNT for i in range(n)), lambda x: (0, x)
+
+
+# The coloring rules by name, each giving the Coloring of E(Q_n) for n.
+COLORING_RULES = {"rank": _rank_coloring}
+
+
+def _split_layer(g: LayerSubgraph, coloring: Coloring) -> list[CubeSubgraph]:
+    """The layer's edges split by the coloring, one graph per color, each on
+    all of the layer's vertices.
 
     Each edge mask of subgraph_of_layer is split bit by bit into one mask
     per color, so the classes share its vertex tuple and build no edge list.
-    The edges of a lower vertex x sit from slot _first_slot(n, x) on, one
-    per clear bit of x in increasing order.
-    """
-    from .detector import CubeSubgraph, subgraph_of_layer
-
-    n = g.layer.n
-    whole = subgraph_of_layer(g)
-    classes: list[list[int]] = [[] for _ in range(COLOR_COUNT)]
-    for x, m in zip(whole.vertices, whole.edge_masks):
-        parts = [0] * COLOR_COUNT
-        if m:
-            start, free = _first_slot(n, x), ~x
-            while m:
-                bit = m & -m
-                m ^= bit
-                parts[colors[start + (free & (bit - 1)).bit_count()]] |= bit
-        for masks, part in zip(classes, parts):
-            masks.append(part)
-    return [CubeSubgraph(n, whole.vertices, tuple(masks)) for masks in classes]
-
-
-def _split_by_rank(g: LayerSubgraph) -> list[CubeSubgraph]:
-    """The layer's edges split by the rank rule, in the form of _split_layer:
-    edge (x, x | 1 << j) goes to class |x & (2^j - 1)| mod 3.
-
-    The class is read from x and the edge bit alone, so no per-edge array
-    is built.  Walking the set bits of x instead, and taking the edge bits
-    between two of them at once, measured a third slower on the seeded
+    The color is read from the edge bit and the lower vertex's offset alone.
+    Walking the set bits of x instead, and taking the edge bits between two
+    of them at once, measured a third slower for the rank rule on the seeded
     unions at n = 14..18, whose lower vertices have fewer edges than set
     bits.
     """
     from .detector import CubeSubgraph, subgraph_of_layer
 
+    colors, offset = coloring
     whole = subgraph_of_layer(g)
     classes: list[list[int]] = [[] for _ in range(COLOR_COUNT)]
     for x, m in zip(whole.vertices, whole.edge_masks):
         parts = [0] * COLOR_COUNT
-        while m:
-            bit = m & -m
-            m ^= bit
-            parts[(x & (bit - 1)).bit_count() % COLOR_COUNT] |= bit
+        if m:
+            start, y = offset(x)
+            while m:
+                bit = m & -m
+                m ^= bit
+                parts[colors[start + (y & (bit - 1)).bit_count()]] |= bit
         for masks, part in zip(classes, parts):
             masks.append(part)
     return [CubeSubgraph(g.layer.n, whole.vertices, tuple(masks)) for masks in classes]
 
 
-# The coloring rules by name, each a layer split in the form of _split_layer.
-COLORING_RULES = {"rank": _split_by_rank}
-
-
 class _ClassSearch:
     """The color classes of a union searched for a C10 one layer at a time.
 
-    split(g) gives a layer's class graphs.  Odd layers share no vertex and
-    no union edge joins two of them, so every cycle of a class lies in one
-    layer, and the union's first C10 in a class is the first one of a layer
-    with the least start.  A class keeps the best witness seen so far, and a
-    later layer is scanned only for starts below it, in any order of the
-    layers.
+    _split_layer gives a layer's class graphs under coloring.  Odd layers
+    share no vertex and no union edge joins two of them, so every cycle of a
+    class lies in one layer, and the union's first C10 in a class is the
+    first one of a layer with the least start.  A class keeps the best
+    witness seen so far, and a later layer is scanned only for starts below
+    it, in any order of the layers.
     """
 
-    def __init__(self, split: Callable[[LayerSubgraph], list[CubeSubgraph]], workers: int = 1):
-        self.split = split
+    def __init__(self, coloring: Coloring, workers: int = 1):
+        self.coloring = coloring
         self.workers = workers
         self.counts = [0] * COLOR_COUNT
         self.witnesses: dict[int, CycleWitness] = {}
@@ -334,7 +327,7 @@ class _ClassSearch:
     def add(self, g: LayerSubgraph) -> None:
         from .detector import find_cycle_generic
 
-        for k, sub in enumerate(self.split(g)):
+        for k, sub in enumerate(_split_layer(g, self.coloring)):
             self.counts[k] += sum(map(int.bit_count, sub.edge_masks))
             best = self.witnesses.get(k)
             below = None if best is None else best.vertices[0]
@@ -361,7 +354,7 @@ def c10_pipeline(
 ) -> PipelineOutcome:
     """Score the densest C10-free color class of the union graph against
     c/12, splitting and searching one layer at a time."""
-    classes = _ClassSearch(_certificate_split(cert, union.n), workers)
+    classes = _ClassSearch(_certificate_coloring(cert, union.n), workers)
     for g in union.layers.values():
         classes.add(g)
     return classes.outcome(union.n)
@@ -402,7 +395,6 @@ def density_report_suite(
     seed: int,
     certificate: ColoringCertificate | None = None,
     max_trials: int = 512,
-    workers: int = 1,
     on_layer: Callable[[int, SearchResult], None] | None = None,
     coloring_rule: str | None = None,
 ) -> SuiteResult:
@@ -423,11 +415,11 @@ def density_report_suite(
     if certificate is not None and coloring_rule is not None:
         raise ValueError("give a coloring certificate or a coloring rule, not both")
     if certificate is not None:
-        classes = _ClassSearch(_certificate_split(certificate, n), workers)
+        classes = _ClassSearch(_certificate_coloring(certificate, n))
     elif coloring_rule is not None:
         if coloring_rule not in COLORING_RULES:
             raise ValueError(f"unknown coloring rule {coloring_rule!r}")
-        classes = _ClassSearch(COLORING_RULES[coloring_rule], workers)
+        classes = _ClassSearch(COLORING_RULES[coloring_rule](n))
     reports: list[DensityReport] = []
     assignments: dict[int, VectorAssignment] = {}
     trials: dict[int, int] = {}

@@ -59,6 +59,7 @@ def _report_lines(reports, fmt: str) -> str:
 def _cmd_construct(args) -> int:
     from . import bounds, construction
 
+    _require_positive("--trials", args.trials)
     try:
         result = construction.find_good_assignment(args.n, args.r, args.seed, args.trials)
     except construction.TrialsExhausted as exc:
@@ -145,20 +146,17 @@ def _layer_writer(out: Path, n: int):
 def _cmd_pipeline(args) -> int:
     from . import bounds
 
-    _require_positive("--workers", args.workers)
+    _require_positive("--trials", args.trials)
     certificate = None
     if args.coloring is not None:
         with Path(args.coloring).open() as stream:
             certificate = bounds.read_coloring(stream)
-        if certificate.n != args.n:
-            raise ValueError(f"certificate is for n={certificate.n}, union graph has n={args.n}")
     try:
         suite = bounds.density_report_suite(
             args.n,
             args.seed,
             certificate=certificate,
             max_trials=args.trials,
-            workers=args.workers,
             on_layer=None if args.out is None else _layer_writer(Path(args.out), args.n),
             coloring_rule=args.coloring_rule,
         )
@@ -252,7 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="color edge (x, x | 1<<j) by a rule; rank: |x & (2^j - 1)| mod 3",
     )
     p.add_argument("--trials", type=int, default=512)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", help="directory for assignment and layer artifacts")
     p.add_argument("--format", choices=("text", "csv"), default="csv")
     p.set_defaults(func=_cmd_pipeline)

@@ -39,6 +39,7 @@ canonical order always wins, so results do not depend on the worker count.
 
 from __future__ import annotations
 
+import os
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import chain
@@ -381,10 +382,10 @@ def _first_over_starts(
     """The first result of scan(graph, lo, hi, *args) that is not None, in
     start order, over the first count start vertices.  workers > 1 splits
     the starts into at most min(workers, count) ranges, scanned in a
-    process pool with one process per range; its module is imported here,
-    so a one-process run never loads it.  A range is taken only when every
-    range before it returned None, so a scan need only be right when no
-    start below its range has a result.
+    process pool of at most one process per range and per CPU; its module
+    is imported here, so a one-process run never loads it.  A range is
+    taken only when every range before it returned None, so a scan need
+    only be right when no start below its range has a result.
     """
     if not count:
         return None
@@ -394,7 +395,7 @@ def _first_over_starts(
 
     chunk = -(-count // workers)
     tasks = [(graph, lo, min(lo + chunk, count), *args) for lo in range(0, count, chunk)]
-    with ProcessPoolExecutor(max_workers=len(tasks)) as pool:
+    with ProcessPoolExecutor(max_workers=min(len(tasks), os.cpu_count() or 1)) as pool:
         # map takes one iterable per parameter of scan
         for found in pool.map(scan, *zip(*tasks)):
             if found is not None:

@@ -269,9 +269,10 @@ class TestClassGraphs:
                 rng = random.Random(n * 10 + seed)
                 random_cert = certificate(n, lambda base, coord: rng.randrange(3))
                 for cert in (random_cert, monochromatic_certificate(n)):
+                    coloring = bnd._certificate_coloring(cert, n)
                     for r, g in union.layers.items():
                         alone = UnionGraph(n, {r: g})
-                        assert bnd._split_layer(g, cert.colors) == explicit_class_graphs(alone, cert.colors)
+                        assert bnd._split_layer(g, coloring) == explicit_class_graphs(alone, cert.colors)
                     expected = explicit_class_graphs(union, cert.colors)
                     assert class_graphs(union, cert.colors) == expected
                     outcome = c10_pipeline(union, cert)
@@ -289,12 +290,12 @@ class TestClassGraphs:
         tables are cached."""
         n = 14
         union = density_report_suite(n, 0).union
-        colors = certificate(n, lambda base, coord: coord % 3).colors
+        coloring = bnd._certificate_coloring(certificate(n, lambda base, coord: coord % 3), n)
         for g in union.layers.values():
-            bnd._split_layer(g, colors)
+            bnd._split_layer(g, coloring)
             tracemalloc.start()
             try:
-                graphs = bnd._split_layer(g, colors)
+                graphs = bnd._split_layer(g, coloring)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
@@ -346,7 +347,7 @@ class TestLayerFold:
         union = density_report_suite(n, 1).union
         firsts = {}
         for r, g in union.layers.items():
-            witness = find_cycle_generic(bnd._split_layer(g, cert.colors)[0], 10)
+            witness = find_cycle_generic(bnd._split_layer(g, bnd._certificate_coloring(cert, n))[0], 10)
             if witness is not None:
                 firsts[r] = witness.vertices
         assert firsts[5][0] == 0x200B and firsts[7][0] == 0xE7
@@ -376,16 +377,23 @@ class TestLayerFold:
 
 
 class TestRankRule:
-    """pipeline --coloring-rule rank splits each layer by the rule straight
-    from its edge masks, where a certificate route splits it through the
-    rank certificate's bytes."""
+    """pipeline --coloring-rule rank splits each layer through the rule's
+    table of n colors, where a certificate route splits it through the rank
+    certificate's bytes."""
 
     @pytest.mark.parametrize("n", range(4, 17))
     def test_split_matches_the_certificate_split(self, n):
-        colors = rank_certificate(n).colors
+        """The rule split equals the split of the rank certificate, and, on
+        seed 0, the explicit class graphs of the oracle, which share no loop
+        with the library."""
+        cert = rank_certificate(n)
+        by_rule, by_cert = bnd.COLORING_RULES["rank"](n), bnd._certificate_coloring(cert, n)
         for seed in range(3):
-            for g in density_report_suite(n, seed).union.layers.values():
-                assert bnd._split_by_rank(g) == bnd._split_layer(g, colors), (seed, g.layer)
+            for r, g in density_report_suite(n, seed).union.layers.items():
+                split = bnd._split_layer(g, by_rule)
+                assert split == bnd._split_layer(g, by_cert), (seed, g.layer)
+                if seed == 0:
+                    assert split == explicit_class_graphs(UnionGraph(n, {r: g}), cert.colors), g.layer
 
     def test_suite_matches_the_certificate_suite(self):
         for n in (6, 9, 12):

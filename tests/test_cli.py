@@ -264,8 +264,9 @@ class TestPipeline:
             ),
             (["--budget", "10"], "qturan: error: unrecognized arguments: --budget 10\n"),
             (["--coloring-rule", "mod3"], "qturan pipeline: error: argument --coloring-rule: invalid choice: 'mod3'"),
+            (["--workers", "2"], "qturan: error: unrecognized arguments: --workers 2\n"),
         ],
-        ids=["coloring and rule", "budget", "unknown rule"],
+        ids=["coloring and rule", "budget", "unknown rule", "workers"],
     )
     def test_coloring_usage_errors(self, capsys, extra, message):
         with pytest.raises(SystemExit) as info:
@@ -420,36 +421,43 @@ class TestStats:
 
 
 @pytest.mark.parametrize("workers", ["0", "-3"])
-@pytest.mark.parametrize("command", ["verify", "pipeline"])
+@pytest.mark.parametrize("command", ["verify"])
 def test_workers_below_one_is_usage_error(tmp_path, capsys, command, workers):
     path = tmp_path / "layer.txt"
     path.write_text(full_layer_text(4, 1))
-    argv = [command, str(path), "--target", "c6"] if command == "verify" else [command, "--n", "4"]
-    code, out, err = run([*argv, "--workers", workers], capsys)
+    code, out, err = run([command, str(path), "--target", "c6", "--workers", workers], capsys)
     assert (code, out) == (2, "")
     assert err == f"error: --workers must be >= 1, got {workers}\n"
 
 
+@pytest.mark.parametrize("trials", ["0", "-5"])
+@pytest.mark.parametrize("command", ["construct", "pipeline"])
+def test_trials_below_one_is_usage_error(tmp_path, capsys, command, trials):
+    """Named by its flag, as stats names it, before any search or file."""
+    out_dir = tmp_path / "out"
+    argv = [command, "--n", "4", "--r", "2"] if command == "construct" else [command, "--n", "4"]
+    code, out, err = run([*argv, "--trials", trials, "--out", str(out_dir)], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: --trials must be >= 1, got {trials}\n"
+    assert not out_dir.exists()
+
+
 class TestWorkersDefault:
-    """One process by default: at n=16 a whole search is shorter than a
-    pool's start-up."""
+    """verify runs in one process by default: at n=16 a whole search is
+    shorter than a pool's start-up."""
 
     def workers(self):
-        parser = cli.build_parser()
-        return [
-            parser.parse_args(["verify", "x", "--target", "c6"]).workers,
-            parser.parse_args(["pipeline", "--n", "4"]).workers,
-        ]
+        return cli.build_parser().parse_args(["verify", "x", "--target", "c6"]).workers
 
     def test_ignores_cpu_affinity(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 8)
-        assert self.workers() == [1, 1]
+        assert self.workers() == 1
 
     def test_ignores_cpu_count(self, monkeypatch):
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 5)
-        assert self.workers() == [1, 1]
+        assert self.workers() == 1
 
 
 class TestDeterminism:

@@ -1,4 +1,5 @@
 import concurrent.futures
+import os
 import random
 import tracemalloc
 from functools import lru_cache
@@ -700,6 +701,18 @@ class TestC6MinusReduction:
         assert find_c6_minus(g, workers=64) == expected
         assert find_cycle_generic(g, 4, workers=64) == find_cycle_generic(g, 4)
         assert pool_sizes and max(pool_sizes) <= 6
+
+    @pytest.mark.parametrize("cpus, cap", [(2, 2), (None, 1)], ids=["two CPUs", "unknown"])
+    def test_pool_has_at_most_one_process_per_cpu(self, pool_sizes, monkeypatch, cpus, cap):
+        """Four ranges in a pool of at most os.cpu_count() processes, one
+        when the count is unknown, still fold in order."""
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        rng = random.Random(2205)
+        for g in [random_cube_subgraph(rng) for _ in range(100)]:
+            count = len(g.vertices)
+            expected = first_c6_minus_dfs(g, 0, count)
+            assert _first_over_starts(_first_c6_minus_in_range, g, count, 4) == expected
+        assert pool_sizes and max(pool_sizes) == cap
 
 
 class TestFindC6Structured:

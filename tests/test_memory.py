@@ -13,13 +13,13 @@ find nothing to free.
 import gc
 import io
 import tracemalloc
-from functools import partial
 
 import pytest
 
 from qturan.bounds import (
+    COLORING_RULES,
     ColoringCertificate,
-    _split_by_rank,
+    _certificate_coloring,
     _split_layer,
     c10_pipeline,
     density_report_suite,
@@ -111,15 +111,15 @@ def test_one_layer_sets_the_peak():
     n = 14
     cert = mod3_certificate(n)
     routes = {
-        "mod-3 certificate": (partial(_split_layer, colors=cert.colors), {"certificate": cert}),
-        "rank rule": (_split_by_rank, {"coloring_rule": "rank"}),
+        "mod-3 certificate": (_certificate_coloring(cert, n), {"certificate": cert}),
+        "rank rule": (COLORING_RULES["rank"](n), {"coloring_rule": "rank"}),
     }
-    for name, (split, coloring) in routes.items():
+    for name, (split_by, coloring) in routes.items():
         suite = density_report_suite(n, 0, **coloring)
         largest = max(suite.assignments.values(), key=lambda a: edge_count(build_layer_graph(a)))
 
         def one_layer():
-            for sub in split(build_layer_graph(largest)):
+            for sub in _split_layer(build_layer_graph(largest), split_by):
                 find_cycle_generic(sub, 10)
 
         one_layer()
