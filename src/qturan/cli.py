@@ -65,21 +65,13 @@ def _cmd_construct(args) -> int:
     except construction.TrialsExhausted as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_EXHAUSTED
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    assignment_path = out / f"assignment_n{args.n}_r{args.r}.txt"
-    layer_path = out / f"layer_n{args.n}_r{args.r}.txt"
-    assignment_path.write_text(construction.format_assignment(result.assignment))
-    with layer_path.open("w") as stream:
-        stream.writelines(cube.layer_graph_text(result.graph))
+    assignment_path, layer_path = _layer_writer(Path(args.out), args.n)(args.r, result)
     layer = cube.LayerId(args.n, args.r)
     report = bounds.make_report(
         args.n, args.r, "layer", result.edges, cube.layer_edge_count(layer), "c/2"
     )
     sys.stdout.write(_report_lines([report], args.format))
-    sys.stderr.write(
-        f"wrote {assignment_path} and {layer_path} after {result.trials} trial(s)\n"
-    )
+    sys.stderr.write(f"wrote {assignment_path} and {layer_path} after {result.trials} trial(s)\n")
     return EXIT_FREE if report.passed else EXIT_WITNESS
 
 
@@ -130,15 +122,19 @@ def _cmd_verify(args) -> int:
 
 
 def _layer_writer(out: Path, n: int):
-    """The on_layer callback of pipeline --out: the layer's assignment and
-    layer files, written as the suite passes the layer."""
+    """Writes a layer's assignment and layer files into out and returns
+    their paths: the on_layer callback of pipeline --out, and the writer of
+    construct."""
     from .construction import format_assignment
 
-    def write(r: int, found: SearchResult) -> None:
+    def write(r: int, found: SearchResult) -> tuple[Path, Path]:
         out.mkdir(parents=True, exist_ok=True)
-        (out / f"assignment_n{n}_r{r}.txt").write_text(format_assignment(found.assignment))
-        with (out / f"layer_n{n}_r{r}.txt").open("w") as stream:
+        assignment_path = out / f"assignment_n{n}_r{r}.txt"
+        layer_path = out / f"layer_n{n}_r{r}.txt"
+        assignment_path.write_text(format_assignment(found.assignment))
+        with layer_path.open("w") as stream:
             stream.writelines(cube.layer_graph_text(found.graph))
+        return assignment_path, layer_path
 
     return write
 

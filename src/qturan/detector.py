@@ -380,22 +380,23 @@ def _first_over_starts(
     *args: int,
 ) -> tuple[int, ...] | None:
     """The first result of scan(graph, lo, hi, *args) that is not None, in
-    start order, over the first count start vertices.  workers > 1 splits
-    the starts into at most min(workers, count) ranges, scanned in a
-    process pool of at most one process per range and per CPU; its module
-    is imported here, so a one-process run never loads it.  A range is
-    taken only when every range before it returned None, so a scan need
-    only be right when no start below its range has a result.
+    start order, over the first count start vertices, split into at most
+    min(workers, count, CPUs) ranges (one when the CPU count is unknown).
+    More than one range is scanned in a pool of one process per range,
+    whose module is imported here, so a one-process run never loads it.  A
+    range is taken only when every range before it returned None, so a
+    scan need only be right when no start below its range has a result.
     """
     if not count:
         return None
+    workers = min(workers, count, os.cpu_count() or 1)
     if workers <= 1:
         return scan(graph, 0, count, *args)
     from concurrent.futures import ProcessPoolExecutor
 
     chunk = -(-count // workers)
     tasks = [(graph, lo, min(lo + chunk, count), *args) for lo in range(0, count, chunk)]
-    with ProcessPoolExecutor(max_workers=min(len(tasks), os.cpu_count() or 1)) as pool:
+    with ProcessPoolExecutor(max_workers=len(tasks)) as pool:
         # map takes one iterable per parameter of scan
         for found in pool.map(scan, *zip(*tasks)):
             if found is not None:

@@ -12,7 +12,6 @@ import pytest
 
 from qturan.bounds import c10_pipeline, density_report_suite, monochromatic_certificate
 from qturan.construction import (
-    LayerSubgraph,
     build_layer_graph,
     constant_c,
     constant_c_enclosure,
@@ -22,7 +21,7 @@ from qturan.construction import (
     member_upper,
     sample_assignment,
 )
-from qturan.cube import LayerId, cube_edge_count, layer_edge_count, layer_vertices
+from qturan.cube import LayerId, LayerSubgraph, cube_edge_count, layer_edge_count, layer_vertices
 from qturan.detector import (
     CubeSubgraph,
     find_c6_minus,

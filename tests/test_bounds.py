@@ -26,15 +26,21 @@ from qturan.bounds import (
     verify_coloring,
 )
 from qturan.construction import (
-    LayerSubgraph,
     UnionGraph,
     constant_c_enclosure,
     derive_seed,
-    edge_count,
     sample_assignment,
     union_odd_layers,
 )
-from qturan.cube import CapacityError, LayerId, cube_edge_count, cube_edges, layer_vertices
+from qturan.cube import (
+    CapacityError,
+    LayerId,
+    LayerSubgraph,
+    cube_edge_count,
+    cube_edges,
+    edge_count,
+    layer_vertices,
+)
 from qturan.detector import find_cycle_generic
 
 from oracles import (

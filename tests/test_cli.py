@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 
 from qturan import bounds, cli, construction, cube
 from qturan.bounds import format_coloring, monochromatic_certificate
-from qturan.construction import LayerSubgraph, format_layer_graph
-from qturan.cube import LayerId, layer_vertices
+from qturan.cube import LayerId, LayerSubgraph, format_layer_graph, layer_vertices
 
 from oracles import rank_certificate
 from test_detector import planted_graph, ring

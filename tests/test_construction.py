@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from qturan import construction as con
 from qturan import cube
 from qturan.construction import (
-    LayerSubgraph,
     TrialsExhausted,
     UnionGraph,
     VectorAssignment,
@@ -19,28 +18,29 @@ from qturan.construction import (
     constant_c,
     constant_c_enclosure,
     derive_seed,
-    edge_count,
-    edge_pairs,
     edge_probability_closed_form,
     find_good_assignment,
     format_assignment,
-    format_layer_graph,
-    layer_graph_text,
     member_lower,
     member_upper,
     multiset_of,
     parse_assignment,
-    parse_layer_graph,
     sample_assignment,
     union_odd_layers,
 )
 from qturan.cube import (
     CapacityError,
     LayerId,
+    LayerSubgraph,
     bit_indices,
     cube_edge_count,
+    edge_count,
+    edge_pairs,
+    format_layer_graph,
     layer_edge_count,
+    layer_graph_text,
     layer_vertices,
+    parse_layer_graph,
 )
 from qturan.gf2 import GF2Vec, parity_check_columns
 

@@ -2,22 +2,22 @@ import concurrent.futures
 import os
 import random
 import tracemalloc
+from collections import Counter
 from functools import lru_cache
+from itertools import combinations, product
 
 import pytest
 
 from qturan import cube
-from qturan.bounds import density_report_suite
+from qturan.bounds import COLORING_RULES, density_report_suite
 from qturan.construction import (
-    LayerSubgraph,
     VectorAssignment,
     build_layer_graph,
     derive_seed,
-    edge_pairs,
     sample_assignment,
     union_odd_layers,
 )
-from qturan.cube import LayerId
+from qturan.cube import LayerId, LayerSubgraph, edge_pairs
 from qturan.detector import (
     C6Obstruction,
     CubeSubgraph,
@@ -38,7 +38,7 @@ from qturan.detector import (
     _first_over_starts,
     _neighbor_map,
 )
-from qturan.gf2 import GF2Vec
+from qturan.gf2 import GF2Vec, rank_bits
 
 from oracles import (
     class_graphs,
@@ -144,13 +144,9 @@ class TestCubeSubgraph:
         sub = subgraph_of_layer(g)
         assert set(sub.vertices) == set(g.lower) | set(g.upper)
         # induced edges inside a layer are exactly the inclusion pairs
-        from qturan.construction import edge_pairs
-
         assert sorted(sub.edge_list()) == sorted(edge_pairs(g))
 
     def test_subgraph_of_union(self):
-        from qturan.construction import edge_pairs
-
         u = union_odd_layers(
             5, {r: sample_assignment(5, r, derive_seed(3, r)) for r in (1, 3, 5)}
         )
@@ -585,14 +581,15 @@ class TestFindC6Minus:
 
 
 @pytest.fixture
-def pool_sizes(monkeypatch):
+def pools(monkeypatch):
     """Replaces ProcessPoolExecutor by a pool that maps in this process, so
-    no worker starts; returns the list of the max_workers it was given."""
-    sizes = []
+    no worker starts; returns the list of (max_workers, ranges mapped), one
+    pair per pool."""
+    started = []
 
     class SerialPool:
         def __init__(self, max_workers):
-            sizes.append(max_workers)
+            self.max_workers = max_workers
 
         def __enter__(self):
             return self
@@ -601,10 +598,12 @@ def pool_sizes(monkeypatch):
             return False
 
         def map(self, fn, *iterables):
-            return map(fn, *iterables)
+            tasks = list(zip(*iterables))
+            started.append((self.max_workers, len(tasks)))
+            return (fn(*task) for task in tasks)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-    return sizes
+    return started
 
 
 def q3_edge_subsets():
@@ -631,9 +630,10 @@ class TestC6MinusReduction:
     """A start whose ends are all joined to it is decided by the C6 test;
     the C6- scan still returns the DFS's first path."""
 
-    def test_ranges_folded_in_order_match_the_dfs(self, pool_sizes):
+    def test_ranges_folded_in_order_match_the_dfs(self, pools, monkeypatch):
         """The starts split into k = 1..4 ranges, scanned in order and the
         first result taken, as _first_over_starts does."""
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
         rng = random.Random(8019)
         graphs = list(q3_edge_subsets())
         graphs += [random_cube_subgraph(rng) for _ in range(300)]
@@ -645,6 +645,7 @@ class TestC6MinusReduction:
                 assert _first_over_starts(_first_c6_minus_in_range, g, count, k) == expected
             outcomes.add(expected is None)
         assert outcomes == {False, True}
+        assert {ranges for _, ranges in pools} == {2, 3, 4}
 
     def test_induced_graphs_have_a_path_exactly_when_they_have_a_c6(self):
         """Seeded layers n <= 12, full layers of Q_n n <= 7 and every induced
@@ -695,24 +696,30 @@ class TestC6MinusReduction:
                 outcomes.add((graph is g, expected is None))
         assert outcomes == {(True, True), (True, False), (False, True), (False, False)}
 
-    def test_pool_has_at_most_one_process_per_range(self, pool_sizes):
+    def test_pool_has_at_most_one_process_per_range(self, pools, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
         g = CubeSubgraph.induced(3, [0, 1, 2, 3, 4, 5])
         expected = find_c6_minus(g)
         assert find_c6_minus(g, workers=64) == expected
         assert find_cycle_generic(g, 4, workers=64) == find_cycle_generic(g, 4)
-        assert pool_sizes and max(pool_sizes) <= 6
+        assert pools == [(6, 6), (6, 6)]
 
-    @pytest.mark.parametrize("cpus, cap", [(2, 2), (None, 1)], ids=["two CPUs", "unknown"])
-    def test_pool_has_at_most_one_process_per_cpu(self, pool_sizes, monkeypatch, cpus, cap):
-        """Four ranges in a pool of at most os.cpu_count() processes, one
-        when the count is unknown, still fold in order."""
+    @pytest.mark.parametrize("cpus", [2, 8, None], ids=["two CPUs", "eight CPUs", "unknown"])
+    def test_pool_has_at_most_one_process_per_cpu(self, pools, monkeypatch, cpus):
+        """Four workers cut the starts into min(4, CPUs) ranges, one process
+        per range, and still fold in order; with the CPU count unknown no
+        pool starts."""
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         rng = random.Random(2205)
         for g in [random_cube_subgraph(rng) for _ in range(100)]:
             count = len(g.vertices)
             expected = first_c6_minus_dfs(g, 0, count)
             assert _first_over_starts(_first_c6_minus_in_range, g, count, 4) == expected
-        assert pool_sizes and max(pool_sizes) == cap
+        if cpus is None:
+            assert pools == []
+        else:
+            assert pools and all(size == ranges for size, ranges in pools)
+            assert max(ranges for _, ranges in pools) == min(4, cpus)
 
 
 class TestFindC6Structured:
@@ -850,9 +857,10 @@ def test_c10_of_an_uncolored_layer_has_the_reduced_shape():
       the vectors of S in F_2^r / span(K), which is F_2^(t+1);
     - with t = 1, each lower vertex K + {a} needs v'_a outside {0, anchor'},
       two values of F_2^2, and each upper K + {a, b} needs v'_a != v'_b, so
-      the five lower vertices would properly 2-color a 5-cycle; t = 3
-      should follow through the dual code, and a finite check over every
-      draw keeps no C10 with t = 1 or t = 3;
+      the five lower vertices would properly 2-color a 5-cycle; with t = 3
+      the five upper vertices make v'_S a circuit of F_2^4, and the anchor
+      avoids the span of each lower vertex only if the coefficients of
+      anchor' = sum of alpha_i v'_i properly 2-color a 5-cycle (README);
     - so a C10 that a layer keeps has t = 2, and the rank color of
       (K + T, j) is (|K & [0, j)| + |T & [0, j)|) mod 3: K enters only as
       one offset in Z_3 per coordinate of S.
@@ -881,3 +889,107 @@ def test_c10_of_an_uncolored_layer_has_the_reduced_shape():
         ))
     assert shapes == {((2, 2, 2, 2, 2), 1, frozenset({2, 3}))}
     assert (found, len(layers) - found) == (59, 73)
+
+
+# The vertices of levels 2 and 3 of Q_5 as masks over the coordinates
+# {0..4} of S: the ten 2-subsets, then the ten 3-subsets.
+Q5_LEVELS = [sum(1 << i for i in c) for size in (2, 3) for c in combinations(range(5), size)]
+
+
+@lru_cache(maxsize=None)
+def c10_shapes():
+    """Every C10 of levels 2-3 of Q_5, as the sorted tuple of its ten
+    edges (T, j): the lower vertex T and the coordinate j that lifts it."""
+    cycles = set()
+
+    def extend(path):
+        if len(path) == 10:
+            if (path[0] ^ path[-1]).bit_count() == 1:
+                ends = zip(path, path[1:] + path[:1])
+                cycles.add(tuple(sorted((min(e), (e[0] ^ e[1]).bit_length() - 1) for e in ends)))
+            return
+        for w in Q5_LEVELS:
+            if (w ^ path[-1]).bit_count() == 1 and w > path[0] and w not in path:
+                extend(path + [w])
+
+    for v in Q5_LEVELS:
+        extend([v])
+    return sorted(cycles)
+
+
+@lru_cache(maxsize=None)
+def surviving_vertices():
+    """The draws of nonzero images v'_0..v'_4 in F_2^3, with the anchor's
+    image e_0, counted by the mask of the Q5_LEVELS vertices that survive:
+    an upper T needs v'_T to be a basis, a lower T needs e_0 and v'_T to be
+    one.  A zero image would kill every vertex that holds its coordinate."""
+    basis = {vs: rank_bits(vs) == 3 for vs in product(range(8), repeat=3)}
+    coordinates = [(1 << b, tuple(cube.bit_indices(t))) for b, t in enumerate(Q5_LEVELS)]
+    counts = Counter()
+    for v in product(range(1, 8), repeat=5):
+        alive = 0
+        for bit, at in coordinates:
+            images = tuple(v[i] for i in at)
+            if basis[images if len(images) == 3 else (1, *images)]:
+                alive |= bit
+        counts[alive] += 1
+    return counts
+
+
+def one_color_shapes(coloring_of):
+    """The shapes of c10_shapes() whose ten edges get one color under at
+    least one of the 3^5 offsets.  Offset o is realized by a concrete K:
+    c_i = o_i + 3i elements of K below the i-th coordinate s_i of S and
+    none above s_4, so s_i = o_i + 4i.  coloring_of(n) is a bounds Coloring
+    of E(Q_n)."""
+    shapes = c10_shapes()
+    found = set()
+    for o in product(range(3), repeat=5):
+        s = [o_i + 4 * i for i, o_i in enumerate(o)]
+        n = s[-1] + 1
+        k = (1 << n) - 1 - sum(1 << p for p in s)
+        colors, offset = coloring_of(n)
+        edge_color = {}
+        for t in Q5_LEVELS[:10]:
+            start, y = offset(k | sum(1 << s[i] for i in cube.bit_indices(t)))
+            for j in set(range(5)) - set(cube.bit_indices(t)):
+                edge_color[t, j] = colors[start + (y & ((1 << s[j]) - 1)).bit_count()]
+        found.update(shape for shape in shapes if len({edge_color[e] for e in shape}) == 1)
+    return found
+
+
+def draws_keeping_one(shapes):
+    """How many draws keep all ten vertices of at least one of the shapes."""
+    masks = [
+        sum(1 << Q5_LEVELS.index(w) for w in {u for t, j in shape for u in (t, t | 1 << j)})
+        for shape in shapes
+    ]
+    return sum(count for alive, count in surviving_vertices().items() if any(m & ~alive == 0 for m in masks))
+
+
+# Two rules that fail, as Colorings: edge (x, x | 1 << j) gets j mod 3 and
+# |x| mod 3.
+CONTROL_RULES = {
+    "j mod 3": lambda n: (bytes(i % 3 for i in range(n + 1)), lambda x: (0, -1)),
+    "|x| mod 3": lambda n: (bytes(i % 3 for i in range(n + 1)), lambda x: (x.bit_count(), 0)),
+}
+
+
+class TestRankRuleC10Obstruction:
+    """The finite half of the rank rule's proof.  By the reduction of
+    test_c10_of_an_uncolored_layer_has_the_reduced_shape, a C10 that a layer
+    keeps has t = 2: it is one of the C10s of levels 2-3 of Q_5 on S, K
+    enters its colors only as one offset in Z_3 per coordinate of S, and
+    its survival only through the images of the anchor and of v_S in
+    F_2^r / span(v_K) = F_2^3, where the anchor's image can be taken as
+    e_0.  So no rank class of any layer of any draw holds a C10 once no
+    shape that is one color under some offset survives any draw."""
+
+    def test_no_one_color_c10_survives_a_draw(self):
+        shapes = one_color_shapes(COLORING_RULES["rank"])
+        assert (len(c10_shapes()), len(shapes), draws_keeping_one(shapes)) == (132, 4, 0)
+
+    @pytest.mark.parametrize("rule", CONTROL_RULES)
+    def test_a_failing_rule_keeps_one(self, rule):
+        shapes = one_color_shapes(CONTROL_RULES[rule])
+        assert (len(shapes), draws_keeping_one(shapes)) == (132, 720)

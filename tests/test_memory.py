@@ -26,15 +26,8 @@ from qturan.bounds import (
     format_coloring,
     read_coloring,
 )
-from qturan.construction import (
-    build_layer_graph,
-    edge_count,
-    find_good_assignment,
-    format_layer_graph,
-    layer_graph_text,
-    parse_layer_graph,
-    sample_assignment,
-)
+from qturan.construction import build_layer_graph, find_good_assignment, sample_assignment
+from qturan.cube import edge_count, format_layer_graph, layer_graph_text, parse_layer_graph
 from qturan.detector import find_c6_minus, find_cycle_generic
 
 from oracles import subgraph_of_union
