@@ -41,7 +41,6 @@ piece.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import accumulate, chain
@@ -59,6 +58,7 @@ from .construction import (
     union_odd_layers,
 )
 from .cube import LayerId, LayerSubgraph, cube_edge_count
+from .record import Record
 
 if TYPE_CHECKING:
     from .detector import CubeSubgraph, CycleWitness
@@ -127,8 +127,7 @@ def edge_slot(n: int, base: int, coord: int) -> int:
     return _first_slot(n, base) + _rank(base, coord)
 
 
-@dataclass(frozen=True)
-class ColoringCertificate:
+class ColoringCertificate(Record):
     """A 3-coloring of E(Q_n): colors[i] is the color of the i-th edge of
     cube.cube_edges(n), which edge_slot numbers, or UNSET where the input
     left that edge out.
@@ -178,8 +177,7 @@ def verify_coloring(cert: ColoringCertificate) -> bool:
     return not coloring_problems(cert, limit=1)
 
 
-@dataclass(frozen=True)
-class DensityReport:
+class DensityReport(Record):
     """Exact density of an achieved subgraph against one of the c-bounds."""
 
     n: int
@@ -231,8 +229,7 @@ def reports_to_csv(reports: list[DensityReport]) -> str:
 # The C10 pipeline
 
 
-@dataclass(frozen=True)
-class PipelineOutcome:
+class PipelineOutcome(Record):
     """Result of splitting a union graph into its color classes.
 
     success means at least one class is C10-free; best_class is then the
@@ -364,8 +361,7 @@ def c10_pipeline(
 # The full report suite
 
 
-@dataclass(frozen=True)
-class SuiteResult:
+class SuiteResult(Record):
     """What density_report_suite keeps: the reports, and each layer's
     assignment and trials.  union is rebuilt from the assignments on each
     access, since the suite holds one layer graph at a time."""

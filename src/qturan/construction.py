@@ -17,7 +17,6 @@ floats appear only in Monte Carlo summaries.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import ceil, floor
@@ -34,6 +33,7 @@ from .cube import (
     parse_layer_graph,
 )
 from .gf2 import GF2Vec, parity_check_columns, rank_bits, sample_nonzero
+from .record import Record
 
 __all__ = [
     "VectorAssignment",
@@ -80,8 +80,7 @@ def derive_seed(seed: int, index: int) -> int:
     return x
 
 
-@dataclass(frozen=True)
-class VectorAssignment:
+class VectorAssignment(Record):
     """One vector per hypercube coordinate, plus the fixed lower-side anchor.
 
     All vectors are nonzero elements of F_2^r.  The anchor is the extra
@@ -147,8 +146,7 @@ def _dual_graph(layer: LayerId, dual_lower: list[int], dual_masks: list[int]) ->
     return LayerSubgraph(layer, tuple(lower), upper, masks)
 
 
-@dataclass(frozen=True)
-class UnionGraph:
+class UnionGraph(Record):
     """Disjoint union of layer subgraphs over odd layer indices."""
 
     n: int
@@ -402,8 +400,7 @@ def constant_c_enclosure(
     return lo, hi
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(Record):
     """A sampled assignment whose graph beat the density threshold."""
 
     assignment: VectorAssignment

@@ -23,11 +23,12 @@ edge list followed by a '# layer r=<r>' line and the '# lower' and
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from itertools import chain
 from math import comb
 from operator import ne
 from typing import Container, Iterable, Iterator
+
+from .record import Record
 
 __all__ = [
     "CapacityError",
@@ -81,8 +82,7 @@ def require_capacity(n: int) -> None:
         raise CapacityError(f"enumeration over n={n} exceeds cap {cap}")
 
 
-@dataclass(frozen=True)
-class LayerId:
+class LayerId(Record):
     """Layer r of Q_n: the edges between (r-1)-subsets and r-subsets."""
 
     n: int
@@ -228,8 +228,7 @@ def parse_edge_list(text: str) -> tuple[int, list[tuple[int, int]]]:
 # Layer graphs and the layer file
 
 
-@dataclass(frozen=True)
-class LayerSubgraph:
+class LayerSubgraph(Record):
     """Induced subgraph of a layer: the surviving lower vertices in
     increasing mask order, each with the mask of its edge coordinates.
 
@@ -237,8 +236,8 @@ class LayerSubgraph:
     an edge, so the edges come straight from the masks in (lower, upper)
     order, with no set lookup.  upper is the surviving upper side in
     increasing order; it may hold vertices without an edge.  induced checks
-    the two sides and derives the masks; the dataclass constructor trusts
-    its fields.
+    the two sides and derives the masks; the Record constructor trusts its
+    fields.
     """
 
     layer: LayerId

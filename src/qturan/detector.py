@@ -41,16 +41,16 @@ from __future__ import annotations
 
 import os
 from bisect import bisect_left
-from dataclasses import dataclass
 from itertools import chain
 from typing import TYPE_CHECKING, Callable, Iterable
 
 from . import cube
 from .cube import LayerSubgraph, bit_indices, upward_edges, upward_masks
-from .gf2 import GF2Vec, quotient_image, rank_bits
+from .record import Record
 
 if TYPE_CHECKING:
     from .construction import VectorAssignment
+    from .gf2 import GF2Vec
 
 __all__ = [
     "CubeSubgraph",
@@ -67,15 +67,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CubeSubgraph:
+class CubeSubgraph(Record):
     """A subgraph of Q_n: sorted vertex masks, each with the mask of the
     coordinates of its edges upward.
 
     edge_masks is aligned with vertices: bit j of edge_masks[i] is set
     exactly when (vertices[i], vertices[i] | 1 << j) is an edge, the layout
     of LayerSubgraph.edge_masks.  induced and explicit check their input
-    and derive the masks once; the dataclass constructor trusts them.
+    and derive the masks once; the Record constructor trusts them.
     """
 
     n: int
@@ -132,8 +131,7 @@ def subgraph_of_layer(g: LayerSubgraph) -> CubeSubgraph:
     )
 
 
-@dataclass(frozen=True)
-class CycleWitness:
+class CycleWitness(Record):
     """A closed walk through distinct, consecutively adjacent vertices."""
 
     vertices: tuple[int, ...]
@@ -154,8 +152,7 @@ class CycleWitness:
         return len(self.vertices)
 
 
-@dataclass(frozen=True)
-class PathWitness:
+class PathWitness(Record):
     """A 5-edge path whose endpoints sit at Hamming distance 1."""
 
     vertices: tuple[int, ...]
@@ -172,8 +169,7 @@ class PathWitness:
             raise ValueError("path endpoints must differ in exactly one coordinate")
 
 
-@dataclass(frozen=True)
-class SubcubePattern:
+class SubcubePattern(Record):
     """Middle layer of a 3-cube: a shared core subset plus three axis elements.
 
     The six implied vertices are core+{a}, core+{b}, core+{c} on the lower
@@ -205,8 +201,7 @@ class SubcubePattern:
         )
 
 
-@dataclass(frozen=True)
-class C6Obstruction:
+class C6Obstruction(Record):
     """Which membership condition of a subcube pattern fails for an assignment.
 
     failed_conditions is empty only when every condition holds, in which
@@ -500,6 +495,8 @@ def explain_c6_impossibility(a: VectorAssignment, pattern: SubcubePattern) -> C6
     elements of a 2-dimensional space; the report flags that contradiction,
     which no assignment can reach.
     """
+    from .gf2 import quotient_image, rank_bits
+
     core_elems = bit_indices(pattern.core)
     if len(core_elems) != a.r - 2:
         raise ValueError(

@@ -8,8 +8,9 @@ is plain word XOR.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Iterable
+
+from .record import Record
 
 MAX_DIM = 64
 
@@ -26,8 +27,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class GF2Vec:
+class GF2Vec(Record):
     """An element of F_2^dim.  Bits at positions >= dim must be zero."""
 
     bits: int

@@ -4,7 +4,8 @@ Every private function, class and method of the package is read somewhere
 in the package outside its own definition.  Every name a module of the
 package exports in __all__ exists in it, and is not one it imports from
 another module of the package.  Each CLI subcommand loads only the package
-modules it runs, and the package root loads none and serves no names."""
+modules it runs, and no dataclasses, and the package root loads none and
+serves no names."""
 
 import ast
 import importlib
@@ -193,12 +194,12 @@ def test_the_root_serves_no_names():
 
 
 # A fresh interpreter runs cli.main on its arguments and prints, last, the
-# qturan modules it loaded.
+# exit code, whether dataclasses was loaded, and the qturan modules it loaded.
 FOOTPRINT = (
     "import sys\n"
     "from qturan import cli\n"
     "code = cli.main(sys.argv[1:])\n"
-    "print(code, *sorted(m for m in sys.modules if m.split('.')[0] == 'qturan'))\n"
+    "print(code, 'dataclasses' in sys.modules, *sorted(m for m in sys.modules if m.split('.')[0] == 'qturan'))\n"
 )
 
 
@@ -207,8 +208,8 @@ def loaded_modules(*argv, cwd):
     proc = subprocess.run(
         [sys.executable, "-c", FOOTPRINT, *argv], env=env, cwd=cwd, capture_output=True, text=True, check=True
     )
-    code, *modules = proc.stdout.splitlines()[-1].split()
-    return int(code), {m.removeprefix("qturan.") for m in modules}
+    code, dataclasses, *modules = proc.stdout.splitlines()[-1].split()
+    return int(code), dataclasses == "True", {m.removeprefix("qturan.") for m in modules}
 
 
 @pytest.fixture(scope="module")
@@ -224,15 +225,15 @@ def cli_inputs(tmp_path_factory):
     return work
 
 
-ROOT_AND_CLI = {"qturan", "cli", "cube"}
+ROOT_AND_CLI = {"qturan", "cli", "cube", "record"}
 SAMPLER = {"gf2", "construction"}
 
 
 @pytest.mark.parametrize(
     "argv, modules",
     [
-        (["verify", "layer.txt", "--target", "c6"], {"gf2", "detector"}),
-        (["verify", "edges.txt", "--target", "c10"], {"gf2", "detector"}),
+        (["verify", "layer.txt", "--target", "c6"], {"detector"}),
+        (["verify", "edges.txt", "--target", "c10"], {"detector"}),
         (["construct", "--n", "6", "--r", "3", "--out", "out"], SAMPLER | {"bounds"}),
         (["pipeline", "--n", "6"], SAMPLER | {"bounds"}),
         (["pipeline", "--n", "6", "--coloring-rule", "rank"], SAMPLER | {"bounds", "detector"}),
@@ -242,9 +243,10 @@ SAMPLER = {"gf2", "construction"}
     ids=["verify layer", "verify edges", "construct", "pipeline", "pipeline rank", "pipeline coloring", "stats"],
 )
 def test_a_subcommand_loads_only_what_it_runs(cli_inputs, argv, modules):
-    code, loaded = loaded_modules(*argv, cwd=cli_inputs)
+    code, dataclasses, loaded = loaded_modules(*argv, cwd=cli_inputs)
     assert code in (0, 1)
     assert loaded == ROOT_AND_CLI | modules
+    assert not dataclasses
 
 
 def test_importing_the_package_loads_no_submodule(tmp_path):
