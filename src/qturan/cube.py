@@ -23,10 +23,11 @@ edge list followed by a '# layer r=<r>' line and the '# lower' and
 from __future__ import annotations
 
 import os
+from functools import reduce
 from itertools import chain
 from math import comb
-from operator import ne
-from typing import Container, Iterable, Iterator
+from operator import ne, or_
+from typing import Collection, Iterable, Iterator
 
 from .record import Record
 
@@ -160,12 +161,13 @@ def cube_edges(n: int) -> Iterator[tuple[int, int]]:
                 yield x, x | (1 << j)
 
 
-def upward_masks(n: int, vertices: Iterable[int], present: Container[int]) -> list[int]:
+def upward_masks(vertices: Iterable[int], present: Collection[int]) -> list[int]:
     """For each vertex x, the mask of the coordinates j outside x with
-    x | 1 << j in present."""
-    full, masks = (1 << n) - 1, []
+    x | 1 << j in present.  Only the coordinates that some member of
+    present holds are probed, so the cost does not grow with n."""
+    used, masks = reduce(or_, present, 0), []
     for x in vertices:
-        free, m = full ^ x, 0
+        free, m = used & ~x, 0
         while free:
             bit = free & -free
             free ^= bit
@@ -258,7 +260,7 @@ class LayerSubgraph(Record):
             if y >> n or y.bit_count() != r:
                 raise ValueError(f"upper vertex 0x{y:x} is not an r-subset of [{n}]")
         lows = tuple(sorted(lower))
-        return cls(layer, lows, tuple(sorted(upper)), tuple(upward_masks(n, lows, upper)))
+        return cls(layer, lows, tuple(sorted(upper)), tuple(upward_masks(lows, upper)))
 
 
 def edge_count(g: LayerSubgraph) -> int:

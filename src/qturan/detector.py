@@ -22,7 +22,10 @@ over vertices above s share their end and have disjoint interiors.  For
 each s in ascending order it lists those paths, groups them by end and
 compares the interiors within each group; only one start's paths are held
 at a time.  A start needs two closers, neighbors above s, and a start with
-fewer is skipped before any listing.  The paths are listed in ascending
+fewer is skipped before any listing.  At length 6 a start is first
+decided from its path ends alone, listed straight from the closers: one
+whose ends are all distinct, most starts, has no 6-cycle.  As Q_n has no
+loops, the list is the one the paths give.  The paths are listed in ascending
 order, so the witness, the first cycle a plain DFS over every start finds,
 is read off the groups of the first start that has one.
 
@@ -41,7 +44,9 @@ from __future__ import annotations
 
 import os
 from bisect import bisect_left
+from functools import reduce
 from itertools import chain
+from operator import or_
 from typing import TYPE_CHECKING, Callable, Iterable
 
 from . import cube
@@ -84,7 +89,7 @@ class CubeSubgraph(Record):
     @classmethod
     def induced(cls, n: int, vertices: Iterable[int]) -> CubeSubgraph:
         verts = _checked_vertices(n, vertices)
-        return cls(n, verts, tuple(upward_masks(n, verts, set(verts))))
+        return cls(n, verts, tuple(upward_masks(verts, set(verts))))
 
     @classmethod
     def explicit(
@@ -252,7 +257,15 @@ def _cycle_at(
     the first p of t's group with a disjoint q after it, and the least such
     q reversed.  The least of these over all ends is the first cycle of a
     DFS from s.
+
+    For half == 3 the ends, listed straight from the closers, come first: a
+    start whose ends are all distinct returns None before any path is built.
+    A path (c, w) to t need not test w != c or t != w: Q_n has no loops.
     """
+    if half == 3:
+        ends = [t for c in closers for w in nbrs[c] if w > s for t in nbrs[w] if t > s and t != c]
+        if len(set(ends)) == len(ends):  # every end has one path
+            return None
     paths = [(c,) for c in closers]
     for _ in range(half - 2):
         paths = [p + (w,) for p in paths for w in nbrs[p[-1]] if w > s and w not in p]
@@ -341,17 +354,19 @@ def _first_c6_minus_in_range(
     has a path, run the DFS, so the path is the one a DFS from every start
     would find.  An induced graph joins every end, so it runs the DFS only
     from the start that has a path.  Ends are probed for only when the graph
-    holds a vertex with one bit more than s; for a layer's upper side it does not.
+    holds a vertex with one bit more than s, for a layer's upper side it
+    does not, and only at the coordinates some vertex holds.
     """
     nbrs = _neighbor_map(graph)
-    full = (1 << graph.n) - 1
+    used = reduce(or_, graph.vertices, 0)  # the coordinates an end can add
     popcounts = set(map(int.bit_count, graph.vertices))
     starts = slice(start_lo, start_hi)
     for s, up in zip(graph.vertices[starts], graph.edge_masks[starts]):
         joined = nbrs[s][-up.bit_count() :] if up else ()  # the neighbors above s
-        # the other ends: probe only the clear bits that are not edges upward
+        # the other ends: probe only the used bits outside s that are not
+        # edges upward, so the cost per start does not grow with n
         unjoined = set()
-        free = full ^ (s | up) if s.bit_count() + 1 in popcounts else 0
+        free = used & ~(s | up) if s.bit_count() + 1 in popcounts else 0
         while free:
             b = free & -free
             free ^= b

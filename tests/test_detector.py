@@ -1,6 +1,7 @@
 import concurrent.futures
 import os
 import random
+import time
 import tracemalloc
 from collections import Counter
 from functools import lru_cache
@@ -351,7 +352,12 @@ class TestMeetInTheMiddle:
     def test_each_start_of_every_edge_subset_of_q3(self):
         """_cycle_at returns, for each start s with two closers on its own,
         the closing-set DFS's first cycle from s: the same witness, or None
-        exactly when no cycle of the length has least vertex s."""
+        exactly when no cycle of the length has least vertex s.
+
+        At length 6 some start has two 3-step paths to one end and still no
+        6-cycle: a 4-cycle s, c, w, c' with one more edge (w, t), t > s.
+        Such a start passes the step that lists the ends and goes on to the
+        grouping, so both ways out of that step are compared."""
         edges = list(cube.cube_edges(3))
         outcomes = set()
         for bits in range(1 << len(edges)):
@@ -359,12 +365,25 @@ class TestMeetInTheMiddle:
             nbrs = _neighbor_map(g)
             for i, (s, up) in enumerate(zip(g.vertices, g.edge_masks)):
                 if up & (up - 1):
-                    for length in (4, 6, 8):
-                        found = _cycle_at(nbrs, s, nbrs[s][-up.bit_count() :], length // 2)
-                        expected = first_cycle_closing_sets(g, i, i + 1, length)
-                        assert found == expected, (bits, length, s)
-                        outcomes.add((length, found is not None))
-        assert outcomes == {(length, found) for length in (4, 6, 8) for found in (False, True)}
+                    closers = nbrs[s][-up.bit_count() :]
+                    found = {length: _cycle_at(nbrs, s, closers, length // 2) for length in (4, 6, 8)}
+                    for length, cycle in found.items():
+                        assert cycle == first_cycle_closing_sets(g, i, i + 1, length), (bits, length, s)
+                        outcomes.add((length, cycle is not None))
+                    # the ends of the 3-step paths above s, one per path
+                    ends = Counter(
+                        t
+                        for c in closers
+                        for w in nbrs[c]
+                        if w > s
+                        for t in nbrs[w]
+                        if t > s and t not in (c, w)
+                    )
+                    if max(ends.values(), default=0) > 1:
+                        outcomes.add(("repeated end", found[6] is not None))
+        assert outcomes == {
+            (length, hit) for length in (4, 6, 8, "repeated end") for hit in (False, True)
+        }
 
     @pytest.mark.parametrize("n", range(4, 15))
     def test_odd_layers(self, n):
@@ -578,6 +597,40 @@ class TestFindC6Minus:
     def test_worker_split_is_invisible(self):
         sub = subgraph_of_layer(full_layer(4, 2))
         assert find_c6_minus(sub, workers=2) == find_c6_minus(sub)
+
+
+class TestHugeHeader:
+    """A header n far above the coordinates of the vertices costs no more
+    than a small one: the probes for edges upward and for C6- ends walk
+    only the coordinates that some vertex holds."""
+
+    BODIES = {
+        "a 4-cycle and a path": [(0, 1), (1, 3), (2, 3), (0, 2), (4, 5), (5, 7)],
+        "Q_3": list(cube.cube_edges(3)),
+    }
+
+    def answers(self, n, edges):
+        start = time.perf_counter()
+        text = f"# qn n={n}\n" + "".join(f"{x:x} {y:x}\n" for x, y in edges)
+        n, edges = cube.parse_edge_list(text)
+        vertices = {v for edge in edges for v in edge}
+        g = CubeSubgraph.explicit(n, vertices, edges)
+        layer = cube.parse_layer_graph(f"# qn n={n}\n0 1\n# layer r=1\n# lower\n0\n# upper\n1\n")
+        found = (
+            find_c6_minus(g),
+            find_cycle_generic(g, 4),
+            find_cycle_generic(g, 6),
+            CubeSubgraph.induced(n, vertices).edge_masks,
+            layer.edge_masks,
+        )
+        assert time.perf_counter() - start < 0.5, n
+        return found
+
+    @pytest.mark.parametrize("body", BODIES)
+    def test_same_answer_as_a_small_header(self, body):
+        small = self.answers(8, self.BODIES[body])
+        assert self.answers(100_000, self.BODIES[body]) == small
+        assert (small[2] is None) == (body == "a 4-cycle and a path")  # the 6-cycle
 
 
 @pytest.fixture
