@@ -79,12 +79,19 @@ _LINE_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"  # where str.splitlines() 
 
 
 def _is_layer_text(text: str) -> bool:
-    """True when a line of text starts with '# layer r=' once stripped."""
-    at = text.find("# layer r=")
+    """True when a line of text starts with '# layer r=' once stripped.
+
+    The search for a marker's line start reaches back only to the previous
+    marker: a line that starts before it holds that marker's '#', so it is
+    not blank up to this one.  The whole check is thus linear in the text.
+    """
+    prev, at = 0, text.find("# layer r=")
     while at >= 0:
-        if not text[max(text.rfind(c, 0, at) for c in _LINE_BREAKS) + 1 : at].strip():
+        brk = max(text.rfind(c, prev, at) for c in _LINE_BREAKS)
+        # prev is 0 only for the first marker, whose line may start the text
+        if (brk >= 0 or prev == 0) and not text[brk + 1 : at].strip():
             return True
-        at = text.find("# layer r=", at + 1)
+        prev, at = at, text.find("# layer r=", at + 1)
     return False
 
 

@@ -106,14 +106,11 @@ class VectorAssignment(Record):
 
 def _scanned_graph(layer: LayerId, lower: list[int], masks: list[int]) -> LayerSubgraph:
     """The graph of increasing lower vertices with their edge masks, as
-    _layer_scan produces them; the upper side is every endpoint of an edge."""
-    upper: set[int] = set()
-    for x, m in zip(lower, masks):
-        while m:
-            bit = m & -m
-            m ^= bit
-            upper.add(x | bit)
-    return LayerSubgraph(layer, tuple(lower), tuple(sorted(upper)), tuple(masks))
+    _layer_scan produces them; the upper side is every endpoint of an edge,
+    found before the tuples are made, so that its set and theirs are not
+    held at once."""
+    upper = cube.upper_ends(lower, masks)
+    return LayerSubgraph(layer, tuple(lower), upper, tuple(masks))
 
 
 def _dual_graph(layer: LayerId, dual_lower: list[int], dual_masks: list[int]) -> LayerSubgraph:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import os
 from functools import reduce
-from itertools import chain
+from itertools import chain, repeat
 from math import comb
 from operator import ne, or_
 from typing import Collection, Iterable, Iterator
@@ -50,6 +50,7 @@ __all__ = [
     "LayerSubgraph",
     "edge_count",
     "edge_pairs",
+    "upper_ends",
     "layer_graph_text",
     "format_layer_graph",
     "parse_layer_graph",
@@ -239,7 +240,8 @@ class LayerSubgraph(Record):
     order, with no set lookup.  upper is the surviving upper side in
     increasing order; it may hold vertices without an edge.  induced checks
     the two sides and derives the masks; the Record constructor trusts its
-    fields.
+    fields.  A generated layer's upper side is the set of its edge ends,
+    upper_ends.
     """
 
     layer: LayerId
@@ -250,7 +252,8 @@ class LayerSubgraph(Record):
     @classmethod
     def induced(cls, layer: LayerId, lower: Iterable[int], upper: Iterable[int]) -> LayerSubgraph:
         """The subgraph induced on the two sides, given as any iterables of
-        masks, with the edge masks from one probe pass over the upper side."""
+        masks, with the edge masks from one pass over the lower side that
+        probes the upper set."""
         n, r = layer.n, layer.r
         lower, upper = frozenset(lower), frozenset(upper)
         for x in lower:
@@ -273,9 +276,34 @@ def edge_pairs(g: LayerSubgraph) -> Iterator[tuple[int, int]]:
     return upward_edges(g.lower, g.edge_masks)
 
 
+def upper_ends(lower: Iterable[int], masks: Iterable[int]) -> tuple[int, ...]:
+    """The upper ends x | 1 << j of the edges of lower vertices x with their
+    edge masks, in increasing order: the upper side of a generated layer,
+    where every upper survivor has a lower neighbour.
+
+    The vertices are grouped by mask, and the ends of a group through one
+    coordinate are added to the set in one pass at C speed.  A generated
+    layer has few distinct masks: 165 for the 16,957 lower vertices at
+    n=18, r=9.  Each group is dropped once added, so the groups and the set
+    together peak about where the set alone ends.
+    """
+    groups: dict[int, list[int]] = {}
+    for x, m in zip(lower, masks):
+        groups.setdefault(m, []).append(x)
+    ends: set[int] = set()
+    while groups:
+        m, xs = groups.popitem()
+        for j in bit_indices(m):
+            ends.update(map(or_, xs, repeat(1 << j)))
+    upper = sorted(ends)
+    del ends  # the set goes before the tuple is made
+    return tuple(upper)
+
+
 # lower vertices per block of layer text; the writer holds one block's
-# tuple of edge ends and its text at a time, so its peak does not grow
-# with the layer
+# edge ends and its text at a time, so its peak does not grow with the
+# layer.  Larger blocks write a little faster but raise the peak RSS of
+# pipeline --out.
 _TEXT_BLOCK = 256
 
 
@@ -287,14 +315,26 @@ def _vertex_lines(vertices: tuple[int, ...]) -> Iterator[str]:
 
 def layer_graph_text(g: LayerSubgraph) -> Iterator[str]:
     """The layer file in pieces: the edge-list body in the shared format,
-    then the two vertex sections, one str per block of vertices."""
+    then the two vertex sections, one str per block of vertices.
+
+    The edge masks are expanded through a table of the tuples of their bits
+    1 << j, one per distinct mask, so the work per edge runs at C speed.
+    The table is built before the first block; built between the blocks'
+    short-lived lists, its tuples raised the peak RSS of pipeline --out.
+    """
     yield f"# qn n={g.layer.n}\n"
-    for at in range(0, len(g.lower), _TEXT_BLOCK):
-        block = slice(at, at + _TEXT_BLOCK)
-        ends = tuple(chain.from_iterable(upward_edges(g.lower[block], g.edge_masks[block])))
-        yield "%x %x\n" * (len(ends) // 2) % ends
+    lower, masks = g.lower, g.edge_masks
+    bits = {m: tuple(1 << j for j in bit_indices(m)) for m in set(masks)}
+    for at in range(0, len(lower), _TEXT_BLOCK):
+        block = masks[at : at + _TEXT_BLOCK]
+        counts = map(int.bit_count, block)
+        xs = list(chain.from_iterable(map(repeat, lower[at : at + _TEXT_BLOCK], counts)))
+        ends = [0] * (2 * len(xs))
+        ends[::2] = xs
+        ends[1::2] = map(or_, xs, chain.from_iterable(map(bits.__getitem__, block)))
+        yield "%x %x\n" * len(xs) % tuple(ends)
     yield f"# layer r={g.layer.r}\n# lower\n"
-    yield from _vertex_lines(g.lower)
+    yield from _vertex_lines(lower)
     yield "# upper\n"
     yield from _vertex_lines(g.upper)
 

@@ -195,6 +195,18 @@ def format_layer_graph_by_probe(g):
     return "\n".join(lines) + "\n"
 
 
+def upper_side_by_bit_loop(lower, masks):
+    """The upper side of a generated layer as construction._scanned_graph
+    built it: every edge end x | 1 << j added to a set bit by bit, sorted."""
+    upper = set()
+    for x, m in zip(lower, masks):
+        while m:
+            bit = m & -m
+            m ^= bit
+            upper.add(x | bit)
+    return tuple(sorted(upper))
+
+
 def find_c6_structured_by_probe(g):
     """The first subcube pattern of a layer graph whose six vertices lie in
     the sets of its two sides: cores in increasing mask order, axis triples

@@ -627,3 +627,35 @@ def test_layer_marker_is_found_on_the_lines_of_splitlines(text, drop_first_bound
         text = text[1:]
     expected = any(line.strip().startswith("# layer r=") for line in text.splitlines())
     assert cli._is_layer_text(text) == expected
+
+
+class CountingText(str):
+    """A str that counts the characters its rfind calls look at."""
+
+    def rfind(self, sub, start=0, end=None):
+        self.scanned = getattr(self, "scanned", 0) + (len(self) if end is None else end) - start
+        return super().rfind(sub, start, end)
+
+
+@pytest.mark.parametrize("lines", [1000, 4000])
+def test_layer_marker_search_is_linear_in_the_text(lines):
+    """A marker in mid-line on every line: each search for a line start
+    stops at the previous marker, so the characters looked at grow with
+    the text, not with its square."""
+    body = "# qn n=3\n" + "1 3 x# layer r=\n" * lines
+    text = CountingText(body)
+    assert not cli._is_layer_text(text)
+    assert text.scanned <= len(cli._LINE_BREAKS) * len(text)
+    text = CountingText(body + " # layer r=2\n")
+    assert cli._is_layer_text(text)
+    assert text.scanned <= len(cli._LINE_BREAKS) * len(text)
+
+
+def test_many_markers_in_mid_line_exit_2(tmp_path, capsys):
+    """Half a megabyte of edge lines with a marker in each is an edge list
+    with bad lines, reported on its first one."""
+    path = tmp_path / "edges.txt"
+    path.write_text("# qn n=3\n" + "1 3 x# layer r=\n" * 32768)
+    code, out, err = run(["verify", str(path), "--target", "c6"], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: line 2: expected two hex masks, got '1 3 x# layer r='\n"

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qturan import bounds, cli
 from qturan import construction as con
 from qturan import cube
 from qturan.construction import (
@@ -53,6 +54,7 @@ from oracles import (
     layer_scan_two_levels,
     span_bits,
     survivor_sets,
+    upper_side_by_bit_loop,
 )
 from text_strategies import edited_text
 
@@ -475,6 +477,150 @@ class TestEdgeMasks:
                 tracemalloc.stop()
             assert peak < 512 * 1024, (g.layer, peak)
             assert chars == len(format_layer_graph(g))
+
+
+class TestLayerWriter:
+    """layer_graph_text, which expands the edge masks of each block through
+    a table of bit tuples, against the writer that probes the upper set."""
+
+    def assert_writes_as_probe(self, g):
+        assert format_layer_graph(g) == format_layer_graph_by_probe(g), g.layer
+
+    @pytest.mark.parametrize("n", range(4, 17))
+    def test_seeded_layers_on_both_routes(self, n):
+        routes = set()
+        for r in range(1, n + 1):
+            layer = LayerId(n, r)
+            for a in _spanning_and_degenerate(n, r, derive_seed(n * 1000 + r, 5)):
+                bits = [v.bits for v in a.vectors]
+                lower, masks = con._layer_scan(n, r, a.anchor.bits, bits)
+                self.assert_writes_as_probe(con._scanned_graph(layer, lower, masks))
+                h = parity_check_columns([*bits, a.anchor.bits], r)
+                if h is not None and h[n]:
+                    dual = con._dual_graph(layer, *con._layer_scan(n, n + 1 - r, h[n], h[:n]))
+                    self.assert_writes_as_probe(dual)
+                    routes.add("dual")
+                routes.add("scanned")
+        assert routes == {"scanned", "dual"}
+
+    @pytest.mark.parametrize("n", [5, 6, 7])
+    def test_full_layers(self, n):
+        for r in range(1, n + 1):
+            layer = LayerId(n, r)
+            lower, upper = layer_vertices(layer, "lower"), layer_vertices(layer, "upper")
+            self.assert_writes_as_probe(LayerSubgraph.induced(layer, lower, upper))
+
+    def test_induced_graphs_with_isolated_vertices(self):
+        rng = random.Random(11)
+        isolated_lower = isolated_upper = 0
+        for n in range(2, 10):
+            for r in range(1, n + 1):
+                layer = LayerId(n, r)
+                lower = [x for x in layer_vertices(layer, "lower") if rng.random() < 0.4]
+                upper = [y for y in layer_vertices(layer, "upper") if rng.random() < 0.4]
+                g = LayerSubgraph.induced(layer, lower, upper)
+                self.assert_writes_as_probe(g)
+                ends = {y for _, y in edge_pairs(g)}
+                isolated_lower += g.edge_masks.count(0)
+                isolated_upper += sum(y not in ends for y in g.upper)
+        assert isolated_lower > 0 and isolated_upper > 0
+
+    def test_masks_of_zero_and_the_empty_graph(self):
+        layer = LayerId(4, 2)
+        g = LayerSubgraph.induced(layer, [0b0001, 0b0010, 0b1000], [0b0011])
+        assert g.edge_masks == (0b0010, 0b0001, 0)
+        self.assert_writes_as_probe(g)
+        g = LayerSubgraph.induced(layer, [0b0100, 0b1000], [])
+        assert g.edge_masks == (0, 0)
+        assert format_layer_graph(g) == "# qn n=4\n# layer r=2\n# lower\n4\n8\n# upper\n"
+        self.assert_writes_as_probe(g)
+        empty = LayerSubgraph.induced(layer, [], [])
+        assert format_layer_graph(empty) == "# qn n=4\n# layer r=2\n# lower\n# upper\n"
+        self.assert_writes_as_probe(empty)
+
+    @pytest.mark.parametrize("count", [255, 256, 257, 512, 513, 792])
+    def test_lower_sides_across_blocks(self, count):
+        """Lower sides of up to four blocks of 256 vertices, two of them an
+        exact multiple of the block: one edge piece per block."""
+        assert cube._TEXT_BLOCK == 256
+        layer = LayerId(12, 6)
+        lower = list(layer_vertices(layer, "lower"))[:count]
+        g = LayerSubgraph.induced(layer, lower, layer_vertices(layer, "upper"))
+        self.assert_writes_as_probe(g)
+        pieces = list(layer_graph_text(g))
+        blocks = -(-count // 256)
+        assert pieces[1 + blocks].startswith("# layer r=6\n")
+        assert all(piece.count("\n") == 7 * 256 for piece in pieces[1:blocks])
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 7])
+    def test_small_blocks(self, monkeypatch, block):
+        monkeypatch.setattr(cube, "_TEXT_BLOCK", block)
+        for n in range(4, 11):
+            for r in range(1, n + 1):
+                self.assert_writes_as_probe(find_good_assignment(n, r, derive_seed(1, r)).graph)
+
+
+class TestUpperEnds:
+    """cube.upper_ends, which groups the lower vertices by edge mask, against
+    the bit loop into a set that construction._scanned_graph ran before."""
+
+    @pytest.mark.parametrize("n", range(1, 15))
+    def test_seeded_layers(self, n):
+        for r in range(1, n + 1):
+            for a in _spanning_and_degenerate(n, r, derive_seed(n * 1000 + r, 3)):
+                lower, masks = con._layer_scan(n, r, a.anchor.bits, [v.bits for v in a.vectors])
+                assert cube.upper_ends(lower, masks) == upper_side_by_bit_loop(lower, masks)
+
+    def test_rank_deficient_draws(self):
+        """Vectors in a proper subspace of F_2^r: no upper survivor and no
+        edge, although lower survivors remain when the anchor lies outside
+        the subspace."""
+        kept_lower = 0
+        for n in range(2, 13):
+            for r in range(2, n + 1):
+                _, a = _spanning_and_degenerate(n, r, derive_seed(n * 1000 + r, 3))
+                lower, masks = con._layer_scan(n, r, a.anchor.bits, [v.bits for v in a.vectors])
+                assert cube.upper_ends(lower, masks) == upper_side_by_bit_loop(lower, masks) == ()
+                assert build_layer_graph(a).upper == ()
+                kept_lower += len(lower)
+        assert kept_lower > 0
+
+    def test_two_lower_vertices_share_their_upper_end(self):
+        lower, masks = [0b1, 0b10], [0b10, 0b1]
+        assert cube.upper_ends(lower, masks) == upper_side_by_bit_loop(lower, masks) == (0b11,)
+
+    @pytest.mark.parametrize("n", [8, 12, 16])
+    def test_layer_files_read_back_as_the_graph(self, n):
+        routes = set()
+        for r in range(1, n + 1):
+            found = find_good_assignment(n, r, derive_seed(0, r))
+            routes.add(con._scan(found.assignment)[2])
+            g = found.graph
+            back = parse_layer_graph(format_layer_graph(g))
+            assert back == g and hash(back) == hash(g), (n, r)
+        assert routes == {con._scanned_graph, con._dual_graph}
+
+    def test_each_scanned_layer_derives_its_upper_side_once(self, monkeypatch, tmp_path):
+        """The suite derives the upper side of each layer whose winning trial
+        takes the direct scan, and writing the layers derives none."""
+        n = 12
+        scanned = 0
+        for r in range(1, n + 1, 2):
+            a = find_good_assignment(n, r, derive_seed(0, r)).assignment
+            scanned += con._scan(a)[2] is con._scanned_graph
+        calls = []
+
+        def counted(lower, masks):
+            calls.append(len(lower))
+            return upper_ends(lower, masks)
+
+        upper_ends = cube.upper_ends
+        monkeypatch.setattr(cube, "upper_ends", counted)
+        bounds.density_report_suite(n, 0)
+        assert len(calls) == scanned > 0
+        calls.clear()
+        assert cli.main(["pipeline", "--n", str(n), "--out", str(tmp_path)]) == 0
+        assert len(calls) == scanned
 
 
 class TestUnionGraph:
