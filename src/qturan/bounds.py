@@ -20,19 +20,21 @@ without a coloring never loads it.
 
 In memory a certificate holds one byte per edge of Q_n, n * 2^(n-1) bytes
 in all (512 KiB at n=16), in file order: slot i holds the color of the
-i-th edge of cube.cube_edges(n), which is the (base, coord) order that
-format_coloring writes.  Every slot is an edge, so a byte string of the
-right length that holds only 0, 1 and 2 is a complete certificate, which
-three bytes.count() calls check.  UNSET marks an edge the input left out.
+i-th edge of cube.cube_edges(n), the (base, coord) order in which the
+README states that a coloring file lists its edges.  Every slot is an
+edge, so a byte string of the right length that holds only 0, 1 and 2 is
+a complete certificate, which three bytes.count() calls check.  UNSET
+marks an edge the input left out.
 
 A certificate file is parsed in chunks of about COLORING_CHUNK_CHARS
 characters, each cut just after a newline, so that parsing holds the
 certificate plus one chunk, never the whole text or a list of its lines.
-A chunk that is exactly the format_coloring text of consecutive edges,
-starting at the edge on its first line, into slots the parse has not yet
-filled, has its colors copied in one slice.  To check that, the chunk is
-XORed, as one int, with its skeleton: the text of the same edges with each
-color blanked to NUL.  Any other chunk is read line by line.  A chunk
+A chunk that is exactly the canonical text of consecutive edges, one line
+'<hex-base> <coord> <color>' per edge in that order, starting at the edge
+on its first line, into slots the parse has not yet filled, has its colors
+copied in one slice.  To check that, the chunk is XORed, as one int, with
+its skeleton: the text of the same edges with each color blanked to NUL.
+Any other chunk is read line by line.  A chunk
 boundary is a line boundary of str.splitlines(), and an ordered chunk can
 hold no error, so the texts accepted, the colors stored and every message
 with its line number are those of parsing the text line by line in one
@@ -55,6 +57,7 @@ from .construction import (
     constant_c_enclosure,
     derive_seed,
     find_good_assignment,
+    fork_layer_helper,
     union_odd_layers,
 )
 from .cube import LayerId, LayerSubgraph, cube_edge_count
@@ -72,14 +75,12 @@ __all__ = [
     "SuiteResult",
     "SuiteExhausted",
     "edge_slot",
-    "monochromatic_certificate",
     "coloring_problems",
     "verify_coloring",
     "make_report",
     "c10_pipeline",
     "density_report_suite",
     "reports_to_csv",
-    "format_coloring",
     "parse_coloring",
     "read_coloring",
 ]
@@ -138,13 +139,6 @@ class ColoringCertificate(Record):
 
     n: int
     colors: bytes | bytearray
-
-
-def monochromatic_certificate(n: int, color: int = 0) -> ColoringCertificate:
-    if color not in range(COLOR_COUNT):
-        raise ValueError(f"color must be in [0, {COLOR_COUNT}), got {color}")
-    cube.require_capacity(n)
-    return ColoringCertificate(n, bytes([color]) * cube_edge_count(n))
 
 
 def coloring_problems(cert: ColoringCertificate, limit: int = 10) -> list[str]:
@@ -313,6 +307,12 @@ class _ClassSearch:
     first one of a layer with the least start.  A class keeps the best
     witness seen so far, and a later layer is scanned only for starts below
     it, in any order of the layers.
+
+    layer scans one layer below the bounds kept, and merge takes a layer's
+    counts and witnesses in, keeping each class's witness of least start.
+    A process that has stepped only some of the earlier layers has looser
+    bounds, so its step finds the witness this one would, or one that merge
+    drops.
     """
 
     def __init__(self, coloring: Coloring, workers: int = 1):
@@ -321,16 +321,35 @@ class _ClassSearch:
         self.counts = [0] * COLOR_COUNT
         self.witnesses: dict[int, CycleWitness] = {}
 
-    def add(self, g: LayerSubgraph) -> None:
+    def layer(self, g: LayerSubgraph) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+        """The layer's edge count in each class, and each class's first C10
+        in it below the class's best witness, as its vertices, or ()."""
         from .detector import find_cycle_generic
 
+        counts, firsts = [], []
         for k, sub in enumerate(_split_layer(g, self.coloring)):
-            self.counts[k] += sum(map(int.bit_count, sub.edge_masks))
+            counts.append(sum(map(int.bit_count, sub.edge_masks)))
             best = self.witnesses.get(k)
             below = None if best is None else best.vertices[0]
             witness = find_cycle_generic(sub, 10, self.workers, below)
-            if witness is not None:
-                self.witnesses[k] = witness
+            firsts.append(() if witness is None else witness.vertices)
+        return tuple(counts), tuple(firsts)
+
+    def merge(self, counts: tuple[int, ...], firsts: tuple[tuple[int, ...], ...]) -> None:
+        """Add a layer's counts, and keep each class's witness of least start."""
+        from .detector import CycleWitness
+
+        for k, (count, first) in enumerate(zip(counts, firsts)):
+            self.counts[k] += count
+            best = self.witnesses.get(k)
+            if first and (best is None or first[0] < best.vertices[0]):
+                self.witnesses[k] = CycleWitness(first)
+
+    def add(self, g: LayerSubgraph) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+        """layer(g), merged in and returned."""
+        found = self.layer(g)
+        self.merge(*found)
+        return found
 
     def outcome(self, n: int) -> PipelineOutcome:
         counts = tuple(self.counts)
@@ -364,7 +383,8 @@ def c10_pipeline(
 class SuiteResult(Record):
     """What density_report_suite keeps: the reports, and each layer's
     assignment and trials.  union is rebuilt from the assignments on each
-    access, since the suite holds one layer graph at a time."""
+    access, since each process of the suite holds one layer graph at a
+    time."""
 
     n: int
     reports: tuple[DensityReport, ...]
@@ -404,8 +424,14 @@ def density_report_suite(
 
     The layers are taken one at a time: each is found, handed to
     on_layer(r, result) when given, split into its color classes and the
-    classes searched for a C10, then dropped, so the suite holds one layer
-    graph at a time.  The coloring is checked before the first layer.
+    classes searched for a C10, then dropped, so each process holds one
+    layer graph at a time.  The coloring is checked before the first layer.
+
+    When fork_layer_helper forks, its helper finds the layers with 2r >= n
+    and does their class step, while this process does the layers below.
+    This process still takes every layer in order, merges the helper's
+    class counts and witnesses, and finds any layer the helper does not
+    deliver itself, so no result depends on the helper.
     """
     classes = None
     if certificate is not None and coloring_rule is not None:
@@ -419,22 +445,37 @@ def density_report_suite(
     reports: list[DensityReport] = []
     assignments: dict[int, VectorAssignment] = {}
     trials: dict[int, int] = {}
-    for r in range(1, n + 1, 2):
-        try:
-            found = find_good_assignment(n, r, derive_seed(seed, r), max_trials)
-        except TrialsExhausted as exc:
-            raise SuiteExhausted(exc, tuple(reports)) from exc
-        assignments[r], trials[r] = found.assignment, found.trials
-        reports.append(
-            make_report(
-                n, r, "layer", found.edges, cube.layer_edge_count(LayerId(n, r)), "c/2"
+    upper = [r for r in range(1, n + 1, 2) if 2 * r >= n]
+    helper = fork_layer_helper(n, seed, upper, max_trials, None if classes is None else classes.add)
+    try:
+        for r in range(1, n + 1, 2):
+            shipped = helper.take(r) if helper is not None and r in upper else None
+            if shipped is None:
+                try:
+                    found = find_good_assignment(n, r, derive_seed(seed, r), max_trials)
+                except TrialsExhausted as exc:
+                    raise SuiteExhausted(exc, tuple(reports)) from exc
+                stepped = None
+            else:
+                found, stepped = shipped
+                del shipped  # else it keeps the layer past del found
+            assignments[r], trials[r] = found.assignment, found.trials
+            reports.append(
+                make_report(
+                    n, r, "layer", found.edges, cube.layer_edge_count(LayerId(n, r)), "c/2"
+                )
             )
-        )
-        if on_layer is not None:
-            on_layer(r, found)
-        if classes is not None:
-            classes.add(found.graph)
-        del found  # the layer goes before the next one is searched
+            if on_layer is not None:
+                on_layer(r, found)
+            if classes is not None:
+                if stepped is None:
+                    classes.add(found.graph)
+                else:
+                    classes.merge(*stepped)
+            del found  # the layer goes before the next one is searched
+    finally:
+        if helper is not None:
+            helper.close()
     achieved = sum(rep.achieved_edges for rep in reports)
     reports.append(make_report(n, None, "union", achieved, cube_edge_count(n), "c/4"))
     pipeline = None
@@ -453,17 +494,6 @@ def density_report_suite(
 
 # ---------------------------------------------------------------------------
 # Certificate text format
-
-
-def format_coloring(cert: ColoringCertificate) -> str:
-    """The certificate as text, one line per colored edge in (base, coord) order."""
-    n = cert.n
-    lines = [f"# qn-coloring n={n}"]
-    for (base, top), color in zip(cube.cube_edges(n), cert.colors):
-        coord = (base ^ top).bit_length() - 1
-        if color != UNSET:
-            lines.append(f"{base:x} {coord} {color}")
-    return "\n".join(lines) + "\n"
 
 
 _COLOR_BYTES = bytes.maketrans(b"012", bytes(range(COLOR_COUNT)))
@@ -573,7 +603,7 @@ def _skeleton_tables(n: int) -> tuple[int, list[list[str]], list[list[str]]]:
 
 
 def _skeleton(tables, first: tuple[int, int], last: tuple[int, int]) -> str:
-    """The format_coloring text of the edges from first to last, both
+    """The canonical text of the edges from first to last, both
     (base, coord), with each color blanked to NUL.  Base x contributes
     f"{x:x}".join(["", *its line ends])."""
     h, low, high = tables
@@ -602,7 +632,7 @@ def _chunk_edge(n: int, line: str) -> tuple[int, int] | None:
 
 
 def _ordered_colors(n: int, tables, chunk: str) -> tuple[int, bytes] | None:
-    """(slot, colors) when chunk is the format_coloring text of consecutive
+    """(slot, colors) when chunk is the canonical text of consecutive
     edges from the edge on its first line, whose colors then go to slots
     slot, slot + 1, ...; None for any other chunk.
 

@@ -16,11 +16,15 @@ floats appear only in Monte Carlo summaries.
 
 from __future__ import annotations
 
+import gc
+import marshal
+import os
 import random
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from math import ceil, floor
-from typing import Callable, Mapping
+from typing import Any, BinaryIO, Callable, Mapping
 
 from . import cube
 from .cube import (
@@ -41,17 +45,16 @@ __all__ = [
     "SearchResult",
     "TrialsExhausted",
     "derive_seed",
-    "multiset_of",
     "member_upper",
     "member_lower",
     "sample_assignment",
     "build_layer_graph",
     "union_odd_layers",
-    "union_edge_count",
     "edge_probability_closed_form",
-    "constant_c",
     "constant_c_enclosure",
     "find_good_assignment",
+    "LayerHelper",
+    "fork_layer_helper",
     "format_assignment",
     "parse_assignment",
     # cube's names, re-exported only because bench/tracing.py reads them
@@ -155,13 +158,6 @@ class UnionGraph(Record):
                 raise ValueError(f"layer keys must be odd and in [1, {self.n}], got {r}")
             if g.layer.n != self.n or g.layer.r != r:
                 raise ValueError(f"layer {r} does not match its subgraph id {g.layer}")
-
-
-def multiset_of(a: VectorAssignment, subset: int) -> list[GF2Vec]:
-    """The coordinate vectors selected by a subset mask (with multiplicity)."""
-    if subset >> a.n:
-        raise ValueError(f"subset 0x{subset:x} is not within a ground set of size {a.n}")
-    return [a.vectors[i] for i in bit_indices(subset)]
 
 
 def member_upper(a: VectorAssignment, subset: int) -> bool:
@@ -335,10 +331,6 @@ def union_odd_layers(n: int, assignments: Mapping[int, VectorAssignment]) -> Uni
     return UnionGraph(n=n, layers=layers)
 
 
-def union_edge_count(u: UnionGraph) -> int:
-    return sum(edge_count(g) for g in u.layers.values())
-
-
 def edge_probability_closed_form(r: int) -> Fraction:
     """Exact probability that a fixed layer edge survives the random draw."""
     if r < 1:
@@ -369,12 +361,6 @@ def _partial_products(tolerance: Fraction) -> tuple[Fraction, Fraction, int]:
         width = partial * Fraction(1, 1 << k)
         if width < tolerance:
             return partial - width, partial, k
-
-
-def constant_c(tolerance: float | Fraction = 1e-12) -> float:
-    """Partial product of prod_{k>=1}(1 - 2^-k), with tail below tolerance."""
-    _, hi, _ = _partial_products(Fraction(tolerance))
-    return float(hi)
 
 
 def constant_c_enclosure(
@@ -421,6 +407,12 @@ class TrialsExhausted(RuntimeError):
         self.best = best
 
 
+def _threshold(n: int, r: int) -> Fraction:
+    """(c/2) * e(L_r(n)), with c the upper end of its certified enclosure."""
+    _, c_hi = constant_c_enclosure()
+    return c_hi / 2 * cube.layer_edge_count(LayerId(n, r))
+
+
 def find_good_assignment(n: int, r: int, seed: int, max_trials: int = 512) -> SearchResult:
     """Resample until the graph's edge count strictly beats (c/2) * e(L_r(n)).
 
@@ -430,8 +422,7 @@ def find_good_assignment(n: int, r: int, seed: int, max_trials: int = 512) -> Se
     """
     if max_trials < 1:
         raise ValueError(f"max_trials must be >= 1, got {max_trials}")
-    _, c_hi = constant_c_enclosure()
-    threshold = c_hi / 2 * cube.layer_edge_count(LayerId(n, r))
+    threshold = _threshold(n, r)
     best_edges, best_trial, best = -1, 0, None
     for trial in range(max_trials):
         a = sample_assignment(n, r, derive_seed(seed, trial))
@@ -449,6 +440,148 @@ def find_good_assignment(n: int, r: int, seed: int, max_trials: int = 512) -> Se
         raise RuntimeError("the trial loop ran no trial")
     result = SearchResult(best, build_layer_graph(best), best_edges, best_trial, threshold)
     raise TrialsExhausted(n, r, max_trials, result)
+
+
+# ---------------------------------------------------------------------------
+# The layer helper
+
+# The least n at which fork_layer_helper forks.  The fork, the pages that
+# both processes copy as they write after it, and the reaping cost a few
+# ms.  On a 2-core x86-64 machine, pipeline --n N with a helper was about
+# 10 ms slower for N = 8..14 and broke even at N = 16 (faster in 19 of 31
+# runs), so smaller runs keep to one process.
+HELPER_MIN_N = 16
+
+
+class LayerHelper:
+    """A forked process that runs find_good_assignment on some layers of Q_n,
+    ahead of its parent, and ships each result over a pipe.
+
+    A message is the 8-byte little-endian length of a marshal tuple, then
+    the tuple: r, the trials, the edges, the anchor's bits, the vectors'
+    bits, the graph's lower, upper and edge_masks, and what step returned
+    for the graph.  take(r) reads the next message.  The helper stops at a
+    layer whose search runs out of trials or raises, so take answers None
+    for that layer, as it does when the helper dies or the pipe ends, and
+    then for every later layer: the caller computes those itself.
+    """
+
+    def __init__(self, n: int, pid: int, stream: BinaryIO):
+        self.n = n
+        self.pid = pid
+        self.stream: BinaryIO | None = stream
+
+    def take(self, r: int) -> tuple[SearchResult, Any] | None:
+        """Layer r's result and what step returned, when layer r is the next
+        message and arrives whole; else None, and the helper is closed."""
+        if self.stream is None:
+            return None
+        try:
+            size = int.from_bytes(self.stream.read(8), "little")
+            message = self.stream.read(size)
+            if not size or len(message) != size:
+                raise EOFError("the helper's pipe ended")
+            fields = marshal.loads(message)
+            del message  # the bytes go before the records are built
+            got, trials, edges, anchor, vectors, lower, upper, masks, stepped = fields
+            if got != r:
+                raise ValueError(f"the helper sent layer {got}, expected {r}")
+            assignment = VectorAssignment(
+                self.n, r, GF2Vec(anchor, r), tuple(GF2Vec(bits, r) for bits in vectors)
+            )
+            graph = LayerSubgraph(LayerId(self.n, r), lower, upper, masks)
+        except (OSError, EOFError, ValueError, TypeError):
+            self.close()
+            return None
+        return SearchResult(assignment, graph, edges, trials, _threshold(self.n, r)), stepped
+
+    def close(self) -> None:
+        """Stop the helper, if it still runs, and reap it."""
+        if self.stream is None:
+            return
+        self.stream.close()
+        self.stream = None
+        try:
+            os.kill(self.pid, 9)  # SIGKILL; importing signal costs 0.8 ms
+            os.waitpid(self.pid, 0)
+        except (ProcessLookupError, ChildProcessError):
+            pass  # something else reaped it
+
+
+def fork_layer_helper(
+    n: int,
+    seed: int,
+    layers: list[int],
+    max_trials: int,
+    step: Callable[[LayerSubgraph], Any] | None = None,
+) -> LayerHelper | None:
+    """A LayerHelper that runs, on each of layers in turn,
+    find_good_assignment(n, r, derive_seed(seed, r), max_trials) and then
+    step on the graph when given; step must return a marshal-able value.
+    None, and no process, unless n >= HELPER_MIN_N, the process may run on
+    two CPUs or more, it runs one thread, and os.fork exists.
+
+    The helper drops each layer, its step result and its message before it
+    starts the next, and ends by os._exit on every path, so it never
+    returns into its caller's frames nor flushes the stdio it inherited.
+    It freezes the objects it inherits, so its collector never runs their
+    finalizers nor copies the pages of their headers.
+    """
+    affinity = getattr(os, "sched_getaffinity", None)
+    threading = sys.modules.get("threading")
+    if (
+        n < HELPER_MIN_N
+        or not layers
+        or affinity is None
+        or len(affinity(0)) < 2
+        or not hasattr(os, "fork")
+        or (threading is not None and threading.active_count() > 1)
+    ):
+        return None
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        return None
+    if pid == 0:
+        try:
+            gc.freeze()
+            os.close(read_fd)
+            _serve(write_fd, n, seed, layers, max_trials, step)
+        finally:
+            os._exit(0)
+    os.close(write_fd)
+    return LayerHelper(n, pid, os.fdopen(read_fd, "rb"))
+
+
+def _serve(
+    fd: int,
+    n: int,
+    seed: int,
+    layers: list[int],
+    max_trials: int,
+    step: Callable[[LayerSubgraph], Any] | None,
+) -> None:
+    """The helper's loop: each layer's message, written whole to fd."""
+    for r in layers:
+        found = find_good_assignment(n, r, derive_seed(seed, r), max_trials)
+        a, g = found.assignment, found.graph
+        stepped = None if step is None else step(g)
+        vectors = tuple(v.bits for v in a.vectors)
+        fields = (r, found.trials, found.edges, a.anchor.bits, vectors, g.lower, g.upper, g.edge_masks, stepped)
+        message = marshal.dumps(fields)
+        del found, a, g, stepped, fields  # the layer goes before its message is sent
+        _send(fd, len(message).to_bytes(8, "little"))
+        _send(fd, message)
+        del message
+
+
+def _send(fd: int, data: bytes) -> None:
+    view = memoryview(data)
+    while view:
+        view = view[os.write(fd, view) :]
 
 
 # ---------------------------------------------------------------------------

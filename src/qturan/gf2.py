@@ -18,9 +18,6 @@ __all__ = [
     "MAX_DIM",
     "GF2Vec",
     "rank_bits",
-    "rank",
-    "is_basis",
-    "in_span",
     "quotient_image",
     "parity_check_columns",
     "sample_nonzero",
@@ -99,27 +96,6 @@ def _reduce(v: int, pivots: dict[int, int]) -> int:
 def rank_bits(rows: Iterable[int]) -> int:
     """Rank over GF(2) of int bitset rows."""
     return len(_pivots(rows))
-
-
-def rank(vs: Iterable[GF2Vec], dim: int) -> int:
-    """dim(Span(vs)); order of the input never matters."""
-    vec_list = list(vs)
-    _check_dims(vec_list, dim)
-    return rank_bits(v.bits for v in vec_list)
-
-
-def is_basis(vs: Iterable[GF2Vec], dim: int) -> bool:
-    """True iff vs has exactly dim vectors and they span F_2^dim."""
-    vec_list = list(vs)
-    _check_dims(vec_list, dim)
-    return len(vec_list) == dim and rank_bits(v.bits for v in vec_list) == dim
-
-
-def in_span(v: GF2Vec, vs: Iterable[GF2Vec]) -> bool:
-    """True iff v lies in Span(vs): v reduces to zero."""
-    vec_list = list(vs)
-    _check_dims(vec_list, v.dim)
-    return _reduce(v.bits, _pivots(w.bits for w in vec_list)) == 0
 
 
 def quotient_image(v: GF2Vec, subspace_basis: Iterable[GF2Vec]) -> GF2Vec:

@@ -10,10 +10,9 @@ from math import sqrt
 
 import pytest
 
-from qturan.bounds import c10_pipeline, density_report_suite, monochromatic_certificate
+from qturan.bounds import c10_pipeline, density_report_suite
 from qturan.construction import (
     build_layer_graph,
-    constant_c,
     constant_c_enclosure,
     derive_seed,
     edge_probability_closed_form,
@@ -30,6 +29,7 @@ from qturan.detector import (
     subgraph_of_layer,
 )
 
+from helpers import constant_c, monochromatic_certificate
 from oracles import exact_expected_edges, find_c6_structured_by_probe, subgraph_of_union
 
 # prod_{k>=1}(1 - 2^-k), frozen from an independent high-precision

@@ -17,9 +17,7 @@ from qturan.bounds import (
     coloring_problems,
     density_report_suite,
     edge_slot,
-    format_coloring,
     make_report,
-    monochromatic_certificate,
     parse_coloring,
     read_coloring,
     reports_to_csv,
@@ -43,6 +41,7 @@ from qturan.cube import (
 )
 from qturan.detector import find_cycle_generic
 
+from helpers import format_coloring, monochromatic_certificate
 from oracles import (
     class_graphs,
     coloring_bytes,

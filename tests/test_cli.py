@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qturan import bounds, cli, construction, cube
-from qturan.bounds import format_coloring, monochromatic_certificate
 from qturan.cube import LayerId, LayerSubgraph, format_layer_graph, layer_vertices
 
+from helpers import format_coloring, monochromatic_certificate
 from oracles import rank_certificate
 from test_detector import planted_graph, ring
 

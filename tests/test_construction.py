@@ -16,7 +16,6 @@ from qturan.construction import (
     UnionGraph,
     VectorAssignment,
     build_layer_graph,
-    constant_c,
     constant_c_enclosure,
     derive_seed,
     edge_probability_closed_form,
@@ -24,7 +23,6 @@ from qturan.construction import (
     format_assignment,
     member_lower,
     member_upper,
-    multiset_of,
     parse_assignment,
     sample_assignment,
     union_odd_layers,
@@ -45,6 +43,7 @@ from qturan.cube import (
 )
 from qturan.gf2 import GF2Vec, parity_check_columns
 
+from helpers import constant_c, multiset_of, union_edge_count
 from oracles import (
     edge_count_sets,
     edge_pairs_by_probe,
@@ -627,7 +626,7 @@ class TestUnionGraph:
     def test_single_coordinate(self):
         u = union_odd_layers(1, {1: sample_assignment(1, 1, 0)})
         assert set(u.layers) == {1}
-        assert con.union_edge_count(u) == 1
+        assert union_edge_count(u) == 1
 
     def test_disjoint_vertex_sets(self):
         u = union_odd_layers(3, {1: sample_assignment(3, 1, 0), 3: sample_assignment(3, 3, 1)})
@@ -651,12 +650,12 @@ class TestUnionGraph:
             u = union_odd_layers(
                 n, {r: sample_assignment(n, r, derive_seed(seed, r)) for r in range(1, n + 1, 2)}
             )
-            assert con.union_edge_count(u) <= cube_edge_count(n) // 2
+            assert union_edge_count(u) <= cube_edge_count(n) // 2
 
     def test_union_hits_half_when_layers_are_complete(self):
         # at n=2 the only odd layer is r=1, which survives in full
         u = union_odd_layers(2, {1: sample_assignment(2, 1, 0)})
-        assert con.union_edge_count(u) == cube_edge_count(2) // 2
+        assert union_edge_count(u) == cube_edge_count(2) // 2
 
     def test_expected_union_density_beats_quarter(self):
         # exact expectation of the union's edge count, layer by layer

@@ -5,15 +5,13 @@ import pytest
 
 from qturan.gf2 import (
     GF2Vec,
-    in_span,
-    is_basis,
     parity_check_columns,
     quotient_image,
-    rank,
     rank_bits,
     sample_nonzero,
 )
 
+from helpers import in_span, is_basis, rank
 from oracles import (
     column_dependencies,
     is_basis_by_span,

@@ -8,10 +8,16 @@ survivors or a neighbor map, until some later allocation of tracked
 objects runs the collector.  Each entry point is called once to warm up
 caches, then again with the collector off; afterwards a collection must
 find nothing to free.
+
+Every test here sees the process on one CPU, where the suite forks no
+layer helper, so the calls and peaks measured are those of a process that
+runs every layer step itself.  tests/test_helper.py checks the helper's
+own loop for one layer at a time, and the parent for garbage cycles.
 """
 
 import gc
 import io
+import os
 import tracemalloc
 
 import pytest
@@ -23,13 +29,13 @@ from qturan.bounds import (
     _split_layer,
     c10_pipeline,
     density_report_suite,
-    format_coloring,
     read_coloring,
 )
 from qturan.construction import build_layer_graph, find_good_assignment, sample_assignment
 from qturan.cube import edge_count, format_layer_graph, layer_graph_text, parse_layer_graph
 from qturan.detector import find_c6_minus, find_cycle_generic
 
+from helpers import format_coloring
 from oracles import subgraph_of_union
 
 N = 10
@@ -50,6 +56,11 @@ CALLS = {
     "parse_layer_graph": lambda d: parse_layer_graph(d["layer_text"]),
     "read_coloring": lambda d: read_coloring(io.StringIO(d["coloring_text"])),
 }
+
+
+@pytest.fixture(autouse=True)
+def one_cpu(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
 
 
 def mod3_certificate(n):
