@@ -179,13 +179,19 @@ def _cmd_pipeline(args) -> int:
 
 
 def _parse_r_spec(spec: str) -> list[int]:
+    """The dimensions of spec.  A part that holds an r above gf2.MAX_DIM is
+    refused before it is expanded, so a huge range costs no memory."""
+    from .gf2 import MAX_DIM
+
     values = []
     for part in spec.split(","):
         if ":" in part:
-            lo, hi = part.split(":", 1)
-            values.extend(range(int(lo), int(hi) + 1))
+            lo, hi = map(int, part.split(":", 1))
         else:
-            values.append(int(part))
+            lo = hi = int(part)
+        if lo <= hi and hi > MAX_DIM:
+            raise ValueError(f"bad dimension spec {spec!r}: r must be at most {MAX_DIM}")
+        values.extend(range(lo, hi + 1))
     if not values or any(r < 1 for r in values):
         raise ValueError(f"bad dimension spec {spec!r}")
     return values

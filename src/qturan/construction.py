@@ -56,7 +56,6 @@ __all__ = [
     "LayerHelper",
     "fork_layer_helper",
     "format_assignment",
-    "parse_assignment",
     # cube's names, re-exported only because bench/tracing.py reads them
     # here; they go when the benchmark reads them from cube (ROADMAP item 1)
     "edge_count",
@@ -585,7 +584,7 @@ def _send(fd: int, data: bytes) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Text formats
+# The assignment file
 
 
 def format_assignment(a: VectorAssignment) -> str:
@@ -593,25 +592,3 @@ def format_assignment(a: VectorAssignment) -> str:
     for i, v in enumerate(a.vectors, start=1):
         lines.append(f"v{i} {v.bits:x}")
     return "\n".join(lines) + "\n"
-
-
-def parse_assignment(text: str) -> VectorAssignment:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("# gf2-assignment "):
-        raise ValueError("assignment file must start with '# gf2-assignment n=<n> r=<r>'")
-    fields = dict(part.split("=", 1) for part in lines[0].split()[2:])
-    try:
-        n, r = int(fields["n"]), int(fields["r"])
-    except (KeyError, ValueError) as exc:
-        raise ValueError(f"bad assignment header: {lines[0]!r}") from exc
-    if n < 1:
-        raise ValueError(f"bad ground-set size in header: {n}")
-    if len(lines) != n + 2:
-        raise ValueError(f"expected v0 plus {n} vector lines, got {len(lines) - 1}")
-    vectors = []
-    for expect_idx, line in enumerate(lines[1:]):
-        parts = line.split()
-        if len(parts) != 2 or parts[0] != f"v{expect_idx}":
-            raise ValueError(f"expected 'v{expect_idx} <hex>', got {line!r}")
-        vectors.append(GF2Vec(int(parts[1], 16), r))
-    return VectorAssignment(n=n, r=r, anchor=vectors[0], vectors=tuple(vectors[1:]))

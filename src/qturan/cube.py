@@ -8,7 +8,7 @@ Subset enumeration is capped at n <= 24 by default (binomial(24, 12) is
 about 2.7M vertices); the QT_CAPACITY environment variable overrides the
 cap.  Membership-style queries work for any n.
 
-Edge-list text format (shared by the exporters in other modules):
+Edge-list text format, which verify reads and the layer file begins with:
     # qn n=<n>
     <x-hex> <y-hex>
 one edge per line, lowercase hex masks, with popcount(y) = popcount(x) + 1
@@ -37,15 +37,12 @@ __all__ = [
     "enumeration_cap",
     "require_capacity",
     "bit_indices",
-    "are_adjacent",
     "subsets_of_size",
-    "layer_vertices",
     "layer_edge_count",
     "cube_edge_count",
     "cube_edges",
     "upward_masks",
     "upward_edges",
-    "format_edge_list",
     "parse_edge_list",
     "LayerSubgraph",
     "edge_count",
@@ -107,11 +104,6 @@ def bit_indices(mask: int) -> list[int]:
     return out
 
 
-def are_adjacent(x: int, y: int) -> bool:
-    """True iff the two vertices differ in exactly one coordinate."""
-    return (x ^ y).bit_count() == 1
-
-
 def subsets_of_size(n: int, k: int) -> Iterator[int]:
     """All masks of k-subsets of an n-set, in increasing mask order."""
     if n < 0 or k < 0 or k > n:
@@ -128,15 +120,6 @@ def subsets_of_size(n: int, k: int) -> Iterator[int]:
         low = mask & -mask
         ripple = mask + low
         mask = ripple | (((mask ^ ripple) // low) >> 2)
-
-
-def layer_vertices(layer: LayerId, side: str) -> Iterator[int]:
-    """Vertices on one side of a layer: 'lower' = (r-1)-subsets, 'upper' = r-subsets."""
-    if side == "lower":
-        return subsets_of_size(layer.n, layer.r - 1)
-    if side == "upper":
-        return subsets_of_size(layer.n, layer.r)
-    raise ValueError(f"side must be 'lower' or 'upper', got {side!r}")
 
 
 def layer_edge_count(layer: LayerId) -> int:
@@ -186,14 +169,6 @@ def upward_edges(vertices: Iterable[int], masks: Iterable[int]) -> Iterator[tupl
             bit = m & -m
             m ^= bit
             yield x, x | bit
-
-
-def format_edge_list(n: int, edges: list[tuple[int, int]]) -> str:
-    """Serialize edges in the shared text format, sorted for reproducibility."""
-    lines = [f"# qn n={n}"]
-    for x, y in sorted(edges):
-        lines.append(f"{x:x} {y:x}")
-    return "\n".join(lines) + "\n"
 
 
 def parse_edge_list(text: str) -> tuple[int, list[tuple[int, int]]]:

@@ -8,6 +8,10 @@ Two independent routes for 6-cycles inside a layer:
 * a generic exhaustive search, meeting in the middle, that works on any
   subgraph of Q_n and any even cycle length.
 
+Of the package, the module imports only cube and record: it checks a
+graph, whatever built it.  The quotient argument, why a GF(2)
+construction's layer holds no subcube pattern, is checked by the tests.
+
 The generic searches take one graph form, CubeSubgraph: sorted vertex
 masks, each with the mask of its edges upward, as in a layer graph, so a
 layer is merged from its two sides and its own masks.
@@ -47,27 +51,21 @@ from bisect import bisect_left
 from functools import reduce
 from itertools import chain
 from operator import or_
-from typing import TYPE_CHECKING, Callable, Iterable
+from typing import Callable, Iterable
 
 from . import cube
-from .cube import LayerSubgraph, bit_indices, upward_edges, upward_masks
+from .cube import LayerSubgraph, upward_edges
 from .record import Record
-
-if TYPE_CHECKING:
-    from .construction import VectorAssignment
-    from .gf2 import GF2Vec
 
 __all__ = [
     "CubeSubgraph",
     "CycleWitness",
     "PathWitness",
     "SubcubePattern",
-    "C6Obstruction",
     "subgraph_of_layer",
     "find_cycle_generic",
     "find_c6_minus",
     "find_c6_structured",
-    "explain_c6_impossibility",
     "witness_line",
 ]
 
@@ -78,8 +76,8 @@ class CubeSubgraph(Record):
 
     edge_masks is aligned with vertices: bit j of edge_masks[i] is set
     exactly when (vertices[i], vertices[i] | 1 << j) is an edge, the layout
-    of LayerSubgraph.edge_masks.  induced and explicit check their input
-    and derive the masks once; the Record constructor trusts them.
+    of LayerSubgraph.edge_masks.  explicit checks its input and derives
+    the masks once; the Record constructor trusts them.
     """
 
     n: int
@@ -87,15 +85,13 @@ class CubeSubgraph(Record):
     edge_masks: tuple[int, ...]
 
     @classmethod
-    def induced(cls, n: int, vertices: Iterable[int]) -> CubeSubgraph:
-        verts = _checked_vertices(n, vertices)
-        return cls(n, verts, tuple(upward_masks(verts, set(verts))))
-
-    @classmethod
     def explicit(
         cls, n: int, vertices: Iterable[int], edges: Iterable[tuple[int, int]]
     ) -> CubeSubgraph:
-        verts = _checked_vertices(n, vertices)
+        verts = tuple(sorted(set(vertices)))
+        for v in verts:
+            if v < 0 or v >> n:
+                raise ValueError(f"vertex 0x{v:x} is outside Q_{n}")
         index = {v: i for i, v in enumerate(verts)}
         masks = [0] * len(verts)
         for x, y in edges:
@@ -107,18 +103,6 @@ class CubeSubgraph(Record):
                 raise ValueError(f"edge (0x{x:x}, 0x{y:x}) has an endpoint outside the vertex set")
             masks[index[x]] |= x ^ y
         return cls(n, verts, tuple(masks))
-
-    def edge_list(self) -> list[tuple[int, int]]:
-        """The edges (x, y) with x < y, in sorted order."""
-        return list(upward_edges(self.vertices, self.edge_masks))
-
-
-def _checked_vertices(n: int, vertices: Iterable[int]) -> tuple[int, ...]:
-    verts = tuple(sorted(set(vertices)))
-    for v in verts:
-        if v < 0 or v >> n:
-            raise ValueError(f"vertex 0x{v:x} is outside Q_{n}")
-    return verts
 
 
 def subgraph_of_layer(g: LayerSubgraph) -> CubeSubgraph:
@@ -193,33 +177,6 @@ class SubcubePattern(Record):
         for i in self.axes:
             if (self.core >> i) & 1:
                 raise ValueError(f"axis {i} overlaps the core mask 0x{self.core:x}")
-
-    def lower_vertices(self) -> tuple[int, int, int]:
-        return tuple(self.core | (1 << i) for i in self.axes)  # type: ignore[return-value]
-
-    def upper_vertices(self) -> tuple[int, int, int]:
-        a, b, c = self.axes
-        return (
-            self.core | (1 << a) | (1 << b),
-            self.core | (1 << a) | (1 << c),
-            self.core | (1 << b) | (1 << c),
-        )
-
-
-class C6Obstruction(Record):
-    """Which membership condition of a subcube pattern fails for an assignment.
-
-    failed_conditions is empty only when every condition holds, in which
-    case pigeonhole carries the (never expected) contradiction message.
-    """
-
-    pattern: SubcubePattern
-    failed_conditions: tuple[str, ...]
-    images: tuple[GF2Vec, GF2Vec, GF2Vec, GF2Vec] | None
-    pigeonhole: str | None
-
-    def all_conditions_pass(self) -> bool:
-        return not self.failed_conditions
 
 
 # ---------------------------------------------------------------------------
@@ -456,7 +413,7 @@ def find_c6_minus(graph: CubeSubgraph, workers: int = 1) -> PathWitness | None:
 
 
 # ---------------------------------------------------------------------------
-# Structured scan and its impossibility certificate
+# Structured scan
 
 
 def find_c6_structured(g: LayerSubgraph) -> SubcubePattern | None:
@@ -493,51 +450,6 @@ def find_c6_structured(g: LayerSubgraph) -> SubcubePattern | None:
                     axes = tuple(bit.bit_length() - 1 for bit in (a, b, c))
                     return SubcubePattern(core, axes)
     return None
-
-
-PIGEONHOLE_MESSAGE = (
-    "all seven basis conditions hold: four pairwise-distinct nonzero images "
-    "in a 2-dimensional quotient, which has only three nonzero vectors"
-)
-
-
-def explain_c6_impossibility(a: VectorAssignment, pattern: SubcubePattern) -> C6Obstruction:
-    """Recompute the quotient by the core's vectors and report what failed.
-
-    The seven conditions are the three upper-side and three lower-side basis
-    requirements of the pattern plus the independence of the core's vectors.
-    If none fails, the four quotient images would be distinct nonzero
-    elements of a 2-dimensional space; the report flags that contradiction,
-    which no assignment can reach.
-    """
-    from .gf2 import quotient_image, rank_bits
-
-    core_elems = bit_indices(pattern.core)
-    if len(core_elems) != a.r - 2:
-        raise ValueError(
-            f"core size {len(core_elems)} does not match r - 2 = {a.r - 2}"
-        )
-    if pattern.core >> a.n or any(i >= a.n for i in pattern.axes):
-        raise ValueError(f"pattern does not fit a ground set of size {a.n}")
-    core_vecs = [a.vectors[i] for i in core_elems]
-    if rank_bits(v.bits for v in core_vecs) != len(core_vecs):
-        return C6Obstruction(pattern, ("core",), None, None)
-    anchor_img = quotient_image(a.anchor, core_vecs)
-    axis_imgs = [quotient_image(a.vectors[i], core_vecs) for i in pattern.axes]
-    failed = []
-    ax = pattern.axes
-    for (p, q) in ((0, 1), (0, 2), (1, 2)):
-        xi, xj = axis_imgs[p], axis_imgs[q]
-        if not xi or not xj or xi == xj:
-            failed.append(f"upper:{ax[p]},{ax[q]}")
-    for p in range(3):
-        xi = axis_imgs[p]
-        if not anchor_img or not xi or anchor_img == xi:
-            failed.append(f"lower:{ax[p]}")
-    images = (anchor_img, axis_imgs[0], axis_imgs[1], axis_imgs[2])
-    if failed:
-        return C6Obstruction(pattern, tuple(failed), images, None)
-    return C6Obstruction(pattern, (), images, PIGEONHOLE_MESSAGE)
 
 
 def witness_line(witness: CycleWitness | PathWitness) -> str:

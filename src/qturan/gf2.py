@@ -18,7 +18,6 @@ __all__ = [
     "MAX_DIM",
     "GF2Vec",
     "rank_bits",
-    "quotient_image",
     "parity_check_columns",
     "sample_nonzero",
 ]
@@ -37,31 +36,14 @@ class GF2Vec(Record):
             raise ValueError(f"bits 0x{self.bits:x} do not fit in dimension {self.dim}")
 
     @classmethod
-    def zero(cls, dim: int) -> GF2Vec:
-        return cls(0, dim)
-
-    @classmethod
     def unit(cls, index: int, dim: int) -> GF2Vec:
         """Standard basis vector e_index (0-based)."""
         if not 0 <= index < dim:
             raise ValueError(f"unit index {index} out of range for dimension {dim}")
         return cls(1 << index, dim)
 
-    def __xor__(self, other: GF2Vec) -> GF2Vec:
-        if not isinstance(other, GF2Vec):
-            return NotImplemented
-        if other.dim != self.dim:
-            raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
-        return GF2Vec(self.bits ^ other.bits, self.dim)
-
     def __bool__(self) -> bool:
         return self.bits != 0
-
-
-def _check_dims(vs: list[GF2Vec], dim: int) -> None:
-    for v in vs:
-        if v.dim != dim:
-            raise ValueError(f"dimension mismatch: expected {dim}, got {v.dim}")
 
 
 def _pivots(rows: Iterable[int]) -> dict[int, int]:
@@ -81,47 +63,9 @@ def _pivots(rows: Iterable[int]) -> dict[int, int]:
     return pivots
 
 
-def _reduce(v: int, pivots: dict[int, int]) -> int:
-    """The one element of v + span with every pivot bit clear.
-
-    The pivot of bit t has no bit above t, so clearing from the highest
-    pivot bit down never sets one already cleared.
-    """
-    pivot_bits = sum(1 << t for t in pivots)
-    while v & pivot_bits:
-        v ^= pivots[(v & pivot_bits).bit_length() - 1]
-    return v
-
-
 def rank_bits(rows: Iterable[int]) -> int:
     """Rank over GF(2) of int bitset rows."""
     return len(_pivots(rows))
-
-
-def quotient_image(v: GF2Vec, subspace_basis: Iterable[GF2Vec]) -> GF2Vec:
-    """Canonical representative of v + Span(subspace_basis).
-
-    The image lives in a fixed coordinate system of dimension
-    v.dim - len(subspace_basis): reduce v until every leading bit of the
-    subspace is clear, then pack the other coordinates in increasing index
-    order.  Two vectors get equal images iff their difference is in the
-    subspace, so image equality is a plain bit comparison.
-    """
-    basis = list(subspace_basis)
-    _check_dims(basis, v.dim)
-    pivots = _pivots(w.bits for w in basis)
-    if len(pivots) != len(basis):
-        raise ValueError("subspace basis is linearly dependent")
-    cur = _reduce(v.bits, pivots)
-    out = 0
-    j = 0
-    for i in range(v.dim):
-        if i in pivots:
-            continue
-        if (cur >> i) & 1:
-            out |= 1 << j
-        j += 1
-    return GF2Vec(out, v.dim - len(pivots))
 
 
 def parity_check_columns(columns: list[int], dim: int) -> list[int] | None:

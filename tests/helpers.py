@@ -1,7 +1,9 @@
 """Functions that only the tests call, kept out of the library, which runs
-none of them: the coloring writer and a one-color certificate, the float
-value of c, a union's edge count, the vectors of a subset, and gf2's rank,
-basis and span tests on GF2Vec lists of one dimension.
+none of them: the coloring writer and a one-color certificate, the
+edge-list writer, the induced subgraph of Q_n on a vertex set, the
+assignment reader, the float value of c, a union's edge count, the vectors
+of a subset, and the rank, basis and span tests on GF2Vec lists of one
+dimension.
 
 format_coloring writes a certificate's edges in (base, coord) order, the
 order the README states and the parser's fast path reads.
@@ -12,8 +14,9 @@ from fractions import Fraction
 from qturan import cube
 from qturan.bounds import COLOR_COUNT, UNSET, ColoringCertificate
 from qturan.construction import VectorAssignment, UnionGraph, _partial_products
-from qturan.cube import bit_indices, cube_edge_count, edge_count
-from qturan.gf2 import GF2Vec, _check_dims, _pivots, _reduce, rank_bits
+from qturan.cube import bit_indices, cube_edge_count, edge_count, upward_masks
+from qturan.detector import CubeSubgraph
+from qturan.gf2 import GF2Vec, rank_bits
 
 
 def monochromatic_certificate(n: int, color: int = 0) -> ColoringCertificate:
@@ -34,6 +37,44 @@ def format_coloring(cert: ColoringCertificate) -> str:
     return "\n".join(lines) + "\n"
 
 
+def format_edge_list(n: int, edges: list[tuple[int, int]]) -> str:
+    """Edges in cube's edge-list format, sorted."""
+    lines = [f"# qn n={n}"]
+    for x, y in sorted(edges):
+        lines.append(f"{x:x} {y:x}")
+    return "\n".join(lines) + "\n"
+
+
+def induced_subgraph(n: int, vertices) -> CubeSubgraph:
+    """The subgraph of Q_n induced on vertices; a vertex outside Q_n is a
+    ValueError, as for CubeSubgraph.explicit."""
+    verts = CubeSubgraph.explicit(n, vertices, ()).vertices
+    return CubeSubgraph(n, verts, tuple(upward_masks(verts, set(verts))))
+
+
+def parse_assignment(text: str) -> VectorAssignment:
+    """The assignment of a file that construction.format_assignment wrote."""
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    if not lines or not lines[0].startswith("# gf2-assignment "):
+        raise ValueError("assignment file must start with '# gf2-assignment n=<n> r=<r>'")
+    fields = dict(part.split("=", 1) for part in lines[0].split()[2:])
+    try:
+        n, r = int(fields["n"]), int(fields["r"])
+    except (KeyError, ValueError) as exc:
+        raise ValueError(f"bad assignment header: {lines[0]!r}") from exc
+    if n < 1:
+        raise ValueError(f"bad ground-set size in header: {n}")
+    if len(lines) != n + 2:
+        raise ValueError(f"expected v0 plus {n} vector lines, got {len(lines) - 1}")
+    vectors = []
+    for expect_idx, line in enumerate(lines[1:]):
+        parts = line.split()
+        if len(parts) != 2 or parts[0] != f"v{expect_idx}":
+            raise ValueError(f"expected 'v{expect_idx} <hex>', got {line!r}")
+        vectors.append(GF2Vec(int(parts[1], 16), r))
+    return VectorAssignment(n=n, r=r, anchor=vectors[0], vectors=tuple(vectors[1:]))
+
+
 def multiset_of(a: VectorAssignment, subset: int) -> list[GF2Vec]:
     """The coordinate vectors selected by a subset mask (with multiplicity)."""
     if subset >> a.n:
@@ -51,22 +92,27 @@ def constant_c(tolerance: float | Fraction = 1e-12) -> float:
     return float(hi)
 
 
+def _bits(vs, dim: int) -> list[int]:
+    """The bits of GF2Vecs that all have dimension dim."""
+    vec_list = list(vs)
+    for v in vec_list:
+        if v.dim != dim:
+            raise ValueError(f"dimension mismatch: expected {dim}, got {v.dim}")
+    return [v.bits for v in vec_list]
+
+
 def rank(vs, dim: int) -> int:
     """dim(Span(vs)); order of the input never matters."""
-    vec_list = list(vs)
-    _check_dims(vec_list, dim)
-    return rank_bits(v.bits for v in vec_list)
+    return rank_bits(_bits(vs, dim))
 
 
 def is_basis(vs, dim: int) -> bool:
     """True iff vs has exactly dim vectors and they span F_2^dim."""
-    vec_list = list(vs)
-    _check_dims(vec_list, dim)
-    return len(vec_list) == dim and rank_bits(v.bits for v in vec_list) == dim
+    bits = _bits(vs, dim)
+    return len(bits) == dim and rank_bits(bits) == dim
 
 
 def in_span(v: GF2Vec, vs) -> bool:
-    """True iff v lies in Span(vs): v reduces to zero."""
-    vec_list = list(vs)
-    _check_dims(vec_list, v.dim)
-    return _reduce(v.bits, _pivots(w.bits for w in vec_list)) == 0
+    """True iff v lies in Span(vs): adding it does not raise the rank."""
+    bits = _bits(vs, v.dim)
+    return rank_bits(bits + [v.bits]) == rank_bits(bits)

@@ -24,8 +24,10 @@ as before a CubeSubgraph held the edge mask of each vertex.
 The layer-graph references find the edges, write the layer file and scan
 for subcube patterns by probing the sets of the two sides, as before a
 layer graph carried the edge mask of each lower vertex.
-The quotient reference reduces a vector by the fully reduced echelon form
-of the basis, as before gf2 kept a single elimination with top-bit pivots.
+The quotient routine reduces a vector by the fully reduced echelon form
+of the basis.  explain_c6_impossibility runs it to recompute the paper's
+quotient argument for one subcube pattern: which of the seven basis
+conditions an assignment breaks there.
 The two-level layer scan is the survivor scan as it was before its last
 three levels were emitted inline.
 The dependency reference lists the null space of a set of columns by
@@ -46,9 +48,11 @@ from qturan.cube import (
     cube_edge_count,
     require_capacity,
     subsets_of_size,
+    upward_edges,
 )
 from qturan.detector import CubeSubgraph, SubcubePattern, _neighbor_map, find_cycle_generic
 from qturan.gf2 import GF2Vec, rank_bits
+from qturan.record import Record
 
 EXPECTATION_CAP = 10**7
 
@@ -700,7 +704,7 @@ def union_c10_pipeline(union, cert, split=class_graphs):
     if problems:
         raise ValueError("invalid coloring certificate: " + "; ".join(problems))
     graphs = split(union, cert.colors)
-    counts = tuple(len(sub.edge_list()) for sub in graphs)
+    counts = tuple(len(list(upward_edges(sub.vertices, sub.edge_masks))) for sub in graphs)
     free = []
     witnesses = {}
     for k, sub in enumerate(graphs):
@@ -744,9 +748,10 @@ def reduced_echelon(basis):
 
 
 def quotient_image_by_reduced_echelon(v, subspace_basis):
-    """gf2.quotient_image through the reduced echelon form of the basis:
-    reduce v by every row, then pack the non-pivot coordinates in
-    increasing index order."""
+    """Canonical representative of v + Span(subspace_basis), through the
+    reduced echelon form of the basis: reduce v by every row, then pack the
+    non-pivot coordinates in increasing index order.  Two vectors get equal
+    images iff their difference is in the subspace."""
     basis = list(subspace_basis)
     for w in basis:
         if w.dim != v.dim:
@@ -765,6 +770,60 @@ def quotient_image_by_reduced_echelon(v, subspace_basis):
             out |= 1 << j
         j += 1
     return GF2Vec(out, v.dim - len(rows))
+
+
+class C6Obstruction(Record):
+    """Which membership condition of a subcube pattern fails for an assignment.
+
+    failed_conditions is empty only when every condition holds, in which
+    case pigeonhole carries the (never expected) contradiction message.
+    """
+
+    pattern: SubcubePattern
+    failed_conditions: tuple[str, ...]
+    images: tuple[GF2Vec, GF2Vec, GF2Vec, GF2Vec] | None
+    pigeonhole: str | None
+
+
+PIGEONHOLE_MESSAGE = (
+    "all seven basis conditions hold: four pairwise-distinct nonzero images "
+    "in a 2-dimensional quotient, which has only three nonzero vectors"
+)
+
+
+def explain_c6_impossibility(a, pattern):
+    """Recompute the quotient by the core's vectors and report what failed.
+
+    The seven conditions are the three upper-side and three lower-side basis
+    requirements of the pattern plus the independence of the core's vectors.
+    If none fails, the four quotient images would be distinct nonzero
+    elements of a 2-dimensional space; the report flags that contradiction,
+    which no assignment can reach.
+    """
+    core_elems = bit_indices(pattern.core)
+    if len(core_elems) != a.r - 2:
+        raise ValueError(f"core size {len(core_elems)} does not match r - 2 = {a.r - 2}")
+    if pattern.core >> a.n or any(i >= a.n for i in pattern.axes):
+        raise ValueError(f"pattern does not fit a ground set of size {a.n}")
+    core_vecs = [a.vectors[i] for i in core_elems]
+    if rank_bits(v.bits for v in core_vecs) != len(core_vecs):
+        return C6Obstruction(pattern, ("core",), None, None)
+    anchor_img = quotient_image_by_reduced_echelon(a.anchor, core_vecs)
+    axis_imgs = [quotient_image_by_reduced_echelon(a.vectors[i], core_vecs) for i in pattern.axes]
+    failed = []
+    ax = pattern.axes
+    for p, q in ((0, 1), (0, 2), (1, 2)):
+        xi, xj = axis_imgs[p], axis_imgs[q]
+        if not xi or not xj or xi == xj:
+            failed.append(f"upper:{ax[p]},{ax[q]}")
+    for p in range(3):
+        xi = axis_imgs[p]
+        if not anchor_img or not xi or anchor_img == xi:
+            failed.append(f"lower:{ax[p]}")
+    images = (anchor_img, axis_imgs[0], axis_imgs[1], axis_imgs[2])
+    if failed:
+        return C6Obstruction(pattern, tuple(failed), images, None)
+    return C6Obstruction(pattern, (), images, PIGEONHOLE_MESSAGE)
 
 
 def layer_scan_two_levels(n, r, anchor_bits, vector_bits):

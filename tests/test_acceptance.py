@@ -6,6 +6,7 @@ deterministic; the statistical checks use 4-sigma binomial bands.
 
 import random
 from fractions import Fraction
+from itertools import combinations
 from math import sqrt
 
 import pytest
@@ -20,16 +21,15 @@ from qturan.construction import (
     member_upper,
     sample_assignment,
 )
-from qturan.cube import LayerId, LayerSubgraph, cube_edge_count, layer_edge_count, layer_vertices
+from qturan.cube import LayerId, LayerSubgraph, cube_edge_count, layer_edge_count, subsets_of_size
 from qturan.detector import (
-    CubeSubgraph,
     find_c6_minus,
     find_c6_structured,
     find_cycle_generic,
     subgraph_of_layer,
 )
 
-from helpers import constant_c, monochromatic_certificate
+from helpers import constant_c, induced_subgraph, monochromatic_certificate
 from oracles import exact_expected_edges, find_c6_structured_by_probe, subgraph_of_union
 
 # prod_{k>=1}(1 - 2^-k), frozen from an independent high-precision
@@ -58,15 +58,15 @@ def layer_instances():
     rng = random.Random(501)
     instances = []
     layer73 = LayerId(7, 3)
-    lows73 = list(layer_vertices(layer73, "lower"))
-    ups73 = list(layer_vertices(layer73, "upper"))
+    lows73 = list(subsets_of_size(7, 2))
+    ups73 = list(subsets_of_size(7, 3))
     for _ in range(500):
         lower = frozenset(v for v in lows73 if rng.random() < 0.5)
         upper = frozenset(v for v in ups73 if rng.random() < 0.5)
         instances.append(LayerSubgraph.induced(layer73, lower, upper))
     layer42 = LayerId(4, 2)
-    lows42 = list(layer_vertices(layer42, "lower"))
-    ups42 = list(layer_vertices(layer42, "upper"))
+    lows42 = list(subsets_of_size(4, 1))
+    ups42 = list(subsets_of_size(4, 2))
     verts = lows42 + ups42
     assert len(verts) == 10
     for mask in range(1 << 10):
@@ -145,8 +145,9 @@ def test_criterion_5_detector_cross_validation(layer_instances):
         generic = find_cycle_generic(subgraph_of_layer(g), 6)
         assert (structured is None) == (generic is None)
         if structured is not None:
-            assert set(structured.lower_vertices()) <= set(g.lower)
-            assert set(structured.upper_vertices()) <= set(g.upper)
+            lower = {structured.core | 1 << i for i in structured.axes}
+            assert lower <= set(g.lower)
+            assert {x | y for x, y in combinations(lower, 2)} <= set(g.upper)
             witnesses += 1
         agreements += 1
     announce(5, f"structured and generic detectors agree on {agreements} induced subgraphs "
@@ -192,10 +193,7 @@ def test_criterion_8_layers_have_no_c4():
     checked = 0
     for n in range(1, 9):
         for r in range(1, n + 1):
-            layer = LayerId(n, r)
-            g = CubeSubgraph.induced(
-                n, list(layer_vertices(layer, "lower")) + list(layer_vertices(layer, "upper"))
-            )
+            g = induced_subgraph(n, [*subsets_of_size(n, r - 1), *subsets_of_size(n, r)])
             assert find_cycle_generic(g, 4) is None, (n, r)
             checked += 1
     announce(8, f"no C4 in any of the {checked} full layers with n<=8")
@@ -235,7 +233,7 @@ def test_criterion_10_pipeline_soundness(suites):
     rng = random.Random(99)
     for trial in range(25):
         extras = rng.sample(sorted(set(range(32)) - set(cycle)), 20)
-        g = CubeSubgraph.induced(5, cycle + extras)
+        g = induced_subgraph(5, cycle + extras)
         witness = find_cycle_generic(g, 10)
         assert witness is not None and witness.length == 10
         assert set(witness.vertices) <= set(g.vertices)

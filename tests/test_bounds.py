@@ -37,7 +37,8 @@ from qturan.cube import (
     cube_edge_count,
     cube_edges,
     edge_count,
-    layer_vertices,
+    subsets_of_size,
+    upward_edges,
 )
 from qturan.detector import find_cycle_generic
 
@@ -65,12 +66,7 @@ def constructed_union(n, seed=0):
 
 
 def full_layer_union(n, r):
-    layer = LayerId(n, r)
-    g = LayerSubgraph.induced(
-        layer,
-        frozenset(layer_vertices(layer, "lower")),
-        frozenset(layer_vertices(layer, "upper")),
-    )
+    g = LayerSubgraph.induced(LayerId(n, r), subsets_of_size(n, r - 1), subsets_of_size(n, r))
     return UnionGraph(n, {r: g})
 
 
@@ -220,9 +216,8 @@ class TestPipeline:
         # components have at most 8 vertices, so every class is C10-free
         assert outcome.success
         assert outcome.best_class == 0
-        assert outcome.class_edge_counts[0] == sum(
-            1 for _ in subgraph_of_union(union).edge_list()
-        )
+        sub = subgraph_of_union(union)
+        assert outcome.class_edge_counts[0] == sum(1 for _ in upward_edges(sub.vertices, sub.edge_masks))
         assert outcome.report is not None and outcome.report.scope == "final"
         assert outcome.report.ratio <= Fraction(1, 2)
 
@@ -304,7 +299,7 @@ class TestClassGraphs:
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            edges = sum(len(sub.edge_list()) for sub in graphs)
+            edges = sum(len(list(upward_edges(sub.vertices, sub.edge_masks))) for sub in graphs)
             assert edges == edge_count(g)
             assert peak < 64 * edges + 8192, g.layer
 

@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qturan import bounds, cli, construction, cube
-from qturan.cube import LayerId, LayerSubgraph, format_layer_graph, layer_vertices
+from qturan.cube import LayerId, LayerSubgraph, format_layer_graph, subsets_of_size, upward_edges
 
-from helpers import format_coloring, monochromatic_certificate
+from helpers import format_coloring, format_edge_list, monochromatic_certificate
 from oracles import rank_certificate
 from test_detector import planted_graph, ring
 
@@ -21,12 +21,7 @@ def run(argv, capsys):
 
 
 def full_layer_text(n, r):
-    layer = LayerId(n, r)
-    g = LayerSubgraph.induced(
-        layer,
-        frozenset(layer_vertices(layer, "lower")),
-        frozenset(layer_vertices(layer, "upper")),
-    )
+    g = LayerSubgraph.induced(LayerId(n, r), subsets_of_size(n, r - 1), subsets_of_size(n, r))
     return format_layer_graph(g)
 
 
@@ -130,7 +125,7 @@ class TestVerify:
         assert len(out.split()) == 7
 
     def test_plain_edge_list_square(self, tmp_path, capsys):
-        text = cube.format_edge_list(2, [(0, 1), (0, 2), (1, 3), (2, 3)])
+        text = format_edge_list(2, [(0, 1), (0, 2), (1, 3), (2, 3)])
         path = tmp_path / "square.txt"
         path.write_text(text)
         code, out, _ = run(["verify", str(path), "--target", "c4"], capsys)
@@ -412,6 +407,14 @@ class TestStats:
             assert (code, out) == (2, "")
             assert err == f"error: bad dimension spec {spec!r}\n"
 
+    @pytest.mark.parametrize("spec", ["65", "3,64:65", f"1:{10**12}"])
+    def test_r_above_max_dim_fails_before_the_header(self, capsys, spec):
+        """A range is refused before it is expanded: 10**12 values would
+        not fit in memory."""
+        code, out, err = run(["stats", "--r", spec, "--trials", "1"], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: bad dimension spec {spec!r}: r must be at most 64\n"
+
     @pytest.mark.parametrize("trials", ["0", "-5"])
     def test_trials_below_one_is_usage_error(self, capsys, trials):
         code, out, err = run(["stats", "--r", "3", "--trials", trials], capsys)
@@ -480,9 +483,9 @@ class TestDeterminism:
         first, second = ring(1 << 9, flips), ring(3 << 8, flips)
         g = planted_graph([first, second], closed=target != "c6minus")
         # an edge list holds no isolated vertex, so the filler 64..76 is paired up
-        edges = g.edge_list() + [(v, v + 1) for v in range(64, 78, 2)]
+        edges = list(upward_edges(g.vertices, g.edge_masks)) + [(v, v + 1) for v in range(64, 78, 2)]
         path = tmp_path / "planted.txt"
-        path.write_text(cube.format_edge_list(g.n, edges))
+        path.write_text(format_edge_list(g.n, edges))
         verts = cli._load_graph(path).vertices
         third = -(-len(verts) // 3)
         # with three workers the first witness starts in the second range

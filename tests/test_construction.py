@@ -23,7 +23,6 @@ from qturan.construction import (
     format_assignment,
     member_lower,
     member_upper,
-    parse_assignment,
     sample_assignment,
     union_odd_layers,
 )
@@ -38,12 +37,12 @@ from qturan.cube import (
     format_layer_graph,
     layer_edge_count,
     layer_graph_text,
-    layer_vertices,
     parse_layer_graph,
+    subsets_of_size,
 )
 from qturan.gf2 import GF2Vec, parity_check_columns
 
-from helpers import constant_c, multiset_of, union_edge_count
+from helpers import constant_c, multiset_of, parse_assignment, union_edge_count
 from oracles import (
     edge_count_sets,
     edge_pairs_by_probe,
@@ -97,7 +96,7 @@ class TestAssignment:
         with pytest.raises(ValueError):
             VectorAssignment(2, 3, GF2Vec.unit(0, 3), (GF2Vec(1, 3), GF2Vec(1, 3)))
         with pytest.raises(ValueError):
-            VectorAssignment(2, 2, GF2Vec.zero(2), (GF2Vec(1, 2), GF2Vec(1, 2)))
+            VectorAssignment(2, 2, GF2Vec(0, 2), (GF2Vec(1, 2), GF2Vec(1, 2)))
         with pytest.raises(ValueError):
             VectorAssignment(2, 2, GF2Vec.unit(0, 2), (GF2Vec(1, 2),))
 
@@ -505,9 +504,8 @@ class TestLayerWriter:
     @pytest.mark.parametrize("n", [5, 6, 7])
     def test_full_layers(self, n):
         for r in range(1, n + 1):
-            layer = LayerId(n, r)
-            lower, upper = layer_vertices(layer, "lower"), layer_vertices(layer, "upper")
-            self.assert_writes_as_probe(LayerSubgraph.induced(layer, lower, upper))
+            lower, upper = subsets_of_size(n, r - 1), subsets_of_size(n, r)
+            self.assert_writes_as_probe(LayerSubgraph.induced(LayerId(n, r), lower, upper))
 
     def test_induced_graphs_with_isolated_vertices(self):
         rng = random.Random(11)
@@ -515,8 +513,8 @@ class TestLayerWriter:
         for n in range(2, 10):
             for r in range(1, n + 1):
                 layer = LayerId(n, r)
-                lower = [x for x in layer_vertices(layer, "lower") if rng.random() < 0.4]
-                upper = [y for y in layer_vertices(layer, "upper") if rng.random() < 0.4]
+                lower = [x for x in subsets_of_size(n, r - 1) if rng.random() < 0.4]
+                upper = [y for y in subsets_of_size(n, r) if rng.random() < 0.4]
                 g = LayerSubgraph.induced(layer, lower, upper)
                 self.assert_writes_as_probe(g)
                 ends = {y for _, y in edge_pairs(g)}
@@ -543,8 +541,8 @@ class TestLayerWriter:
         exact multiple of the block: one edge piece per block."""
         assert cube._TEXT_BLOCK == 256
         layer = LayerId(12, 6)
-        lower = list(layer_vertices(layer, "lower"))[:count]
-        g = LayerSubgraph.induced(layer, lower, layer_vertices(layer, "upper"))
+        lower = list(subsets_of_size(12, 5))[:count]
+        g = LayerSubgraph.induced(layer, lower, subsets_of_size(12, 6))
         self.assert_writes_as_probe(g)
         pieces = list(layer_graph_text(g))
         blocks = -(-count // 256)
@@ -926,8 +924,8 @@ def test_assignment_parse_is_total_and_round_trips(text):
 def layer_texts(draw):
     n = draw(st.integers(1, 5))
     layer = LayerId(n, draw(st.integers(1, n)))
-    lower = draw(st.sets(st.sampled_from(list(layer_vertices(layer, "lower")))))
-    upper = draw(st.sets(st.sampled_from(list(layer_vertices(layer, "upper")))))
+    lower = draw(st.sets(st.sampled_from(list(subsets_of_size(n, layer.r - 1)))))
+    upper = draw(st.sets(st.sampled_from(list(subsets_of_size(n, layer.r)))))
     g = LayerSubgraph.induced(layer, frozenset(lower), frozenset(upper))
     plausible = ["# lower", "# upper", "# layer r=2", "# layer r=x", "# qn n=3", "1 3", "3", "0", "-1", ""]
     return draw(edited_text(format_layer_graph(g).splitlines(), plausible))

@@ -7,34 +7,25 @@ from hypothesis import strategies as st
 from qturan.cube import (
     CapacityError,
     LayerId,
-    are_adjacent,
     bit_indices,
     cube_edge_count,
     cube_edges,
-    format_edge_list,
     layer_edge_count,
-    layer_vertices,
     parse_edge_list,
     subsets_of_size,
 )
 
+from helpers import format_edge_list
 from text_strategies import edited_text
 
 
 class TestAdjacency:
-    def test_examples(self):
-        assert are_adjacent(0b001, 0b011)
-        assert not are_adjacent(0b001, 0b010)
-        assert not are_adjacent(0b101, 0b101)
-
     def test_q3_has_twelve_up_pairs(self):
-        pairs = [
-            (x, y)
-            for x in range(8)
-            for y in range(8)
-            if x < y and are_adjacent(x, y)
-        ]
+        """The up pairs of Q_3, the pairs x < y at Hamming distance 1, are
+        the edges cube_edges lists."""
+        pairs = [(x, y) for x in range(8) for y in range(8) if x < y and (x ^ y).bit_count() == 1]
         assert len(pairs) == 12
+        assert sorted(cube_edges(3)) == pairs
 
 
 class TestSubsetEnumeration:
@@ -43,11 +34,11 @@ class TestSubsetEnumeration:
         assert bit_indices(0b10110) == [1, 2, 4]
 
     def test_small_layer(self):
-        assert list(layer_vertices(LayerId(3, 2), "upper")) == [0b011, 0b101, 0b110]
-        assert list(layer_vertices(LayerId(3, 2), "lower")) == [0b001, 0b010, 0b100]
+        assert list(subsets_of_size(3, 2)) == [0b011, 0b101, 0b110]
+        assert list(subsets_of_size(3, 1)) == [0b001, 0b010, 0b100]
 
     def test_counts(self):
-        assert sum(1 for _ in layer_vertices(LayerId(10, 4), "upper")) == 210
+        assert sum(1 for _ in subsets_of_size(10, 4)) == 210
         for n in range(1, 9):
             for k in range(n + 1):
                 assert sum(1 for _ in subsets_of_size(n, k)) == comb(n, k)
@@ -57,10 +48,6 @@ class TestSubsetEnumeration:
             masks = list(subsets_of_size(n, k))
             assert masks == sorted(set(masks))
             assert all(m.bit_count() == k for m in masks)
-
-    def test_bad_side(self):
-        with pytest.raises(ValueError):
-            list(layer_vertices(LayerId(3, 2), "middle"))
 
     def test_capacity_error(self):
         with pytest.raises(CapacityError):
@@ -92,7 +79,7 @@ class TestEdgeCounts:
     def test_layer_edge_count_matches_enumeration(self):
         for n in range(1, 7):
             for r in range(1, n + 1):
-                uppers = list(layer_vertices(LayerId(n, r), "upper"))
+                uppers = list(subsets_of_size(n, r))
                 count = sum(y.bit_count() for y in uppers)  # lower neighbors per upper vertex
                 assert layer_edge_count(LayerId(n, r)) == count
 
@@ -123,9 +110,8 @@ class TestEdgeCounts:
     def test_bipartite_part_sizes(self):
         for n in range(1, 9):
             for r in range(1, n + 1):
-                layer = LayerId(n, r)
-                assert sum(1 for _ in layer_vertices(layer, "lower")) == comb(n, r - 1)
-                assert sum(1 for _ in layer_vertices(layer, "upper")) == comb(n, r)
+                assert sum(1 for _ in subsets_of_size(n, r - 1)) == comb(n, r - 1)
+                assert sum(1 for _ in subsets_of_size(n, r)) == comb(n, r)
 
 
 class TestEdgeListFormat:

@@ -18,14 +18,12 @@ from qturan.construction import (
     sample_assignment,
     union_odd_layers,
 )
-from qturan.cube import LayerId, LayerSubgraph, edge_pairs
+from qturan.cube import LayerId, LayerSubgraph, edge_pairs, subsets_of_size, upward_edges
 from qturan.detector import (
-    C6Obstruction,
     CubeSubgraph,
     CycleWitness,
     PathWitness,
     SubcubePattern,
-    explain_c6_impossibility,
     find_c6_minus,
     find_c6_structured,
     find_cycle_generic,
@@ -41,10 +39,13 @@ from qturan.detector import (
 )
 from qturan.gf2 import GF2Vec, rank_bits
 
+from helpers import induced_subgraph
 from oracles import (
+    C6Obstruction,
     class_graphs,
     color_classes,
     coloring_bytes,
+    explain_c6_impossibility,
     find_c6_structured_by_probe,
     first_c6_minus_closing_sets,
     first_c6_minus_dfs,
@@ -60,18 +61,13 @@ from oracles import (
 
 
 def full_layer(n, r):
-    layer = LayerId(n, r)
-    return LayerSubgraph.induced(
-        layer,
-        frozenset(cube.layer_vertices(layer, "lower")),
-        frozenset(cube.layer_vertices(layer, "upper")),
-    )
+    return LayerSubgraph.induced(LayerId(n, r), subsets_of_size(n, r - 1), subsets_of_size(n, r))
 
 
 def random_layer_subgraph(n, r, rng):
     layer = LayerId(n, r)
-    lower = frozenset(v for v in cube.layer_vertices(layer, "lower") if rng.random() < 0.5)
-    upper = frozenset(v for v in cube.layer_vertices(layer, "upper") if rng.random() < 0.5)
+    lower = frozenset(v for v in subsets_of_size(n, r - 1) if rng.random() < 0.5)
+    upper = frozenset(v for v in subsets_of_size(n, r) if rng.random() < 0.5)
     return LayerSubgraph.induced(layer, lower, upper)
 
 
@@ -82,7 +78,7 @@ def random_cube_graph_and_edges(rng):
     density = rng.choice([0.3, 0.5, 0.7, 0.9])
     verts = [v for v in range(1 << n) if rng.random() < density]
     if rng.random() < 0.5:
-        return CubeSubgraph.induced(n, verts), None
+        return induced_subgraph(n, verts), None
     keep = rng.choice([0.5, 0.8, 1.0])
     edges = [e for e in induced_cube_edges(n, verts) if rng.random() < keep]
     return CubeSubgraph.explicit(n, verts, edges), edges
@@ -124,8 +120,8 @@ class TestCubeSubgraph:
         rng = random.Random(10)
         for _ in range(50):
             verts = [v for v in range(16) if rng.random() < 0.5]
-            g = CubeSubgraph.induced(4, verts)
-            assert sorted(g.edge_list()) == sorted(induced_cube_edges(4, verts))
+            g = induced_subgraph(4, verts)
+            assert sorted(upward_edges(g.vertices, g.edge_masks)) == sorted(induced_cube_edges(4, verts))
 
     def test_explicit_validation(self):
         with pytest.raises(ValueError):
@@ -133,19 +129,19 @@ class TestCubeSubgraph:
         with pytest.raises(ValueError):
             CubeSubgraph.explicit(3, [0], [(0, 1)])  # endpoint missing
         with pytest.raises(ValueError):
-            CubeSubgraph.induced(2, [7])  # vertex outside Q_2
+            induced_subgraph(2, [7])  # vertex outside Q_2
 
     def test_explicit_normalizes_orientation(self):
         g = CubeSubgraph.explicit(3, [0, 1], [(1, 0)])
         assert g.edge_masks == (1, 0)
-        assert g.edge_list() == [(0, 1)]
+        assert list(upward_edges(g.vertices, g.edge_masks)) == [(0, 1)]
 
     def test_subgraph_of_layer(self):
         g = build_layer_graph(sample_assignment(6, 3, 2))
         sub = subgraph_of_layer(g)
         assert set(sub.vertices) == set(g.lower) | set(g.upper)
         # induced edges inside a layer are exactly the inclusion pairs
-        assert sorted(sub.edge_list()) == sorted(edge_pairs(g))
+        assert sorted(upward_edges(sub.vertices, sub.edge_masks)) == sorted(edge_pairs(g))
 
     def test_subgraph_of_union(self):
         u = union_odd_layers(
@@ -153,7 +149,7 @@ class TestCubeSubgraph:
         )
         sub = subgraph_of_union(u)
         total = sum(len(list(edge_pairs(g))) for g in u.layers.values())
-        assert len(sub.edge_list()) == total
+        assert len(list(upward_edges(sub.vertices, sub.edge_masks))) == total
         vertices = [v for g in u.layers.values() for v in g.lower + g.upper]
         edges = [e for g in u.layers.values() for e in edge_pairs(g)]
         assert sub == CubeSubgraph.explicit(5, vertices, edges)
@@ -186,7 +182,7 @@ class TestWitnessTypes:
 
 class TestFindCycleGeneric:
     def test_square_in_q2(self):
-        g = CubeSubgraph.induced(2, range(4))
+        g = induced_subgraph(2, range(4))
         w = find_cycle_generic(g, 4)
         assert w is not None and w.length == 4
 
@@ -213,12 +209,12 @@ class TestFindCycleGeneric:
         assert len(cycle) == 10
         rng = random.Random(6)
         extras = rng.sample(sorted(set(range(32)) - set(cycle)), 20)
-        g = CubeSubgraph.induced(5, cycle + extras)
+        g = induced_subgraph(5, cycle + extras)
         w = find_cycle_generic(g, 10)
         assert w is not None and w.length == 10
 
     def test_length_validation(self):
-        g = CubeSubgraph.induced(2, range(4))
+        g = induced_subgraph(2, range(4))
         with pytest.raises(ValueError):
             find_cycle_generic(g, 5)
         with pytest.raises(ValueError):
@@ -228,7 +224,7 @@ class TestFindCycleGeneric:
         rng = random.Random(2718)
         for _ in range(120):
             verts = [v for v in range(16) if rng.random() < 0.5]
-            g = CubeSubgraph.induced(4, verts)
+            g = induced_subgraph(4, verts)
             edges = induced_cube_edges(4, verts)
             for length in (4, 6):
                 expected = has_cycle_naive(verts, edges, length)
@@ -237,8 +233,8 @@ class TestFindCycleGeneric:
     def test_witness_flips_each_direction_evenly(self):
         instances = [
             (subgraph_of_layer(full_layer(4, 2)), 6),
-            (CubeSubgraph.induced(3, range(8)), 4),
-            (CubeSubgraph.induced(3, range(8)), 6),
+            (induced_subgraph(3, range(8)), 4),
+            (induced_subgraph(3, range(8)), 6),
         ]
         for g, length in instances:
             w = find_cycle_generic(g, length)
@@ -410,7 +406,7 @@ class TestMeetInTheMiddle:
         for _ in range(300):
             n = rng.randint(5, 8)
             density = rng.choice([0.2, 0.35, 0.5, 0.7])
-            g = CubeSubgraph.induced(n, [v for v in range(1 << n) if rng.random() < density])
+            g = induced_subgraph(n, [v for v in range(1 << n) if rng.random() < density])
             count = len(g.vertices)
             lo = rng.choice([0, rng.randint(0, count)])
             graphs.append(g)
@@ -426,7 +422,7 @@ class TestMeetInTheMiddle:
         seen = set()
         for _ in range(200):
             n = rng.randint(5, 8)
-            g = CubeSubgraph.induced(n, [v for v in range(1 << n) if rng.random() < 0.5])
+            g = induced_subgraph(n, [v for v in range(1 << n) if rng.random() < 0.5])
             below = rng.choice([rng.choice(g.vertices or (0,)), rng.randrange(1 << n), 1 << n])
             hi = sum(1 for v in g.vertices if v < below)
             for length in self.LENGTHS:
@@ -471,7 +467,7 @@ class TestNeighborMap:
         g = CubeSubgraph.explicit(6, path, list(zip(path, path[1:])))
         for length in (4, 6, 10):
             assert _first_cycle_in_range(g, 0, len(path), length) is None
-        square = CubeSubgraph.induced(2, range(4))
+        square = induced_subgraph(2, range(4))
         with pytest.raises(AssertionError, match="neighbor map"):
             _first_cycle_in_range(square, 0, 4, 4)
 
@@ -532,7 +528,7 @@ class TestNeighborMap:
         finally:
             tracemalloc.stop()
         assert peak < 200 * len(sub.vertices)
-        assert sum(map(len, nbrs.values())) == 2 * len(sub.edge_list())
+        assert sum(map(len, nbrs.values())) == 2 * len(list(upward_edges(sub.vertices, sub.edge_masks)))
 
 
 class TestWorkerSplit:
@@ -580,7 +576,7 @@ class TestFindC6Minus:
         rng = random.Random(62)
         for _ in range(30):
             verts = rng.sample(range(16), 9)
-            g = CubeSubgraph.induced(4, verts)
+            g = induced_subgraph(4, verts)
             edges = induced_cube_edges(4, verts)
             expected = has_c6_minus_naive(verts, edges)
             assert (find_c6_minus(g) is not None) == expected
@@ -620,7 +616,7 @@ class TestHugeHeader:
             find_c6_minus(g),
             find_cycle_generic(g, 4),
             find_cycle_generic(g, 6),
-            CubeSubgraph.induced(n, vertices).edge_masks,
+            induced_subgraph(n, vertices).edge_masks,
             layer.edge_masks,
         )
         assert time.perf_counter() - start < 0.5, n
@@ -705,7 +701,7 @@ class TestC6MinusReduction:
         subgraph of Q_3."""
         graphs = list(layer_graphs())
         graphs += [
-            CubeSubgraph.induced(3, [v for v in range(8) if bits >> v & 1]) for bits in range(256)
+            induced_subgraph(3, [v for v in range(8) if bits >> v & 1]) for bits in range(256)
         ]
         outcomes = set()
         for g in graphs:
@@ -740,7 +736,7 @@ class TestC6MinusReduction:
         outcomes = set()
         for layer in layers:
             g = subgraph_of_layer(layer)
-            kept = [e for e in g.edge_list() if rng.random() < 0.8]
+            kept = [e for e in upward_edges(g.vertices, g.edge_masks) if rng.random() < 0.8]
             dropped = CubeSubgraph.explicit(g.n, g.vertices, kept)
             for graph in (g, dropped):
                 count = len(graph.vertices)
@@ -751,7 +747,7 @@ class TestC6MinusReduction:
 
     def test_pool_has_at_most_one_process_per_range(self, pools, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
-        g = CubeSubgraph.induced(3, [0, 1, 2, 3, 4, 5])
+        g = induced_subgraph(3, [0, 1, 2, 3, 4, 5])
         expected = find_c6_minus(g)
         assert find_c6_minus(g, workers=64) == expected
         assert find_cycle_generic(g, 4, workers=64) == find_cycle_generic(g, 4)
@@ -780,11 +776,6 @@ class TestFindC6Structured:
         pattern = find_c6_structured(full_layer(4, 2))
         assert pattern == SubcubePattern(core=0, axes=(0, 1, 2))
 
-    def test_pattern_vertices(self):
-        p = SubcubePattern(core=0b1000, axes=(0, 1, 2))
-        assert p.lower_vertices() == (0b1001, 0b1010, 0b1100)
-        assert p.upper_vertices() == (0b1011, 0b1101, 0b1110)
-
     def test_pattern_validation(self):
         with pytest.raises(ValueError):
             SubcubePattern(core=0b1, axes=(0, 1, 2))  # axis overlaps core
@@ -808,8 +799,9 @@ class TestFindC6Structured:
             generic = find_cycle_generic(subgraph_of_layer(g), 6)
             assert (structured is None) == (generic is None)
             if structured is not None:
-                assert set(structured.lower_vertices()) <= set(g.lower)
-                assert set(structured.upper_vertices()) <= set(g.upper)
+                lower = {structured.core | 1 << i for i in structured.axes}
+                assert lower <= set(g.lower)
+                assert {x | y for x, y in combinations(lower, 2)} <= set(g.upper)
 
     def test_same_pattern_as_the_probing_scan(self):
         rng = random.Random(57)
@@ -872,7 +864,7 @@ class TestExplainImpossibility:
                 core |= 1 << i
             axes = tuple(sorted(elems[r - 2 :]))
             report = explain_c6_impossibility(a, SubcubePattern(core, axes))
-            assert not report.all_conditions_pass()
+            assert report.failed_conditions
             assert report.pigeonhole is None
 
     def test_report_type(self):

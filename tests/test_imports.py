@@ -2,12 +2,13 @@
 the module's __all__ counts as read, and so does a __future__ import.
 Every private function, class and method of the package is read somewhere
 in the package outside its own definition, and so is every public
-module-level name, in the package or the benchmark, but for an allow-list
-that gives each entry's reason.  Every name a module of the package
-exports in __all__ exists in it, and is not one it imports from another
-module of the package.  Each CLI subcommand loads only the package modules
-it runs, and no dataclasses, and the package root loads none and serves
-no names."""
+module-level name, and every public method, classmethod and property of a
+public class, in the package or the benchmark; a name only the tests call
+lives in tests/helpers.py or tests/oracles.py.  Every name a module of
+the package exports in __all__ exists in it, and is not one it imports
+from another module of the package.  Each CLI subcommand loads only the
+package modules it runs, and no dataclasses, and the package root loads
+none and serves no names."""
 
 import ast
 import importlib
@@ -132,57 +133,72 @@ def test_the_check_sees_an_unused_private_name():
     ]
 
 
+def _top_level_names(node):
+    """The names a statement of a module body defines: a function's or a
+    class's, or the plain names an assignment binds."""
+    if isinstance(node, (*FUNCTIONS, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        return [t.id for t in targets if isinstance(t, ast.Name)]
+    return []
+
+
 def unused_public_names(sources, readers):
     """The public module-level functions, classes and constants of the
-    sources (dicts from file name to text) that no expression outside their
-    own definition loads, as an ast.Name or an ast.Attribute, in the
-    sources or the readers.  A name's string in __all__ is not a read."""
+    sources (dicts from file name to text), and the public methods,
+    classmethods and properties of their public classes, that no expression
+    outside their own definition loads, in the sources or the readers.
+
+    A module-level name is read by an ast.Name or an ast.Attribute load, a
+    method by an ast.Attribute load.  A bare name in a file that defines
+    the same name at its top level is that file's own, so it reads no other
+    file's.  An attribute of a name that is a class of the sources, such as
+    Shape.square or a.Shape.square, reads that class's member only.  A
+    name's string in __all__ is not a read."""
     trees = {file: ast.parse(source) for file, source in sources.items()}
-    loads = [
-        (node.id if isinstance(node, ast.Name) else node.attr, node)
-        for tree in [*trees.values(), *map(ast.parse, readers.values())]
-        for node in ast.walk(tree)
-        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
-    ]
+    # each load with the name of its source file (None in a reader) and
+    # the top-level names of its file
+    loads = []
+    for file, tree in [*trees.items(), *((None, ast.parse(source)) for source in readers.values())]:
+        own = {name for node in tree.body for name in _top_level_names(node)}
+        loads += [
+            (file, own, node)
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+        ]
+    classes = {node.name for tree in trees.values() for node in tree.body if isinstance(node, ast.ClassDef)}
     defined = []
     for file, tree in trees.items():
         for node in tree.body:
-            if isinstance(node, (*FUNCTIONS, ast.ClassDef)):
-                names = [node.name]
-            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                names = [t.id for t in targets if isinstance(t, ast.Name)]
-            else:
-                names = []
-            defined += [(file, name, node) for name in names if not name.startswith("_")]
+            defined += [(file, name, None, node) for name in _top_level_names(node) if not name.startswith("_")]
+            if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                defined += [
+                    (file, item.name, node.name, item)
+                    for item in node.body
+                    if isinstance(item, FUNCTIONS) and not item.name.startswith("_")
+                ]
+
+    def reads(load, name, cls, at, file, own):
+        if isinstance(load, ast.Attribute):
+            owner = getattr(load.value, "id", getattr(load.value, "attr", None))
+            return load.attr == name and (owner not in classes or owner == cls)
+        return cls is None and load.id == name and (at == file or name not in own)
+
     unused = []
-    for file, name, item in defined:
+    for file, name, cls, item in defined:
         inside = {id(n) for n in ast.walk(item)}
-        if not any(read == name and id(node) not in inside for read, node in loads):
-            unused.append(f"{file}: {name}")
+        if not any(reads(load, name, cls, at, file, own) for at, own, load in loads if id(load) not in inside):
+            unused.append(f"{file}: {name}" if cls is None else f"{file}: {cls}.{name}")
     return unused
-
-
-# The public names that nothing in src/qturan or bench reads, each with the
-# reason it stays.  verify loads cube and detector, and compiles them from
-# source in every call, so a change to their bytes shows in the benchmark's
-# peak RSS; these go when one of them changes anyway (ROADMAP item 5).
-MOVES_WITH_VERIFY = "moves with the next change to a module verify compiles"
-UNREAD_PUBLIC_NAMES = {
-    "cube.py: are_adjacent": MOVES_WITH_VERIFY,
-    "cube.py: layer_vertices": MOVES_WITH_VERIFY,
-    "cube.py: format_edge_list": MOVES_WITH_VERIFY,
-    "detector.py: explain_c6_impossibility": MOVES_WITH_VERIFY,
-}
 
 
 def test_no_unread_public_name():
     """A public name of the package that nothing in it or in the benchmark
-    reads belongs with the tests that call it, unless it is allowed above."""
+    reads belongs with the tests that call it."""
     package = sorted((ROOT / "src" / "qturan").glob("*.py"))
     bench = sorted((ROOT / "bench").glob("*.py"))
-    unused = unused_public_names({p.name: p.read_text() for p in package}, {p.name: p.read_text() for p in bench})
-    assert unused == list(UNREAD_PUBLIC_NAMES)
+    assert unused_public_names({p.name: p.read_text() for p in package}, {p.name: p.read_text() for p in bench}) == []
 
 
 def test_the_check_sees_an_unread_public_name():
@@ -195,6 +211,8 @@ def test_the_check_sees_an_unread_public_name():
             "    return walk(n - 1) if n else 0\n"
             "def used():\n"
             "    return LIMIT\n"
+            "def parse(text):\n"
+            "    return text\n"
             "class Kept:\n"
             "    pass\n"
             "class Dropped:\n"
@@ -202,8 +220,55 @@ def test_the_check_sees_an_unread_public_name():
         ),
         "b.py": "from a import used\nprint(used())\n",
     }
-    readers = {"r.py": "import a\nprint(a.Kept)\n"}
-    assert unused_public_names(sources, readers) == ["a.py: SCALE", "a.py: walk", "a.py: Dropped"]
+    # r.py calls its own parse, which reads nothing of a.py's
+    readers = {"r.py": "import a\nprint(a.Kept)\ndef parse(text):\n    return text\nparse('x')\n"}
+    assert unused_public_names(sources, readers) == ["a.py: SCALE", "a.py: walk", "a.py: parse", "a.py: Dropped"]
+
+
+def test_the_check_sees_an_unread_method():
+    sources = {
+        "a.py": (
+            "class Tile:\n"
+            "    @classmethod\n"
+            "    def square(cls):\n"
+            "        return cls()\n"
+            "class Shape:\n"
+            "    def __len__(self):\n"
+            "        return 0\n"
+            "    def area(self):\n"
+            "        return self.area()\n"
+            "    def _scale(self):\n"
+            "        return 1\n"
+            "    @classmethod\n"
+            "    def square(cls):\n"
+            "        return cls()\n"
+            "    @classmethod\n"
+            "    def empty(cls):\n"
+            "        return cls()\n"
+            "    @property\n"
+            "    def sides(self):\n"
+            "        return 4\n"
+            "    @property\n"
+            "    def name(self):\n"
+            "        return 'shape'\n"
+            "    def draw(self):\n"
+            "        return None\n"
+            "class _Hidden:\n"
+            "    def unread(self):\n"
+            "        return None\n"
+            "def draw():\n"
+            "    return Shape.square().sides\n"
+        ),
+    }
+    # a bare name draw is the function, not the method; Shape.square is not
+    # Tile's
+    readers = {"r.py": "from a import Shape, Tile, _Hidden, draw\nprint(draw(), Shape().name, Tile, _Hidden)\n"}
+    assert unused_public_names(sources, readers) == [
+        "a.py: Tile.square",
+        "a.py: Shape.area",
+        "a.py: Shape.empty",
+        "a.py: Shape.draw",
+    ]
 
 
 def missing_exports(module):
@@ -293,12 +358,12 @@ def cli_inputs(tmp_path_factory):
     """A layer file, an edge list and a coloring of Q_6 on disk."""
     from qturan import construction, cube
 
-    from helpers import format_coloring, monochromatic_certificate
+    from helpers import format_coloring, format_edge_list, monochromatic_certificate
 
     work = tmp_path_factory.mktemp("footprint")
     g = construction.build_layer_graph(construction.sample_assignment(6, 3, 0))
     (work / "layer.txt").write_text(cube.format_layer_graph(g))
-    (work / "edges.txt").write_text(cube.format_edge_list(6, list(cube.edge_pairs(g))))
+    (work / "edges.txt").write_text(format_edge_list(6, list(cube.edge_pairs(g))))
     (work / "coloring.txt").write_text(format_coloring(monochromatic_certificate(6)))
     return work
 

@@ -8,9 +8,12 @@ import pytest
 
 from qturan.bounds import DensityReport
 from qturan.construction import UnionGraph, VectorAssignment
-from qturan.cube import LayerId, LayerSubgraph
-from qturan.detector import C6Obstruction, CubeSubgraph, CycleWitness, PathWitness, SubcubePattern
+from qturan.cube import LayerId, LayerSubgraph, upward_edges
+from qturan.detector import CubeSubgraph, CycleWitness, PathWitness, SubcubePattern
 from qturan.gf2 import GF2Vec
+
+from helpers import induced_subgraph
+from oracles import C6Obstruction
 
 # a 6-cycle of Q_3 whose ends 0 and 4 also differ in one bit, so it is a
 # valid C6- path as well
@@ -79,7 +82,7 @@ def test_equal_records_hash_equal():
     pairs = [
         (GF2Vec(5, 4), GF2Vec(bits=5, dim=4)),
         (CycleWitness(HEXAGON), CycleWitness(tuple(HEXAGON))),
-        (CubeSubgraph.induced(3, HEXAGON), CubeSubgraph.induced(3, reversed(HEXAGON))),
+        (induced_subgraph(3, HEXAGON), induced_subgraph(3, reversed(HEXAGON))),
         (DensityReport(**report), DensityReport(*report.values())),
     ]
     for a, b in pairs:
@@ -117,10 +120,10 @@ def test_repr_is_the_dataclass_text():
 
 def test_a_cube_subgraph_survives_pickling():
     """verify's process pool sends the graph to its workers by pickle."""
-    graph = CubeSubgraph.induced(3, HEXAGON)
+    graph = induced_subgraph(3, HEXAGON)
     copy = pickle.loads(pickle.dumps(graph))
     assert type(copy) is CubeSubgraph
     assert copy == graph and hash(copy) == hash(graph)
-    assert copy.edge_list() == graph.edge_list()
+    assert list(upward_edges(copy.vertices, copy.edge_masks)) == list(upward_edges(graph.vertices, graph.edge_masks))
     with pytest.raises(AttributeError):
         copy.n = 4
