@@ -247,14 +247,20 @@ Coloring = tuple[bytes | bytearray, Callable[[int], tuple[int, int]]]
 
 def _certificate_coloring(cert: ColoringCertificate, n: int) -> Coloring:
     """cert as a Coloring, once it is checked to be a whole coloring of
-    E(Q_n).  The edges of a lower vertex x sit from slot _first_slot(n, x)
-    on, one per clear bit of x in increasing order."""
+    E(Q_n)."""
     if cert.n != n:
         raise ValueError(f"certificate is for n={cert.n}, union graph has n={n}")
     problems = coloring_problems(cert)
     if problems:
         raise ValueError("invalid coloring certificate: " + "; ".join(problems))
-    return cert.colors, lambda x: (_first_slot(n, x), ~x)
+    return _slot_coloring(cert.colors, n)
+
+
+def _slot_coloring(colors: bytes | bytearray, n: int) -> Coloring:
+    """The colors of E(Q_n) in file order as a Coloring.  The edges of a
+    lower vertex x sit from slot _first_slot(n, x) on, one per clear bit of
+    x in increasing order."""
+    return colors, lambda x: (_first_slot(n, x), ~x)
 
 
 def _rank_coloring(n: int) -> Coloring:
@@ -409,14 +415,15 @@ class SuiteExhausted(RuntimeError):
 def density_report_suite(
     n: int,
     seed: int,
-    certificate: ColoringCertificate | None = None,
+    certificate: ColoringCertificate | TextIO | None = None,
     max_trials: int = 512,
     on_layer: Callable[[int, SearchResult], None] | None = None,
     coloring_rule: str | None = None,
 ) -> SuiteResult:
     """Run the whole chain: per-layer searches, the odd-layer union, and the
     color-class step when a certificate or a rule of COLORING_RULES is
-    named; not both.
+    named; not both.  certificate is a ColoringCertificate or an open
+    coloring file, which read_coloring parses.
 
     Layer r uses the derived seed (seed, r).  Per-layer reports are checked
     against c/2, the union against c/4 and the best color class against
@@ -425,29 +432,44 @@ def density_report_suite(
     The layers are taken one at a time: each is found, handed to
     on_layer(r, result) when given, split into its color classes and the
     classes searched for a C10, then dropped, so each process holds one
-    layer graph at a time.  The coloring is checked before the first layer.
+    layer graph at a time.  The certificate is read and checked before the
+    first layer.
 
     When fork_layer_helper forks, its helper finds the layers with 2r >= n
     and does their class step, while this process does the layers below.
-    This process still takes every layer in order, merges the helper's
-    class counts and witnesses, and finds any layer the helper does not
-    deliver itself, so no result depends on the helper.
+    With a certificate the fork comes first: the helper searches while this
+    process reads and checks the certificate, then sends it the checked
+    colors, which the helper waits for before its first class step.  A
+    certificate already parsed is read at once.  This process still takes
+    every layer in order, merges the helper's class counts and witnesses,
+    and finds any layer the helper does not deliver itself, so no result
+    depends on the helper.
     """
-    classes = None
     if certificate is not None and coloring_rule is not None:
         raise ValueError("give a coloring certificate or a coloring rule, not both")
+    if coloring_rule is not None and coloring_rule not in COLORING_RULES:
+        raise ValueError(f"unknown coloring rule {coloring_rule!r}")
+    upper = [r for r in range(1, n + 1, 2) if 2 * r >= n]
+    classes = step = None
+    inbox = 0
     if certificate is not None:
-        classes = _ClassSearch(_certificate_coloring(certificate, n))
+        # the helper makes its step from the colors it is sent
+        step = lambda colors: _ClassSearch(_slot_coloring(colors, n)).add
+        inbox = cube_edge_count(n) if upper else 0
     elif coloring_rule is not None:
-        if coloring_rule not in COLORING_RULES:
-            raise ValueError(f"unknown coloring rule {coloring_rule!r}")
         classes = _ClassSearch(COLORING_RULES[coloring_rule](n))
+        step = classes.add
+    helper = fork_layer_helper(n, seed, upper, max_trials, step, inbox)
     reports: list[DensityReport] = []
     assignments: dict[int, VectorAssignment] = {}
     trials: dict[int, int] = {}
-    upper = [r for r in range(1, n + 1, 2) if 2 * r >= n]
-    helper = fork_layer_helper(n, seed, upper, max_trials, None if classes is None else classes.add)
     try:
+        if certificate is not None:
+            if not isinstance(certificate, ColoringCertificate):
+                certificate = read_coloring(certificate)
+            classes = _ClassSearch(_certificate_coloring(certificate, n))
+            if helper is not None:
+                helper.send(memoryview(certificate.colors))
         for r in range(1, n + 1, 2):
             shipped = helper.take(r) if helper is not None and r in upper else None
             if shipped is None:

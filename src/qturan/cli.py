@@ -15,7 +15,7 @@ import argparse
 import sys
 from math import sqrt
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, TextIO
 
 from . import cube
 
@@ -147,18 +147,23 @@ def _layer_writer(out: Path, n: int):
 
 
 def _cmd_pipeline(args) -> int:
+    _require_positive("--trials", args.trials)
+    if args.coloring is None:
+        return _pipeline(args, None)
+    # opened here, so that a missing file exits 2 before the suite forks;
+    # the suite reads it
+    with Path(args.coloring).open() as stream:
+        return _pipeline(args, stream)
+
+
+def _pipeline(args, coloring: TextIO | None) -> int:
     from . import bounds
 
-    _require_positive("--trials", args.trials)
-    certificate = None
-    if args.coloring is not None:
-        with Path(args.coloring).open() as stream:
-            certificate = bounds.read_coloring(stream)
     try:
         suite = bounds.density_report_suite(
             args.n,
             args.seed,
-            certificate=certificate,
+            certificate=coloring,
             max_trials=args.trials,
             on_layer=None if args.out is None else _layer_writer(Path(args.out), args.n),
             coloring_rule=args.coloring_rule,
@@ -179,8 +184,9 @@ def _cmd_pipeline(args) -> int:
 
 
 def _parse_r_spec(spec: str) -> list[int]:
-    """The dimensions of spec.  A part that holds an r above gf2.MAX_DIM is
-    refused before it is expanded, so a huge range costs no memory."""
+    """The dimensions of spec.  An empty range is refused wherever it sits,
+    and a part that holds an r above gf2.MAX_DIM before it is expanded, so
+    a huge range costs no memory."""
     from .gf2 import MAX_DIM
 
     values = []
@@ -189,10 +195,12 @@ def _parse_r_spec(spec: str) -> list[int]:
             lo, hi = map(int, part.split(":", 1))
         else:
             lo = hi = int(part)
-        if lo <= hi and hi > MAX_DIM:
+        if lo > hi:
+            raise ValueError(f"bad dimension spec {spec!r}")
+        if hi > MAX_DIM:
             raise ValueError(f"bad dimension spec {spec!r}: r must be at most {MAX_DIM}")
         values.extend(range(lo, hi + 1))
-    if not values or any(r < 1 for r in values):
+    if min(values) < 1:
         raise ValueError(f"bad dimension spec {spec!r}")
     return values
 

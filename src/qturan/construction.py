@@ -463,12 +463,30 @@ class LayerHelper:
     layer whose search runs out of trials or raises, so take answers None
     for that layer, as it does when the helper dies or the pipe ends, and
     then for every later layer: the caller computes those itself.
+
+    inbox is the write end of a second pipe, from this process to the
+    helper, when the helper waits for bytes that send writes.
     """
 
-    def __init__(self, n: int, pid: int, stream: BinaryIO):
+    def __init__(self, n: int, pid: int, stream: BinaryIO, inbox: int | None = None):
         self.n = n
         self.pid = pid
         self.stream: BinaryIO | None = stream
+        self.inbox = inbox
+
+    def send(self, data: memoryview) -> bool:
+        """Write data whole to the helper's inbox, then close the inbox.
+        False, and the helper is closed, when the helper is gone and the
+        pipe is broken: take then answers None, as for any helper death."""
+        fd, self.inbox = self.inbox, None
+        try:
+            _send(fd, data)
+        except OSError:
+            self.close()
+            return False
+        finally:
+            os.close(fd)
+        return True
 
     def take(self, r: int) -> tuple[SearchResult, Any] | None:
         """Layer r's result and what step returned, when layer r is the next
@@ -496,6 +514,9 @@ class LayerHelper:
 
     def close(self) -> None:
         """Stop the helper, if it still runs, and reap it."""
+        if self.inbox is not None:
+            os.close(self.inbox)
+            self.inbox = None
         if self.stream is None:
             return
         self.stream.close()
@@ -513,12 +534,20 @@ def fork_layer_helper(
     layers: list[int],
     max_trials: int,
     step: Callable[[LayerSubgraph], Any] | None = None,
+    inbox: int = 0,
 ) -> LayerHelper | None:
     """A LayerHelper that runs, on each of layers in turn,
     find_good_assignment(n, r, derive_seed(seed, r), max_trials) and then
     step on the graph when given; step must return a marshal-able value.
     None, and no process, unless n >= HELPER_MIN_N, the process may run on
     two CPUs or more, it runs one thread, and os.fork exists.
+
+    With inbox > 0, step makes the step instead: the caller sends the
+    helper inbox bytes with LayerHelper.send, and the helper, which may
+    search before they come, waits for them before its first step.  It
+    reads them into one bytearray and steps each layer with step(bytes).
+    Its copy of the inbox's write end is closed, so when this process dies
+    before sending, the helper reads the end of the pipe and stops.
 
     The helper drops each layer, its step result and its message before it
     starts the next, and ends by os._exit on every path, so it never
@@ -538,21 +567,28 @@ def fork_layer_helper(
     ):
         return None
     read_fd, write_fd = os.pipe()
+    inbox_read, inbox_write = os.pipe() if inbox else (None, None)
     try:
         pid = os.fork()
     except OSError:
-        os.close(read_fd)
-        os.close(write_fd)
+        _close(read_fd, write_fd, inbox_read, inbox_write)
         return None
     if pid == 0:
         try:
             gc.freeze()
-            os.close(read_fd)
-            _serve(write_fd, n, seed, layers, max_trials, step)
+            _close(read_fd, inbox_write)
+            pending = None if inbox_read is None else (inbox_read, inbox)
+            _serve(write_fd, n, seed, layers, max_trials, step, pending)
         finally:
             os._exit(0)
-    os.close(write_fd)
-    return LayerHelper(n, pid, os.fdopen(read_fd, "rb"))
+    _close(write_fd, inbox_read)
+    return LayerHelper(n, pid, os.fdopen(read_fd, "rb"), inbox_write)
+
+
+def _close(*fds: int | None) -> None:
+    for fd in fds:
+        if fd is not None:
+            os.close(fd)
 
 
 def _serve(
@@ -562,11 +598,16 @@ def _serve(
     layers: list[int],
     max_trials: int,
     step: Callable[[LayerSubgraph], Any] | None,
+    pending: tuple[int, int] | None = None,
 ) -> None:
-    """The helper's loop: each layer's message, written whole to fd."""
+    """The helper's loop: each layer's message, written whole to fd.  With
+    pending, (fd, size), step makes the step from the size bytes read from
+    fd before the first layer's step."""
     for r in layers:
         found = find_good_assignment(n, r, derive_seed(seed, r), max_trials)
         a, g = found.assignment, found.graph
+        if pending is not None:
+            step, pending = step(_receive(*pending)), None
         stepped = None if step is None else step(g)
         vectors = tuple(v.bits for v in a.vectors)
         fields = (r, found.trials, found.edges, a.anchor.bits, vectors, g.lower, g.upper, g.edge_masks, stepped)
@@ -577,7 +618,21 @@ def _serve(
         del message
 
 
-def _send(fd: int, data: bytes) -> None:
+def _receive(fd: int, size: int) -> bytearray:
+    """size bytes read from fd into one bytearray; EOFError when the pipe
+    ends first."""
+    data = bytearray(size)
+    with memoryview(data) as view:
+        got = 0
+        while got < size:
+            read = os.readv(fd, [view[got:]])
+            if not read:
+                raise EOFError("the parent's pipe ended")
+            got += read
+    return data
+
+
+def _send(fd: int, data: bytes | memoryview) -> None:
     view = memoryview(data)
     while view:
         view = view[os.write(fd, view) :]

@@ -402,7 +402,7 @@ class TestStats:
         assert rows[1].split(",")[5] == "96/343"
 
     def test_bad_spec(self, capsys):
-        for spec in ("0", "1:0"):
+        for spec in ("0", "1:0", "70:3,2", "2,5:4"):
             code, out, err = run(["stats", "--r", spec], capsys)
             assert (code, out) == (2, "")
             assert err == f"error: bad dimension spec {spec!r}\n"

@@ -1,3 +1,4 @@
+from collections import Counter
 from math import comb
 
 import pytest
@@ -15,7 +16,7 @@ from qturan.cube import (
     subsets_of_size,
 )
 
-from helpers import format_edge_list
+from helpers import format_edge_list, induced_subgraph
 from text_strategies import edited_text
 
 
@@ -108,10 +109,15 @@ class TestEdgeCounts:
             assert odd_sum * 2 == cube_edge_count(n)
 
     def test_bipartite_part_sizes(self):
+        """Q_n induced on the (r-1)- and r-subsets is the full layer r: its
+        two sides hold C(n, r-1) and C(n, r) vertices, every edge goes up
+        from the lower side, and there are layer_edge_count edges."""
         for n in range(1, 9):
             for r in range(1, n + 1):
-                assert sum(1 for _ in subsets_of_size(n, r - 1)) == comb(n, r - 1)
-                assert sum(1 for _ in subsets_of_size(n, r)) == comb(n, r)
+                g = induced_subgraph(n, [*subsets_of_size(n, r - 1), *subsets_of_size(n, r)])
+                assert Counter(v.bit_count() for v in g.vertices) == {r - 1: comb(n, r - 1), r: comb(n, r)}
+                assert not any(m for v, m in zip(g.vertices, g.edge_masks) if v.bit_count() == r)
+                assert sum(map(int.bit_count, g.edge_masks)) == layer_edge_count(LayerId(n, r))
 
 
 class TestEdgeListFormat:

@@ -6,6 +6,9 @@ included, is the suite that runs every layer itself.  No output depends on
 the helper: one that dies, raises or runs out of trials leaves them all
 unchanged.  The helper never outlives the suite, and it ends by os._exit,
 so it never returns into its caller's frames nor flushes inherited stdio.
+Given a certificate file, the suite forks before it reads the file and
+then sends the helper the checked colors; the outputs, on every path, are
+those of one CPU, and a helper whose parent dies in the read exits.
 
 The helper forks only when the process may run on two CPUs, and from
 n = HELPER_MIN_N on.  The tests pin os.sched_getaffinity to one or two
@@ -14,13 +17,14 @@ routes can be compared on any machine.
 """
 
 import gc
+import io
 import os
 import subprocess
 import sys
 
 import pytest
 
-from qturan import cli, construction
+from qturan import bounds, cli, construction
 from qturan.bounds import COLORING_RULES, SuiteExhausted, _certificate_coloring, _ClassSearch, density_report_suite
 from qturan.construction import (
     _dual_graph,
@@ -93,6 +97,19 @@ def assert_no_child():
         os.waitpid(-1, os.WNOHANG)
 
 
+class FileReadAfterTheFork(io.StringIO):
+    """A coloring file whose reads fail the test unless a helper has forked
+    since the file was made."""
+
+    def __init__(self, text, forks):
+        super().__init__(text)
+        self.forks, self.before = forks, len(forks)
+
+    def read(self, size=-1):
+        assert len(self.forks) > self.before, "read before the fork"
+        return super().read(size)
+
+
 class TestShippedLayers:
     def test_each_layer_is_the_search(self, two_cpus):
         """For n = 8..16 and seeds 0..2, every layer shipped equals
@@ -158,6 +175,23 @@ class TestMergedSuite:
         assert len(two_cpus) == 9
         assert_no_child()
 
+    @pytest.mark.parametrize("n", range(8, 17))
+    def test_suite_that_reads_the_certificate_is_the_serial_suite(self, two_cpus, monkeypatch, n):
+        """For seeds 0..2, the suite given the mod-3 certificate as an open
+        file forks before it reads the file, and equals the suite on one CPU
+        given the certificate parsed: its reports, assignments, trials and
+        PipelineOutcome, and each result on_layer saw."""
+        cert = mod3_certificate(n)
+        text = format_coloring(cert)
+        for seed in range(3):
+            forked = suite_and_layers(n, seed, certificate=FileReadAfterTheFork(text, two_cpus))
+            with monkeypatch.context() as m:
+                one_cpu(m)
+                serial = suite_and_layers(n, seed, certificate=cert)
+            assert forked == serial, seed
+        assert len(two_cpus) == 3
+        assert_no_child()
+
     def test_the_failing_certificate_keeps_its_witnesses(self, two_cpus, monkeypatch):
         """The certify workload's call, n = 16 with the mod-3 certificate,
         ends with a C10 in every class; the helper's witnesses merge into
@@ -181,16 +215,17 @@ class TestMergedSuite:
         assert forked[0][1] == r
 
 
-def failing_helper(monkeypatch, how):
-    """Make the helper's second layer search fail in the given way; the
-    parent's searches, which bounds imported by name, are untouched."""
+def failing_helper(monkeypatch, how, layers=1):
+    """Make the helper's layer search after its first layers fail in the
+    given way; the parent's searches, which bounds imported by name, are
+    untouched."""
     parent = os.getpid()
     calls = []
 
     def search(*args):
         if os.getpid() != parent:
             calls.append(args)
-            if len(calls) > 1:
+            if len(calls) > layers:
                 if how == "exit":
                     os._exit(0)
                 if how == "kill":
@@ -247,6 +282,68 @@ class TestNoOutputDependsOnTheHelper:
         expect = self.cli_runs(tmp_path, capsys, "two")
         failing_helper(monkeypatch, "exit")
         assert self.cli_runs(tmp_path, capsys, "failing") == expect
+
+
+class TestTheCertificateFile:
+    """pipeline --coloring FILE forks its helper before it reads FILE."""
+
+    def run(self, capsys, out, coloring, *extra):
+        code = cli.main(["pipeline", "--n", "12", "--seed", "0", "--coloring", str(coloring), "--out", str(out), *extra])
+        captured = capsys.readouterr()
+        files = {p.name: p.read_bytes() for p in sorted(out.iterdir())} if out.exists() else None
+        return code, captured.out, captured.err, files
+
+    @pytest.mark.parametrize("case", ["malformed", "short", "duplicated", "other n", "missing", "one trial"])
+    def test_a_failing_call_is_the_one_cpu_call(self, two_cpus, monkeypatch, tmp_path, capsys, case):
+        """A bad certificate exits 2 with the stderr of one CPU, writes no
+        --out file and leaves no child; a missing file exits 2 before any
+        fork; a run out of trials exits 4 with the layers found before."""
+        lines = format_coloring(mod3_certificate(12)).splitlines(keepends=True)
+        texts = {
+            "malformed": lines[:700] + ["70 zz 1\n"] + lines[701:],
+            "short": lines[:-5],
+            "duplicated": lines + lines[600:601],
+            "other n": format_coloring(mod3_certificate(10)),
+            "one trial": lines,
+        }
+        coloring = tmp_path / "coloring.txt"
+        if case in texts:
+            coloring.write_text("".join(texts[case]))
+        extra = ["--trials", "1"] if case == "one trial" else []
+        forked = self.run(capsys, tmp_path / "two", coloring, *extra)
+        assert len(two_cpus) == (case != "missing")
+        assert_no_child()
+        one_cpu(monkeypatch)
+        assert self.run(capsys, tmp_path / "one", coloring, *extra) == forked
+        if case == "one trial":
+            assert forked[0] == 4 and forked[3]
+        else:
+            assert forked[:2] == (2, "") and forked[3] is None
+
+    def test_a_helper_gone_before_the_colors(self, two_cpus, monkeypatch, tmp_path, capsys):
+        """The helper dies in its first search, and the parent reads the
+        certificate only after that, so sending the colors hits a broken
+        pipe.  The parent takes the helper as gone: every output is that of
+        one CPU."""
+        coloring = tmp_path / "coloring.txt"
+        coloring.write_text(format_coloring(mod3_certificate(12)))
+        with monkeypatch.context() as m:
+            one_cpu(m)
+            expect = self.run(capsys, tmp_path / "one", coloring)
+        failing_helper(monkeypatch, "exit", layers=0)
+        read = bounds.read_coloring
+
+        def read_after_the_death(stream):
+            os.waitid(os.P_PID, two_cpus[-1], os.WEXITED | os.WNOWAIT)
+            return read(stream)
+
+        sent = []
+        send = construction.LayerHelper.send
+        monkeypatch.setattr(bounds, "read_coloring", read_after_the_death)
+        monkeypatch.setattr(construction.LayerHelper, "send", lambda self, data: sent.append(send(self, data)))
+        assert self.run(capsys, tmp_path / "two", coloring) == expect
+        assert sent == [False] and len(two_cpus) == 1
+        assert_no_child()
 
 
 class TestNoHelperOutlivesTheSuite:
@@ -325,6 +422,54 @@ def test_the_helper_ends_by_os_exit(how, tmp_path):
         [sys.executable, "-c", EXIT_SCRIPT, how], env=env, cwd=tmp_path, capture_output=True, text=True, timeout=60
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "before\nafter\n", "")
+
+
+# Run in a fresh interpreter: the suite gets a coloring file whose second
+# read kills the process.  The fork prints the helper's pid first, so the
+# helper forks before the read, and it holds the script's stdout.
+KILL_SCRIPT = """
+import io, os
+from qturan import bounds, construction
+
+construction.HELPER_MIN_N = 4
+os.sched_getaffinity = lambda pid: {0, 1}
+fork = os.fork
+
+def printing_fork():
+    pid = fork()
+    if pid:
+        os.write(1, b"%d\\n" % pid)
+    return pid
+
+class KilledInTheRead(io.StringIO):
+    def read(self, size=-1):
+        if self.tell():
+            os.kill(os.getpid(), 9)
+        return super().read(size)
+
+os.fork = printing_fork
+n = 10
+edges = ((base, j) for base in range(1 << n) for j in range(n) if not base >> j & 1)
+text = f"# qn-coloring n={n}\\n" + "".join(f"{base:x} {j} {j % 3}\\n" for base, j in edges)
+bounds.density_report_suite(n, 0, certificate=KilledInTheRead(text))
+"""
+
+
+def test_a_parent_killed_in_the_read_leaves_no_helper(tmp_path):
+    """The helper waits for the colors after its first search.  When its
+    parent is killed while it reads the certificate, the helper reads the
+    end of its inbox and exits: run returns only once every process that
+    holds the script's stdout, the helper included, has ended."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-c", KILL_SCRIPT], env=env, cwd=tmp_path, capture_output=True, text=True, timeout=60
+        )
+    except subprocess.TimeoutExpired as exc:
+        os.kill(int(exc.stdout), 9)  # the helper that outlived its parent
+        pytest.fail("the helper outlived its parent")
+    assert proc.returncode == -9 and proc.stderr == ""
+    assert proc.stdout.strip().isdigit()
 
 
 def test_the_helper_holds_one_layer_at_a_time():
