@@ -314,9 +314,10 @@ class _ClassSearch:
     witness seen so far, and a later layer is scanned only for starts below
     it, in any order of the layers.
 
-    layer scans one layer below the bounds kept, and merge takes a layer's
-    counts and witnesses in, keeping each class's witness of least start.
-    A process that has stepped only some of the earlier layers has looser
+    search scans one layer's class graphs below the bounds kept, and merge
+    takes a layer's counts and witnesses in, keeping each class's witness
+    of least start.
+    A process that has stepped only some of the other layers has looser
     bounds, so its step finds the witness this one would, or one that merge
     drops.
     """
@@ -327,13 +328,16 @@ class _ClassSearch:
         self.counts = [0] * COLOR_COUNT
         self.witnesses: dict[int, CycleWitness] = {}
 
-    def layer(self, g: LayerSubgraph) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    def search(self, split: list[CubeSubgraph]) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
         """The layer's edge count in each class, and each class's first C10
-        in it below the class's best witness, as its vertices, or ()."""
+        in it below the class's best witness, as its vertices, or (), from
+        the class graphs _split_layer gave, which hold no reference to the
+        layer graph; each is dropped from split once it is searched."""
         from .detector import find_cycle_generic
 
         counts, firsts = [], []
-        for k, sub in enumerate(_split_layer(g, self.coloring)):
+        for k in range(COLOR_COUNT):
+            sub, split[k] = split[k], None
             counts.append(sum(map(int.bit_count, sub.edge_masks)))
             best = self.witnesses.get(k)
             below = None if best is None else best.vertices[0]
@@ -352,8 +356,8 @@ class _ClassSearch:
                 self.witnesses[k] = CycleWitness(first)
 
     def add(self, g: LayerSubgraph) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
-        """layer(g), merged in and returned."""
-        found = self.layer(g)
+        """The search of g's classes, merged in and returned."""
+        found = self.search(_split_layer(g, self.coloring))
         self.merge(*found)
         return found
 
@@ -432,37 +436,60 @@ def density_report_suite(
     The layers are taken one at a time: each is found, handed to
     on_layer(r, result) when given, split into its color classes and the
     classes searched for a C10, then dropped, so each process holds one
-    layer graph at a time.  The certificate is read and checked before the
-    first layer.
+    layer graph at a time.  The certificate is read and checked before
+    this process takes its first layer.
 
-    When fork_layer_helper forks, its helper finds the layers with 2r >= n
-    and does their class step, while this process does the layers below.
-    With a certificate the fork comes first: the helper searches while this
+    When fork_layer_helper forks, the layers go largest full layer first
+    (ties to the smaller r): the helper takes the first, and this process
+    and the helper claim the others from one queue, each taking the next
+    layer left as above.  So on_layer is called in the process that
+    claimed the layer, in claim order, and with a certificate only after
+    the certificate is checked.  With a
+    certificate the fork comes first: the helper searches while this
     process reads and checks the certificate, then sends it the checked
-    colors, which the helper waits for before its first class step.  A
-    certificate already parsed is read at once.  This process still takes
-    every layer in order, merges the helper's class counts and witnesses,
-    and finds any layer the helper does not deliver itself, so no result
-    depends on the helper.
+    colors, which the helper waits for before its first on_layer call and
+    class step.  A certificate already parsed is read at once.
+
+    Once the queue is empty, this process reads the helper's records (the
+    assignment, trials, edges and class step of each layer it took, never
+    the graph), merges their class counts and witnesses, and reaps it.
+    It then goes through the layers in increasing r and takes itself any
+    layer that has no result, so no result depends on the helper: the
+    reports, assignments and trials come in r order, the first layer in r
+    order that fails raises what it raises with one CPU, and every layer
+    below it has been taken.  on_layer may also have been called for
+    layers above that one; a caller that writes files removes theirs.
     """
     if certificate is not None and coloring_rule is not None:
         raise ValueError("give a coloring certificate or a coloring rule, not both")
     if coloring_rule is not None and coloring_rule not in COLORING_RULES:
         raise ValueError(f"unknown coloring rule {coloring_rule!r}")
-    upper = [r for r in range(1, n + 1, 2) if 2 * r >= n]
+    layers = range(1, n + 1, 2)
+    order = sorted(layers, key=lambda r: (-cube.layer_edge_count(LayerId(n, r)), r))
     classes = step = None
     inbox = 0
     if certificate is not None:
         # the helper makes its step from the colors it is sent
         step = lambda colors: _ClassSearch(_slot_coloring(colors, n)).add
-        inbox = cube_edge_count(n) if upper else 0
+        inbox = cube_edge_count(n)
     elif coloring_rule is not None:
         classes = _ClassSearch(COLORING_RULES[coloring_rule](n))
         step = classes.add
-    helper = fork_layer_helper(n, seed, upper, max_trials, step, inbox)
-    reports: list[DensityReport] = []
-    assignments: dict[int, VectorAssignment] = {}
-    trials: dict[int, int] = {}
+
+    def take(r: int) -> tuple[VectorAssignment, int, int]:
+        found = find_good_assignment(n, r, derive_seed(seed, r), max_trials)
+        if on_layer is not None:
+            on_layer(r, found)
+        taken = found.assignment, found.trials, found.edges
+        if classes is not None:
+            split = _split_layer(found.graph, classes.coloring)
+            del found  # the layer graph goes before its classes are searched
+            classes.merge(*classes.search(split))
+        return taken
+
+    helper = fork_layer_helper(n, seed, order, max_trials, step, inbox, on_layer)
+    taken: dict[int, tuple[VectorAssignment, int, int]] = {}
+    failure: tuple[int, Exception] | None = None  # this process's least failing layer
     try:
         if certificate is not None:
             if not isinstance(certificate, ColoringCertificate):
@@ -470,34 +497,32 @@ def density_report_suite(
             classes = _ClassSearch(_certificate_coloring(certificate, n))
             if helper is not None:
                 helper.send(memoryview(certificate.colors))
-        for r in range(1, n + 1, 2):
-            shipped = helper.take(r) if helper is not None and r in upper else None
-            if shipped is None:
+        if helper is not None:
+            for r in iter(helper.claim, None):
+                if failure is not None and r > failure[0]:
+                    continue  # the suite ends below this layer
                 try:
-                    found = find_good_assignment(n, r, derive_seed(seed, r), max_trials)
-                except TrialsExhausted as exc:
-                    raise SuiteExhausted(exc, tuple(reports)) from exc
-                stepped = None
-            else:
-                found, stepped = shipped
-                del shipped  # else it keeps the layer past del found
-            assignments[r], trials[r] = found.assignment, found.trials
-            reports.append(
-                make_report(
-                    n, r, "layer", found.edges, cube.layer_edge_count(LayerId(n, r)), "c/2"
-                )
-            )
-            if on_layer is not None:
-                on_layer(r, found)
-            if classes is not None:
-                if stepped is None:
-                    classes.add(found.graph)
-                else:
-                    classes.merge(*stepped)
-            del found  # the layer goes before the next one is searched
+                    taken[r] = take(r)
+                except Exception as exc:
+                    failure = r, exc
+            for r, record in helper.records().items():
+                taken[r] = record[:3]
+                if classes is not None:
+                    classes.merge(*record[3])
     finally:
         if helper is not None:
             helper.close()
+    reports: list[DensityReport] = []
+    assignments: dict[int, VectorAssignment] = {}
+    trials: dict[int, int] = {}
+    for r in layers:
+        try:
+            if failure is not None and failure[0] == r:
+                raise failure[1]
+            assignments[r], trials[r], edges = taken.pop(r) if r in taken else take(r)
+        except TrialsExhausted as exc:
+            raise SuiteExhausted(exc, tuple(reports)) from exc
+        reports.append(make_report(n, r, "layer", edges, cube.layer_edge_count(LayerId(n, r)), "c/2"))
     achieved = sum(rep.achieved_edges for rep in reports)
     reports.append(make_report(n, None, "union", achieved, cube_edge_count(n), "c/4"))
     pipeline = None

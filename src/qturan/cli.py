@@ -65,7 +65,7 @@ def _cmd_construct(args) -> int:
     except construction.TrialsExhausted as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_EXHAUSTED
-    assignment_path, layer_path = _layer_writer(Path(args.out), args.n)(args.r, result)
+    assignment_path, layer_path = _LayerWriter(Path(args.out), args.n)(args.r, result)
     layer = cube.LayerId(args.n, args.r)
     report = bounds.make_report(
         args.n, args.r, "layer", result.edges, cube.layer_edge_count(layer), "c/2"
@@ -128,22 +128,38 @@ def _cmd_verify(args) -> int:
     return EXIT_WITNESS
 
 
-def _layer_writer(out: Path, n: int):
-    """Writes a layer's assignment and layer files into out and returns
-    their paths: the on_layer callback of pipeline --out, and the writer of
-    construct."""
-    from .construction import format_assignment
+class _LayerWriter:
+    """Writes a layer's files into out; failed lists the layers it failed to write."""
 
-    def write(r: int, found: SearchResult) -> tuple[Path, Path]:
-        out.mkdir(parents=True, exist_ok=True)
-        assignment_path = out / f"assignment_n{n}_r{r}.txt"
-        layer_path = out / f"layer_n{n}_r{r}.txt"
-        assignment_path.write_text(format_assignment(found.assignment))
-        with layer_path.open("w") as stream:
-            stream.writelines(cube.layer_graph_text(found.graph))
+    def __init__(self, out: Path, n: int):
+        self.out = out
+        self.n = n
+        self.failed: list[int] = []
+
+    def paths(self, r: int) -> tuple[Path, Path]:
+        return self.out / f"assignment_n{self.n}_r{r}.txt", self.out / f"layer_n{self.n}_r{r}.txt"
+
+    def __call__(self, r: int, found: SearchResult) -> tuple[Path, Path]:
+        from .construction import format_assignment
+
+        assignment_path, layer_path = self.paths(r)
+        try:
+            self.out.mkdir(parents=True, exist_ok=True)
+            assignment_path.write_text(format_assignment(found.assignment))
+            with layer_path.open("w") as stream:
+                stream.writelines(cube.layer_graph_text(found.graph))
+        except Exception:
+            self.failed.append(r)
+            raise
         return assignment_path, layer_path
 
-    return write
+    def discard_above(self, r: int) -> None:
+        """Remove the files of every odd layer above r: a suite that fails
+        at layer r may have written them in either of its processes."""
+        for above in range(r + 2, self.n + 1, 2):
+            for path in self.paths(above):
+                if path.is_file():
+                    path.unlink()
 
 
 def _cmd_pipeline(args) -> int:
@@ -159,19 +175,28 @@ def _cmd_pipeline(args) -> int:
 def _pipeline(args, coloring: TextIO | None) -> int:
     from . import bounds
 
+    writer = None if args.out is None else _LayerWriter(Path(args.out), args.n)
     try:
         suite = bounds.density_report_suite(
             args.n,
             args.seed,
             certificate=coloring,
             max_trials=args.trials,
-            on_layer=None if args.out is None else _layer_writer(Path(args.out), args.n),
+            on_layer=writer,
             coloring_rule=args.coloring_rule,
         )
     except bounds.SuiteExhausted as exc:
+        if writer is not None:
+            writer.discard_above(exc.cause.r)
         sys.stdout.write(_report_lines(exc.partial_reports, args.format))
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_EXHAUSTED
+    except Exception:
+        # the suite raises the error of its first failing layer; when that
+        # is a write here, the least layer whose write failed here
+        if writer is not None and writer.failed:
+            writer.discard_above(min(writer.failed))
+        raise
     sys.stdout.write(_report_lines(suite.reports, args.format))
     pipeline = suite.pipeline
     if pipeline is not None and not pipeline.success:

@@ -446,38 +446,50 @@ def find_good_assignment(n: int, r: int, seed: int, max_trials: int = 512) -> Se
 
 # The least n at which fork_layer_helper forks.  The fork, the pages that
 # both processes copy as they write after it, and the reaping cost a few
-# ms.  On a 2-core x86-64 machine, pipeline --n N with a helper was about
-# 10 ms slower for N = 8..14 and broke even at N = 16 (faster in 19 of 31
-# runs), so smaller runs keep to one process.
-HELPER_MIN_N = 16
+# ms.  On a 2-core x86-64 machine, pipeline --n N --out DIR with the helper
+# against one CPU (30 alternating pairs at each of seeds 0 and 1) was
+# 1.0-3.2 ms slower at N = 13 (faster in 6 and 7 of 30), even at N = 14
+# (13 and 15 of 30), and faster at N = 15 (2.6-8.8 ms, 18 and 27 of 30) and
+# N = 16 (6.5-8.5 ms, 22 and 23 of 30), so smaller runs keep to one process.
+HELPER_MIN_N = 15
 
 
 class LayerHelper:
-    """A forked process that runs find_good_assignment on some layers of Q_n,
-    ahead of its parent, and ships each result over a pipe.
+    """A forked process that shares the layers of Q_n with its parent: it
+    takes the first layer itself, then the two claim the others from one
+    queue, and each process finds the layers it takes and hands them to
+    on_layer itself.
 
-    A message is the 8-byte little-endian length of a marshal tuple, then
-    the tuple: r, the trials, the edges, the anchor's bits, the vectors'
-    bits, the graph's lower, upper and edge_masks, and what step returned
-    for the graph.  take(r) reads the next message.  The helper stops at a
-    layer whose search runs out of trials or raises, so take answers None
-    for that layer, as it does when the helper dies or the pipe ends, and
-    then for every later layer: the caller computes those itself.
+    The queue is a pipe that holds one byte per layer left, its r, written
+    whole before the fork; no process holds its write end.  A claim is one
+    os.read of one byte, so two readers never split a claim, and an empty
+    queue reads as its end.  For each layer it takes, the helper writes a
+    record to a second pipe: a marshal tuple of r, the trials, the edges,
+    the anchor's bits, the vectors' bits and what step returned for the
+    graph, never the graph itself.  The helper stops at a layer whose
+    search, on_layer or step raises, and sends nothing for that layer.
 
-    inbox is the write end of a second pipe, from this process to the
+    inbox is the write end of a third pipe, from this process to the
     helper, when the helper waits for bytes that send writes.
     """
 
-    def __init__(self, n: int, pid: int, stream: BinaryIO, inbox: int | None = None):
+    def __init__(self, n: int, pid: int, queue: int, stream: BinaryIO, inbox: int | None = None):
         self.n = n
         self.pid = pid
+        self.queue: int | None = queue
         self.stream: BinaryIO | None = stream
         self.inbox = inbox
+
+    def claim(self) -> int | None:
+        """The next layer of the queue, or None once it is empty or the
+        helper is closed."""
+        return None if self.queue is None else _claim(self.queue)
 
     def send(self, data: memoryview) -> bool:
         """Write data whole to the helper's inbox, then close the inbox.
         False, and the helper is closed, when the helper is gone and the
-        pipe is broken: take then answers None, as for any helper death."""
+        pipe is broken: the queue then ends and records answers no layer,
+        as for any helper death."""
         fd, self.inbox = self.inbox, None
         try:
             _send(fd, data)
@@ -488,35 +500,28 @@ class LayerHelper:
             os.close(fd)
         return True
 
-    def take(self, r: int) -> tuple[SearchResult, Any] | None:
-        """Layer r's result and what step returned, when layer r is the next
-        message and arrives whole; else None, and the helper is closed."""
-        if self.stream is None:
-            return None
-        try:
-            size = int.from_bytes(self.stream.read(8), "little")
-            message = self.stream.read(size)
-            if not size or len(message) != size:
-                raise EOFError("the helper's pipe ended")
-            fields = marshal.loads(message)
-            del message  # the bytes go before the records are built
-            got, trials, edges, anchor, vectors, lower, upper, masks, stepped = fields
-            if got != r:
-                raise ValueError(f"the helper sent layer {got}, expected {r}")
-            assignment = VectorAssignment(
-                self.n, r, GF2Vec(anchor, r), tuple(GF2Vec(bits, r) for bits in vectors)
-            )
-            graph = LayerSubgraph(LayerId(self.n, r), lower, upper, masks)
-        except (OSError, EOFError, ValueError, TypeError):
-            self.close()
-            return None
-        return SearchResult(assignment, graph, edges, trials, _threshold(self.n, r)), stepped
+    def records(self) -> dict[int, tuple[VectorAssignment, int, int, Any]]:
+        """The layers the helper finished, each as its assignment, trials,
+        edges and step result, read until the helper ends; the helper is
+        then reaped.  A record cut short by the helper's death is dropped."""
+        finished = {}
+        if self.stream is not None:
+            try:
+                while True:
+                    r, trials, edges, anchor, vectors, stepped = marshal.load(self.stream)
+                    assignment = VectorAssignment(
+                        self.n, r, GF2Vec(anchor, r), tuple(GF2Vec(bits, r) for bits in vectors)
+                    )
+                    finished[r] = assignment, trials, edges, stepped
+            except (OSError, EOFError, ValueError, TypeError):
+                pass  # the end of the pipe, or of the helper
+        self.close()
+        return finished
 
     def close(self) -> None:
         """Stop the helper, if it still runs, and reap it."""
-        if self.inbox is not None:
-            os.close(self.inbox)
-            self.inbox = None
+        _close(self.inbox, self.queue)
+        self.inbox = self.queue = None
         if self.stream is None:
             return
         self.stream.close()
@@ -535,30 +540,38 @@ def fork_layer_helper(
     max_trials: int,
     step: Callable[[LayerSubgraph], Any] | None = None,
     inbox: int = 0,
+    on_layer: Callable[[int, SearchResult], None] | None = None,
 ) -> LayerHelper | None:
-    """A LayerHelper that runs, on each of layers in turn,
-    find_good_assignment(n, r, derive_seed(seed, r), max_trials) and then
-    step on the graph when given; step must return a marshal-able value.
-    None, and no process, unless n >= HELPER_MIN_N, the process may run on
-    two CPUs or more, it runs one thread, and os.fork exists.
+    """A LayerHelper that takes layers[0] and whose queue holds the rest of
+    layers, claimed in the order given.  On each layer r it takes, the
+    helper runs find_good_assignment(n, r, derive_seed(seed, r), max_trials),
+    then on_layer(r, result) and step on the graph, when given; step must
+    return a marshal-able value.  So on_layer is called in the process
+    that takes the layer, in the order of layers.  None, and no
+    process, unless HELPER_MIN_N <= n <= 255, the process may run on two
+    CPUs or more, it runs one thread, and os.fork exists.
 
     With inbox > 0, step makes the step instead: the caller sends the
     helper inbox bytes with LayerHelper.send, and the helper, which may
-    search before they come, waits for them before its first step.  It
-    reads them into one bytearray and steps each layer with step(bytes).
-    Its copy of the inbox's write end is closed, so when this process dies
-    before sending, the helper reads the end of the pipe and stops.
+    search before they come, waits for them before its first on_layer call
+    and its first step.  It reads them into one bytearray and steps each
+    layer with step(bytes).  Its copy of the inbox's write end is closed,
+    so when this process dies before sending, the helper reads the end of
+    the pipe and stops.
 
-    The helper drops each layer, its step result and its message before it
-    starts the next, and ends by os._exit on every path, so it never
-    returns into its caller's frames nor flushes the stdio it inherited.
-    It freezes the objects it inherits, so its collector never runs their
+    Before its first search, each claim and each on_layer call, the helper
+    checks that this process is still its parent, and stops when it is
+    not.  It drops each layer, its step result and its record before its
+    next claim, and ends by os._exit on every path, so it never returns
+    into its caller's frames nor flushes the stdio it inherited.  It
+    freezes the objects it inherits, so its collector never runs their
     finalizers nor copies the pages of their headers.
     """
     affinity = getattr(os, "sched_getaffinity", None)
     threading = sys.modules.get("threading")
     if (
         n < HELPER_MIN_N
+        or n > 0xFF  # a claim is one byte
         or not layers
         or affinity is None
         or len(affinity(0)) < 2
@@ -566,23 +579,33 @@ def fork_layer_helper(
         or (threading is not None and threading.active_count() > 1)
     ):
         return None
+    # The helper takes the first layer, the largest when the caller orders
+    # them so: a forked process's RSS leaves out the file-backed pages, code
+    # and libraries, that it has not touched since the fork.  At n = 18 the
+    # helper started 3.3 MB below this process, and pipeline's peak RSS was
+    # 17.6 MB against 18.2 MB with this process taking the largest layer,
+    # at the same wall time.
+    queue, queue_write = os.pipe()
+    os.write(queue_write, bytes(layers[1:]))  # a few bytes into an empty pipe: one whole write
+    os.close(queue_write)
     read_fd, write_fd = os.pipe()
     inbox_read, inbox_write = os.pipe() if inbox else (None, None)
+    parent = os.getpid()
     try:
         pid = os.fork()
     except OSError:
-        _close(read_fd, write_fd, inbox_read, inbox_write)
+        _close(queue, read_fd, write_fd, inbox_read, inbox_write)
         return None
     if pid == 0:
         try:
             gc.freeze()
             _close(read_fd, inbox_write)
             pending = None if inbox_read is None else (inbox_read, inbox)
-            _serve(write_fd, n, seed, layers, max_trials, step, pending)
+            _serve(queue, write_fd, parent, layers[0], n, seed, max_trials, step, on_layer, pending)
         finally:
             os._exit(0)
     _close(write_fd, inbox_read)
-    return LayerHelper(n, pid, os.fdopen(read_fd, "rb"), inbox_write)
+    return LayerHelper(n, pid, queue, os.fdopen(read_fd, "rb"), inbox_write)
 
 
 def _close(*fds: int | None) -> None:
@@ -592,30 +615,43 @@ def _close(*fds: int | None) -> None:
 
 
 def _serve(
+    queue: int,
     fd: int,
+    parent: int,
+    r: int,
     n: int,
     seed: int,
-    layers: list[int],
     max_trials: int,
     step: Callable[[LayerSubgraph], Any] | None,
+    on_layer: Callable[[int, SearchResult], None] | None = None,
     pending: tuple[int, int] | None = None,
 ) -> None:
-    """The helper's loop: each layer's message, written whole to fd.  With
-    pending, (fd, size), step makes the step from the size bytes read from
-    fd before the first layer's step."""
-    for r in layers:
+    """The helper's loop: find layer r, hand it to on_layer and step, write
+    its record whole to fd, and claim the next layer from queue, while
+    parent is this process's parent.  With pending, (fd, size), step makes
+    the step from the size bytes read from fd before the first on_layer
+    call."""
+    while r is not None and os.getppid() == parent:
         found = find_good_assignment(n, r, derive_seed(seed, r), max_trials)
-        a, g = found.assignment, found.graph
         if pending is not None:
             step, pending = step(_receive(*pending)), None
-        stepped = None if step is None else step(g)
-        vectors = tuple(v.bits for v in a.vectors)
-        fields = (r, found.trials, found.edges, a.anchor.bits, vectors, g.lower, g.upper, g.edge_masks, stepped)
-        message = marshal.dumps(fields)
-        del found, a, g, stepped, fields  # the layer goes before its message is sent
-        _send(fd, len(message).to_bytes(8, "little"))
-        _send(fd, message)
-        del message
+        if os.getppid() != parent:
+            return
+        if on_layer is not None:
+            on_layer(r, found)
+        a = found.assignment
+        stepped = None if step is None else step(found.graph)
+        record = marshal.dumps((r, found.trials, found.edges, a.anchor.bits, tuple(v.bits for v in a.vectors), stepped))
+        del found, a, stepped  # the layer goes before its record is sent
+        _send(fd, record)
+        del record
+        r = _claim(queue) if os.getppid() == parent else None
+
+
+def _claim(queue: int) -> int | None:
+    """The next layer of queue, one byte read whole, or None at its end."""
+    token = os.read(queue, 1)
+    return token[0] if token else None
 
 
 def _receive(fd: int, size: int) -> bytearray:
