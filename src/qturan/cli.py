@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Exit codes encode outcomes: 0 = free/pass, 1 = witness found or a failed
-bound, 2 = usage or input error, 3 = capacity exceeded, 4 = trial budget
-exhausted.  Every output is a deterministic function of the subcommand,
-its flags and the seed.
+bound, 2 = usage or input error, 3 = capacity exceeded or out of memory,
+4 = trial budget exhausted.  Every output is a deterministic function of
+the subcommand, its flags and the seed.
 
 Each subcommand imports the modules it runs, so that verify never loads
 the sampler and the density code, nor an uncolored pipeline the detectors.
@@ -12,6 +12,7 @@ the sampler and the density code, nor an uncolored pipeline the detectors.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from math import sqrt
 from pathlib import Path
@@ -316,6 +317,10 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
+    except MemoryError:
+        pass  # out of the handler, the traceback and the graph its frames hold are freed
+    os.write(2, b"error: out of memory\n")
+    return EXIT_CAPACITY
 
 
 if __name__ == "__main__":

@@ -57,7 +57,7 @@ __all__ = [
     "fork_layer_helper",
     "format_assignment",
     # cube's names, re-exported only because bench/tracing.py reads them
-    # here; they go when the benchmark reads them from cube (ROADMAP item 1)
+    # here; they go with the benchmark change that reads them from cube
     "edge_count",
     "edge_pairs",
     "format_layer_graph",

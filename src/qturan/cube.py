@@ -23,11 +23,11 @@ edge list followed by a '# layer r=<r>' line and the '# lower' and
 from __future__ import annotations
 
 import os
-from functools import reduce
+from bisect import bisect_left
 from itertools import chain, repeat
 from math import comb
 from operator import ne, or_
-from typing import Collection, Iterable, Iterator
+from typing import Container, Iterable, Iterator
 
 from .record import Record
 
@@ -41,7 +41,7 @@ __all__ = [
     "layer_edge_count",
     "cube_edge_count",
     "cube_edges",
-    "upward_masks",
+    "upward_pairs",
     "upward_edges",
     "parse_edge_list",
     "LayerSubgraph",
@@ -145,20 +145,17 @@ def cube_edges(n: int) -> Iterator[tuple[int, int]]:
                 yield x, x | (1 << j)
 
 
-def upward_masks(vertices: Iterable[int], present: Collection[int]) -> list[int]:
-    """For each vertex x, the mask of the coordinates j outside x with
-    x | 1 << j in present.  Only the coordinates that some member of
-    present holds are probed, so the cost does not grow with n."""
-    used, masks = reduce(or_, present, 0), []
-    for x in vertices:
-        free, m = used & ~x, 0
-        while free:
-            bit = free & -free
-            free ^= bit
-            if x | bit in present:
-                m |= bit
-        masks.append(m)
-    return masks
+def upward_pairs(vertices: Iterable[int], present: Container[int]) -> Iterator[tuple[int, int]]:
+    """The pairs (y ^ b, y) for each vertex y and each set bit b of y with
+    y ^ b in present: y is an end of y ^ b, one bit above it.  The walk
+    costs the sum of the vertices' popcounts, whatever n is."""
+    for y in vertices:
+        bits = y
+        while bits:
+            b = bits & -bits
+            bits ^= b
+            if y ^ b in present:
+                yield y ^ b, y
 
 
 def upward_edges(vertices: Iterable[int], masks: Iterable[int]) -> Iterator[tuple[int, int]]:
@@ -227,8 +224,8 @@ class LayerSubgraph(Record):
     @classmethod
     def induced(cls, layer: LayerId, lower: Iterable[int], upper: Iterable[int]) -> LayerSubgraph:
         """The subgraph induced on the two sides, given as any iterables of
-        masks, with the edge masks from one pass over the lower side that
-        probes the upper set."""
+        masks, with the edge masks from one walk over the upper side's set
+        bits, each lower end found by bisection in the sorted lower side."""
         n, r = layer.n, layer.r
         lower, upper = frozenset(lower), frozenset(upper)
         for x in lower:
@@ -238,7 +235,10 @@ class LayerSubgraph(Record):
             if y >> n or y.bit_count() != r:
                 raise ValueError(f"upper vertex 0x{y:x} is not an r-subset of [{n}]")
         lows = tuple(sorted(lower))
-        return cls(layer, lows, tuple(sorted(upper)), tuple(upward_masks(lows, upper)))
+        masks = [0] * len(lows)
+        for x, y in upward_pairs(upper, lower):
+            masks[bisect_left(lows, x)] |= x ^ y
+        return cls(layer, lows, tuple(sorted(upper)), tuple(masks))
 
 
 def edge_count(g: LayerSubgraph) -> int:

@@ -48,9 +48,7 @@ from __future__ import annotations
 
 import os
 from bisect import bisect_left
-from functools import reduce
 from itertools import chain
-from operator import or_
 from typing import Callable, Iterable
 
 from . import cube
@@ -309,28 +307,21 @@ def _first_c6_minus_in_range(
     of a 6-cycle, which _cycle_at decides by meeting in the middle.  Only
     starts with an end the graph does not join to them, and the start that
     has a path, run the DFS, so the path is the one a DFS from every start
-    would find.  An induced graph joins every end, so it runs the DFS only
-    from the start that has a path.  Ends are probed for only when the graph
-    holds a vertex with one bit more than s, for a layer's upper side it
-    does not, and only at the coordinates some vertex holds.
+    would find.  The unjoined ends are found by one walk over the vertices'
+    set bits (cube.upward_pairs), so the cost follows the sum of their
+    popcounts, not the coordinates used; an induced graph has none, so it
+    runs the DFS only from the start that has a path.
     """
     nbrs = _neighbor_map(graph)
-    used = reduce(or_, graph.vertices, 0)  # the coordinates an end can add
-    popcounts = set(map(int.bit_count, graph.vertices))
+    unjoined: dict[int, set[int]] = {}
+    for x, y in cube.upward_pairs(graph.vertices, nbrs):
+        if y not in nbrs[x]:
+            unjoined.setdefault(x, set()).add(y)
     starts = slice(start_lo, start_hi)
     for s, up in zip(graph.vertices[starts], graph.edge_masks[starts]):
         joined = nbrs[s][-up.bit_count() :] if up else ()  # the neighbors above s
-        # the other ends: probe only the used bits outside s that are not
-        # edges upward, so the cost per start does not grow with n
-        unjoined = set()
-        free = used & ~(s | up) if s.bit_count() + 1 in popcounts else 0
-        while free:
-            b = free & -free
-            free ^= b
-            if (s | b) in nbrs:
-                unjoined.add(s | b)
-        if unjoined:
-            found = _c6_minus_from(nbrs, s, unjoined.union(joined))
+        if s in unjoined:
+            found = _c6_minus_from(nbrs, s, unjoined[s].union(joined))
             if found is not None:
                 return found
         elif len(joined) > 1 and _cycle_at(nbrs, s, joined, 3) is not None:

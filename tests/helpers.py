@@ -14,7 +14,7 @@ from fractions import Fraction
 from qturan import cube
 from qturan.bounds import COLOR_COUNT, UNSET, ColoringCertificate
 from qturan.construction import VectorAssignment, UnionGraph, _partial_products
-from qturan.cube import bit_indices, cube_edge_count, edge_count, upward_masks
+from qturan.cube import bit_indices, cube_edge_count, edge_count, upward_pairs
 from qturan.detector import CubeSubgraph
 from qturan.gf2 import GF2Vec, rank_bits
 
@@ -49,7 +49,10 @@ def induced_subgraph(n: int, vertices) -> CubeSubgraph:
     """The subgraph of Q_n induced on vertices; a vertex outside Q_n is a
     ValueError, as for CubeSubgraph.explicit."""
     verts = CubeSubgraph.explicit(n, vertices, ()).vertices
-    return CubeSubgraph(n, verts, tuple(upward_masks(verts, set(verts))))
+    masks = dict.fromkeys(verts, 0)
+    for x, y in upward_pairs(verts, masks):
+        masks[x] |= x ^ y
+    return CubeSubgraph(n, verts, tuple(masks.values()))
 
 
 def parse_assignment(text: str) -> VectorAssignment:

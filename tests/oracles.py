@@ -21,6 +21,10 @@ and searched whole, as before bounds split and searched one layer at a
 time.
 The neighbor-map reference probes a vertex set or walks a sorted edge list,
 as before a CubeSubgraph held the edge mask of each vertex.
+The coordinate-probe references find a vertex's ends one bit up by
+probing every coordinate some vertex holds, for the edge masks of an
+induced graph and for the C6- ends that a start's edges miss, as before
+cube.upward_pairs walked the set bits of the vertices above.
 The layer-graph references find the edges, write the layer file and scan
 for subcube patterns by probing the sets of the two sides, as before a
 layer graph carried the edge mask of each lower vertex.
@@ -38,7 +42,9 @@ the route that bounds' rule split replaces.
 
 import re
 from fractions import Fraction
+from functools import reduce
 from itertools import chain, combinations, count, permutations, product
+from operator import or_
 
 from qturan import bounds
 from qturan.bounds import ColoringCertificate, PipelineOutcome, coloring_problems, edge_slot, make_report
@@ -50,7 +56,7 @@ from qturan.cube import (
     subsets_of_size,
     upward_edges,
 )
-from qturan.detector import CubeSubgraph, SubcubePattern, _neighbor_map, find_cycle_generic
+from qturan.detector import CubeSubgraph, SubcubePattern, _c6_minus_from, _cycle_at, _neighbor_map, find_cycle_generic
 from qturan.gf2 import GF2Vec, rank_bits
 from qturan.record import Record
 
@@ -451,6 +457,49 @@ def first_c6_minus_closing_sets(graph, start_lo, start_hi):
                         for v5 in nbrs[v4]:
                             if v5 in ends and v5 != v1 and v5 != v2 and v5 != v3:
                                 return (s, v1, v2, v3, v4, v5)
+    return None
+
+
+def upward_masks_by_probe(vertices, present):
+    """For each vertex x, the mask of the coordinates j outside x with
+    x | 1 << j in present, probing every coordinate that some member of
+    present holds: LayerSubgraph.induced's edge masks before the walk."""
+    used, masks = reduce(or_, present, 0), []
+    for x in vertices:
+        free, m = used & ~x, 0
+        while free:
+            bit = free & -free
+            free ^= bit
+            if x | bit in present:
+                m |= bit
+        masks.append(m)
+    return masks
+
+
+def first_c6_minus_by_probe(graph, start_lo, start_hi):
+    """detector._first_c6_minus_in_range before the walk: each start
+    probes the used coordinates outside it and its edges upward for the
+    ends the graph holds but does not join to it, when some vertex has one
+    bit more than it."""
+    nbrs = _neighbor_map(graph)
+    used = reduce(or_, graph.vertices, 0)
+    popcounts = set(map(int.bit_count, graph.vertices))
+    starts = slice(start_lo, start_hi)
+    for s, up in zip(graph.vertices[starts], graph.edge_masks[starts]):
+        joined = nbrs[s][-up.bit_count() :] if up else ()
+        unjoined = set()
+        free = used & ~(s | up) if s.bit_count() + 1 in popcounts else 0
+        while free:
+            b = free & -free
+            free ^= b
+            if (s | b) in nbrs:
+                unjoined.add(s | b)
+        if unjoined:
+            found = _c6_minus_from(nbrs, s, unjoined.union(joined))
+            if found is not None:
+                return found
+        elif len(joined) > 1 and _cycle_at(nbrs, s, joined, 3) is not None:
+            return _c6_minus_from(nbrs, s, set(joined))
     return None
 
 

@@ -1,17 +1,20 @@
 import hashlib
 import os
 import random
+import types
+import weakref
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qturan import bounds, cli, construction, cube
+from qturan import bounds, cli, construction, cube, detector
 from qturan.cube import LayerId, LayerSubgraph, format_layer_graph, subsets_of_size, upward_edges
 
 from helpers import format_coloring, format_edge_list, monochromatic_certificate
-from oracles import rank_certificate
+from oracles import rank_certificate, upward_masks_by_probe
 from test_detector import planted_graph, ring
+from test_helper import assert_no_child, one_cpu, two_cpus  # noqa: F401 (two_cpus is a fixture)
 
 
 def run(argv, capsys):
@@ -662,3 +665,131 @@ def test_many_markers_in_mid_line_exit_2(tmp_path, capsys):
     code, out, err = run(["verify", str(path), "--target", "c6"], capsys)
     assert (code, out) == (2, "")
     assert err == "error: line 2: expected two hex masks, got '1 3 x# layer r='\n"
+
+
+class Held:
+    """An object that only the frame of the call that raises refers to."""
+
+
+class TestOutOfMemory:
+    """A MemoryError, wherever it is raised, exits 3 with the one line
+    'error: out of memory', written to fd 2 once the traceback, whose
+    frames hold the graph, is let go.  stdout holds what was written
+    before: nothing, or the header of stats."""
+
+    CALLS = {
+        "verify c6": (["verify", "LAYER", "--target", "c6"], detector, "_neighbor_map"),
+        "verify c6minus": (["verify", "LAYER", "--target", "c6minus"], detector, "_neighbor_map"),
+        "construct": (["construct", "--n", "8", "--r", "4", "--out", "OUT"], cube, "upper_ends"),
+        "pipeline": (["pipeline", "--n", "12", "--out", "OUT"], cube, "upper_ends"),
+        "pipeline rank": (["pipeline", "--n", "12", "--coloring-rule", "rank"], bounds, "_split_layer"),
+        "stats": (["stats", "--r", "2:3", "--trials", "10"], construction, "sample_assignment"),
+    }
+
+    def run(self, name, monkeypatch, tmp_path, capfd):
+        """Exit code, stdout, stderr and --out files of the call, with its
+        function raising MemoryError; and whether a Held object of the
+        raising frame was still alive when cli wrote to fd 2."""
+        argv, module, function = self.CALLS[name]
+        tmp_path.mkdir(parents=True, exist_ok=True)
+        layer = tmp_path / "layer.txt"
+        layer.write_text(full_layer_text(6, 3))
+        out = tmp_path / name.replace(" ", "-")
+        argv = [{"LAYER": str(layer), "OUT": str(out)}.get(arg, arg) for arg in argv]
+        held, alive = [], []
+
+        def raising(*args):
+            frame_local = Held()
+            held.append(weakref.ref(frame_local))
+            raise MemoryError
+
+        def write(fd, data):
+            alive.append(any(ref() is not None for ref in held))
+            return os.write(fd, data)
+
+        with monkeypatch.context() as m:
+            m.setattr(module, function, raising)
+            m.setattr(cli, "os", types.SimpleNamespace(write=write))
+            code = cli.main(argv)
+        captured = capfd.readouterr()
+        files = sorted(p.name for p in out.iterdir()) if out.exists() else None
+        return (code, captured.out, captured.err, files), alive
+
+    @pytest.mark.parametrize("name", CALLS)
+    def test_exit_3_with_one_line(self, name, monkeypatch, tmp_path, capfd):
+        (code, out, err, files), alive = self.run(name, monkeypatch, tmp_path, capfd)
+        assert (code, err, files) == (3, "error: out of memory\n", None)
+        assert out == ("r,n,trials,successes,empirical,exact,exact_float,z,within_4_sigma\n" if name == "stats" else "")
+        assert alive == [False]
+
+    @pytest.mark.parametrize("name", ["pipeline", "pipeline rank"])
+    def test_pipeline_with_the_helper(self, name, two_cpus, monkeypatch, tmp_path, capfd):
+        """The helper stops at its first layer and sends nothing; the parent
+        takes the layers left and fails in the least of them, as on one
+        CPU."""
+        forked = self.run(name, monkeypatch, tmp_path / "two", capfd)[0]
+        assert len(two_cpus) == 1
+        assert_no_child()
+        with monkeypatch.context() as m:
+            one_cpu(m)
+            assert self.run(name, monkeypatch, tmp_path / "one", capfd)[0] == forked
+        assert forked == (3, "", "error: out of memory\n", None)
+
+
+class Counting:
+    """A container that counts the membership tests made on it."""
+
+    def __init__(self, inner, counts):
+        self.inner, self.counts = inner, counts
+
+    def __contains__(self, item):
+        self.counts[0] += 1
+        return item in self.inner
+
+    def __iter__(self):
+        return iter(self.inner)
+
+
+def path_edge_list(m):
+    """The path (1<<i, 1<<i | 1<<(i+1)) for i < m, over m + 1 coordinates."""
+    return format_edge_list(m + 1, [(1 << i, 3 << i) for i in range(m)])
+
+
+def spread_sides(m):
+    """Layer r=2 of Q_(m+1) on the lower vertices 1<<i and the upper
+    vertices 1<<i | 1<<(i+1), i < m."""
+    return LayerId(m + 1, 2), [1 << i for i in range(m)], [3 << i for i in range(m)]
+
+
+class TestCostFollowsTheInput:
+    """On inputs whose vertices spread over many coordinates, doubling the
+    coordinates at most doubles the probes that the layer parse and the
+    C6- search make through cube.upward_pairs; the coordinate probes they
+    replaced quadruple."""
+
+    def probes(self, monkeypatch, tmp_path, capsys, text, target):
+        counts, walk = [0], cube.upward_pairs
+        path = tmp_path / "input.txt"
+        path.write_text(text)
+        with monkeypatch.context() as m:
+            m.setattr(cube, "upward_pairs", lambda vertices, present: walk(vertices, Counting(present, counts)))
+            assert run(["verify", str(path), "--target", target], capsys) == (0, f"{target}-free\n", "")
+        return counts[0]
+
+    @pytest.mark.parametrize(
+        "shape, target", [("path", "c6minus"), ("spread", "c6"), ("spread", "c6minus")]
+    )
+    def test_doubling_the_coordinates_at_most_doubles_the_probes(self, monkeypatch, tmp_path, capsys, shape, target):
+        counts = []
+        for m in (300, 600):
+            text = path_edge_list(m) if shape == "path" else format_layer_graph(LayerSubgraph.induced(*spread_sides(m)))
+            counts.append(self.probes(monkeypatch, tmp_path, capsys, text, target))
+        assert 0 < counts[0] and counts[1] <= 2 * counts[0]
+
+    def test_the_replaced_probes_grow_with_the_square(self):
+        counts = []
+        for m in (300, 600):
+            _, lower, upper = spread_sides(m)
+            counts.append([0])
+            upward_masks_by_probe(lower, Counting(frozenset(upper), counts[-1]))
+        assert counts[1][0] >= 3.5 * counts[0][0]

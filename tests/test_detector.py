@@ -47,6 +47,7 @@ from oracles import (
     coloring_bytes,
     explain_c6_impossibility,
     find_c6_structured_by_probe,
+    first_c6_minus_by_probe,
     first_c6_minus_closing_sets,
     first_c6_minus_dfs,
     first_cycle_closing_sets,
@@ -57,6 +58,7 @@ from oracles import (
     neighbor_map_by_probe,
     rank_certificate,
     subgraph_of_union,
+    upward_masks_by_probe,
 )
 
 
@@ -597,8 +599,8 @@ class TestFindC6Minus:
 
 class TestHugeHeader:
     """A header n far above the coordinates of the vertices costs no more
-    than a small one: the probes for edges upward and for C6- ends walk
-    only the coordinates that some vertex holds."""
+    than a small one: the edges upward and the C6- ends are found by a walk
+    over the vertices' set bits, whatever n is."""
 
     BODIES = {
         "a 4-cycle and a path": [(0, 1), (1, 3), (2, 3), (0, 2), (4, 5), (5, 7)],
@@ -720,12 +722,11 @@ class TestC6MinusReduction:
         assert outcomes == {False, True}
 
     def test_probe_skip_matches_the_closing_set_dfs(self):
-        """The unjoined ends of a start are probed only when the graph holds
-        a vertex one bit above it.  In an induced layer the upper side has
-        none and every end is joined; with edges dropped from a layer, the
-        lower side has unjoined ends.  Seeded layers n = 4..10 and full
-        layers of Q_n n = 4..7, each whole and with a fifth of its edges
-        dropped."""
+        """Only a start with an end the graph does not join to it runs the
+        DFS.  In an induced layer every end is joined; with edges dropped
+        from a layer, the lower side has unjoined ends.  Seeded layers
+        n = 4..10 and full layers of Q_n n = 4..7, each whole and with a
+        fifth of its edges dropped."""
         rng = random.Random(2111)
         layers = [
             build_layer_graph(sample_assignment(n, r, derive_seed(n, r)))
@@ -769,6 +770,72 @@ class TestC6MinusReduction:
         else:
             assert pools and all(size == ranges for size, ranges in pools)
             assert max(ranges for _, ranges in pools) == min(4, cpus)
+
+
+class TestSetBitWalk:
+    """cube.upward_pairs, one walk over the set bits of the vertices above,
+    against the coordinate probes it replaced, kept in oracles: the edge
+    masks of an induced graph, and the C6- witness of each start range."""
+
+    @staticmethod
+    def layers():
+        """Seeded layers n = 4..14 and the full layers of Q_5..Q_7."""
+        for n in range(4, 15):
+            for r in range(1, n + 1):
+                yield build_layer_graph(sample_assignment(n, r, derive_seed(n, r)))
+        for n in range(5, 8):
+            for r in range(1, n + 1):
+                yield full_layer(n, r)
+
+    def test_induced_masks_match_the_probes(self):
+        """The layers above, random halves of their sides, the spread r=2
+        layer (lower 1<<i, upper 1<<i | 1<<(i+1)) and random induced
+        subgraphs of Q_3..Q_7."""
+        rng = random.Random(3101)
+        sides = []
+        for g in self.layers():
+            sides.append((g.layer, g.lower, g.upper))
+            sides.append((g.layer, rng.sample(g.lower, len(g.lower) // 2), rng.sample(g.upper, len(g.upper) // 2)))
+        sides.append((LayerId(301, 2), [1 << i for i in range(300)], [3 << i for i in range(300)]))
+        for layer, lower, upper in sides:
+            g = LayerSubgraph.induced(layer, lower, upper)
+            assert g.edge_masks == tuple(upward_masks_by_probe(g.lower, frozenset(upper)))
+        for _ in range(200):
+            n = rng.randint(3, 7)
+            verts = [v for v in range(1 << n) if rng.random() < 0.5]
+            g = induced_subgraph(n, verts)
+            assert g.edge_masks == tuple(upward_masks_by_probe(g.vertices, set(verts)))
+
+    def test_each_start_of_every_edge_subset_of_q3(self):
+        outcomes = set()
+        for g in q3_edge_subsets():
+            for i in range(len(g.vertices)):
+                found = _first_c6_minus_in_range(g, i, i + 1)
+                assert found == first_c6_minus_by_probe(g, i, i + 1)
+                outcomes.add(found is None)
+        assert outcomes == {False, True}
+
+    def test_start_ranges_of_layers_and_their_edge_subsets(self):
+        """Each layer whole and with a fifth of its edges dropped, over each
+        start of a graph of at most 70 vertices (the full layers of Q_7
+        included), and over the whole graph and five random ranges of a
+        larger one."""
+        rng = random.Random(3107)
+        outcomes = set()
+        for layer in self.layers():
+            g = subgraph_of_layer(layer)
+            kept = [e for e in upward_edges(g.vertices, g.edge_masks) if rng.random() < 0.8]
+            count = len(g.vertices)
+            if count <= 70:
+                ranges = [(i, i + 1) for i in range(count)]
+            else:
+                ranges = [(0, count)] + [sorted(rng.sample(range(count + 1), 2)) for _ in range(5)]
+            for graph in (g, CubeSubgraph.explicit(g.n, g.vertices, kept)):
+                for lo, hi in ranges:
+                    found = _first_c6_minus_in_range(graph, lo, hi)
+                    assert found == first_c6_minus_by_probe(graph, lo, hi), (g.n, g.layer.r, lo, hi)
+                    outcomes.add((graph is g, found is None))
+        assert outcomes == {(True, True), (True, False), (False, True), (False, False)}
 
 
 class TestFindC6Structured:

@@ -303,7 +303,7 @@ def reexports(source):
 
 
 # cube's names that construction still exports, because bench/tracing.py
-# reads them there (ROADMAP item 1)
+# reads them there, until the benchmark change that reads them from cube
 TRACER_READS = {"construction.py": ["edge_count", "edge_pairs", "format_layer_graph", "parse_layer_graph"]}
 
 
