@@ -433,32 +433,29 @@ def density_report_suite(
     against c/2, the union against c/4 and the best color class against
     c/12; all ratios are exact.
 
-    The layers are taken one at a time: each is found, handed to
-    on_layer(r, result) when given, split into its color classes and the
-    classes searched for a C10, then dropped, so each process holds one
-    layer graph at a time.  The certificate is read and checked before
-    this process takes its first layer.
+    take(r) runs layer r: it is found, handed to on_layer(r, result) when
+    given, split into its color classes and the classes searched for a
+    C10, then dropped, so each process holds one layer graph at a time.
 
     When fork_layer_helper forks, the layers go largest full layer first
     (ties to the smaller r): the helper takes the first, and this process
-    and the helper claim the others from one queue, each taking the next
-    layer left as above.  So on_layer is called in the process that
-    claimed the layer, in claim order, and with a certificate only after
-    the certificate is checked.  With a
-    certificate the fork comes first: the helper searches while this
-    process reads and checks the certificate, then sends it the checked
-    colors, which the helper waits for before its first on_layer call and
-    class step.  A certificate already parsed is read at once.
+    and the helper claim the others from one queue.  The helper calls
+    take(r, ready); ready(), between the search and on_layer, ends the
+    helper once this process is gone and first returns the colors sent
+    to it, from which its take builds its class search.  So on_layer is
+    called in the process that claims the layer, in claim order, and with
+    a certificate only once it is checked.  With a certificate the fork
+    comes first: the helper searches while this process reads and checks
+    the certificate, before its first take.
 
-    Once the queue is empty, this process reads the helper's records (the
-    assignment, trials, edges and class step of each layer it took, never
-    the graph), merges their class counts and witnesses, and reaps it.
-    It then goes through the layers in increasing r and takes itself any
-    layer that has no result, so no result depends on the helper: the
-    reports, assignments and trials come in r order, the first layer in r
-    order that fails raises what it raises with one CPU, and every layer
-    below it has been taken.  on_layer may also have been called for
-    layers above that one; a caller that writes files removes theirs.
+    Once the queue is empty, this process reads the helper's records
+    (what take returned, never the graph), merges their class steps, and
+    reaps it.  It then takes, in increasing r, any layer that has no
+    result, so no result depends on the helper, and the first layer in r
+    order that fails raises what it raises with one CPU, every layer
+    below it taken.  on_layer may have been called for layers above it,
+    so the error names its layer, as cause.r of SuiteExhausted or else as
+    its attribute layer.
     """
     if certificate is not None and coloring_rule is not None:
         raise ValueError("give a coloring certificate or a coloring rule, not both")
@@ -466,29 +463,27 @@ def density_report_suite(
         raise ValueError(f"unknown coloring rule {coloring_rule!r}")
     layers = range(1, n + 1, 2)
     order = sorted(layers, key=lambda r: (-cube.layer_edge_count(LayerId(n, r)), r))
-    classes = step = None
-    inbox = 0
-    if certificate is not None:
-        # the helper makes its step from the colors it is sent
-        step = lambda colors: _ClassSearch(_slot_coloring(colors, n)).add
-        inbox = cube_edge_count(n)
-    elif coloring_rule is not None:
-        classes = _ClassSearch(COLORING_RULES[coloring_rule](n))
-        step = classes.add
+    classes = None if coloring_rule is None else _ClassSearch(COLORING_RULES[coloring_rule](n))
 
-    def take(r: int) -> tuple[VectorAssignment, int, int]:
+    def take(r: int, ready: Callable[[], bytearray | None] | None = None) -> tuple:
+        nonlocal classes
         found = find_good_assignment(n, r, derive_seed(seed, r), max_trials)
+        colors = None if ready is None else ready()
+        if colors is not None:
+            classes = _ClassSearch(_slot_coloring(colors, n))
         if on_layer is not None:
             on_layer(r, found)
         taken = found.assignment, found.trials, found.edges
-        if classes is not None:
-            split = _split_layer(found.graph, classes.coloring)
-            del found  # the layer graph goes before its classes are searched
-            classes.merge(*classes.search(split))
-        return taken
+        if classes is None:
+            return (*taken, None)
+        split = _split_layer(found.graph, classes.coloring)
+        del found  # the layer graph goes before its classes are searched
+        stepped = classes.search(split)
+        classes.merge(*stepped)
+        return (*taken, stepped)
 
-    helper = fork_layer_helper(n, seed, order, max_trials, step, inbox, on_layer)
-    taken: dict[int, tuple[VectorAssignment, int, int]] = {}
+    helper = fork_layer_helper(n, order, take, 0 if certificate is None else cube_edge_count(n))
+    taken: dict[int, tuple] = {}
     failure: tuple[int, Exception] | None = None  # this process's least failing layer
     try:
         if certificate is not None:
@@ -506,7 +501,7 @@ def density_report_suite(
                 except Exception as exc:
                     failure = r, exc
             for r, record in helper.records().items():
-                taken[r] = record[:3]
+                taken[r] = record
                 if classes is not None:
                     classes.merge(*record[3])
     finally:
@@ -519,9 +514,12 @@ def density_report_suite(
         try:
             if failure is not None and failure[0] == r:
                 raise failure[1]
-            assignments[r], trials[r], edges = taken.pop(r) if r in taken else take(r)
+            assignments[r], trials[r], edges, _ = taken.pop(r) if r in taken else take(r)
         except TrialsExhausted as exc:
             raise SuiteExhausted(exc, tuple(reports)) from exc
+        except Exception as exc:
+            exc.layer, failure = r, None  # failure would keep exc, and its frames, in a cycle with this one
+            raise
         reports.append(make_report(n, r, "layer", edges, cube.layer_edge_count(LayerId(n, r)), "c/2"))
     achieved = sum(rep.achieved_edges for rep in reports)
     reports.append(make_report(n, None, "union", achieved, cube_edge_count(n), "c/4"))

@@ -130,12 +130,11 @@ def _cmd_verify(args) -> int:
 
 
 class _LayerWriter:
-    """Writes a layer's files into out; failed lists the layers it failed to write."""
+    """Writes a layer's files into out."""
 
     def __init__(self, out: Path, n: int):
         self.out = out
         self.n = n
-        self.failed: list[int] = []
 
     def paths(self, r: int) -> tuple[Path, Path]:
         return self.out / f"assignment_n{self.n}_r{r}.txt", self.out / f"layer_n{self.n}_r{r}.txt"
@@ -144,14 +143,10 @@ class _LayerWriter:
         from .construction import format_assignment
 
         assignment_path, layer_path = self.paths(r)
-        try:
-            self.out.mkdir(parents=True, exist_ok=True)
-            assignment_path.write_text(format_assignment(found.assignment))
-            with layer_path.open("w") as stream:
-                stream.writelines(cube.layer_graph_text(found.graph))
-        except Exception:
-            self.failed.append(r)
-            raise
+        self.out.mkdir(parents=True, exist_ok=True)
+        assignment_path.write_text(format_assignment(found.assignment))
+        with layer_path.open("w") as stream:
+            stream.writelines(cube.layer_graph_text(found.graph))
         return assignment_path, layer_path
 
     def discard_above(self, r: int) -> None:
@@ -192,21 +187,25 @@ def _pipeline(args, coloring: TextIO | None) -> int:
         sys.stdout.write(_report_lines(exc.partial_reports, args.format))
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_EXHAUSTED
-    except Exception:
-        # the suite raises the error of its first failing layer; when that
-        # is a write here, the least layer whose write failed here
-        if writer is not None and writer.failed:
-            writer.discard_above(min(writer.failed))
+    except MemoryError as exc:
+        failed = getattr(exc, "layer", None)  # the handler's end lets the layer's frames go
+    except Exception as exc:
+        if writer is not None and hasattr(exc, "layer"):
+            writer.discard_above(exc.layer)
         raise
-    sys.stdout.write(_report_lines(suite.reports, args.format))
-    pipeline = suite.pipeline
-    if pipeline is not None and not pipeline.success:
-        from .detector import witness_line
+    else:
+        sys.stdout.write(_report_lines(suite.reports, args.format))
+        pipeline = suite.pipeline
+        if pipeline is not None and not pipeline.success:
+            from .detector import witness_line
 
-        for k, witness in sorted(pipeline.witnesses.items()):
-            sys.stderr.write(f"class {k}: {witness_line(witness)}\n")
-        return EXIT_WITNESS
-    return EXIT_FREE if all(rep.passed for rep in suite.reports) else EXIT_WITNESS
+            for k, witness in sorted(pipeline.witnesses.items()):
+                sys.stderr.write(f"class {k}: {witness_line(witness)}\n")
+            return EXIT_WITNESS
+        return EXIT_FREE if all(rep.passed for rep in suite.reports) else EXIT_WITNESS
+    if writer is not None and failed is not None:
+        writer.discard_above(failed)
+    raise MemoryError
 
 
 def _parse_r_spec(spec: str) -> list[int]:

@@ -457,17 +457,17 @@ HELPER_MIN_N = 15
 class LayerHelper:
     """A forked process that shares the layers of Q_n with its parent: it
     takes the first layer itself, then the two claim the others from one
-    queue, and each process finds the layers it takes and hands them to
-    on_layer itself.
+    queue, and each process runs the layers it takes through the same
+    take.
 
     The queue is a pipe that holds one byte per layer left, its r, written
     whole before the fork; no process holds its write end.  A claim is one
     os.read of one byte, so two readers never split a claim, and an empty
     queue reads as its end.  For each layer it takes, the helper writes a
     record to a second pipe: a marshal tuple of r, the trials, the edges,
-    the anchor's bits, the vectors' bits and what step returned for the
-    graph, never the graph itself.  The helper stops at a layer whose
-    search, on_layer or step raises, and sends nothing for that layer.
+    the anchor's bits, the vectors' bits and the class step that take
+    returned, never the graph.  The helper stops at a layer whose take
+    raises, and sends nothing for that layer.
 
     inbox is the write end of a third pipe, from this process to the
     helper, when the helper waits for bytes that send writes.
@@ -502,7 +502,7 @@ class LayerHelper:
 
     def records(self) -> dict[int, tuple[VectorAssignment, int, int, Any]]:
         """The layers the helper finished, each as its assignment, trials,
-        edges and step result, read until the helper ends; the helper is
+        edges and class step, read until the helper ends; the helper is
         then reaped.  A record cut short by the helper's death is dropped."""
         finished = {}
         if self.stream is not None:
@@ -534,38 +534,29 @@ class LayerHelper:
 
 
 def fork_layer_helper(
-    n: int,
-    seed: int,
-    layers: list[int],
-    max_trials: int,
-    step: Callable[[LayerSubgraph], Any] | None = None,
-    inbox: int = 0,
-    on_layer: Callable[[int, SearchResult], None] | None = None,
+    n: int, layers: list[int], take: Callable[..., tuple[VectorAssignment, int, int, Any]], inbox: int = 0
 ) -> LayerHelper | None:
     """A LayerHelper that takes layers[0] and whose queue holds the rest of
-    layers, claimed in the order given.  On each layer r it takes, the
-    helper runs find_good_assignment(n, r, derive_seed(seed, r), max_trials),
-    then on_layer(r, result) and step on the graph, when given; step must
-    return a marshal-able value.  So on_layer is called in the process
-    that takes the layer, in the order of layers.  None, and no
-    process, unless HELPER_MIN_N <= n <= 255, the process may run on two
-    CPUs or more, it runs one thread, and os.fork exists.
+    layers, claimed in the order given.  For each layer r it takes, the
+    helper calls take(r, ready) and sends the record of what it returns;
+    the class step must be a marshal-able value.  None, and no process,
+    unless HELPER_MIN_N <= n <= 255, the process may run on two CPUs or
+    more, it runs one thread, and os.fork exists.
 
-    With inbox > 0, step makes the step instead: the caller sends the
-    helper inbox bytes with LayerHelper.send, and the helper, which may
-    search before they come, waits for them before its first on_layer call
-    and its first step.  It reads them into one bytearray and steps each
-    layer with step(bytes).  Its copy of the inbox's write end is closed,
+    take calls ready() between its search and anything that it hands the
+    layer to.  ready ends the helper when this process is no longer its
+    parent.  With inbox > 0, the caller sends the helper inbox bytes with
+    LayerHelper.send, and the first ready() call, which may come before
+    they do, returns them, read into one bytearray; every other call
+    returns None.  The helper's copy of the inbox's write end is closed,
     so when this process dies before sending, the helper reads the end of
     the pipe and stops.
 
-    Before its first search, each claim and each on_layer call, the helper
-    checks that this process is still its parent, and stops when it is
-    not.  It drops each layer, its step result and its record before its
-    next claim, and ends by os._exit on every path, so it never returns
-    into its caller's frames nor flushes the stdio it inherited.  It
-    freezes the objects it inherits, so its collector never runs their
-    finalizers nor copies the pages of their headers.
+    The helper also checks that this process is its parent before its
+    first take and each claim.  It ends by os._exit on every path, so it
+    never returns into its caller's frames nor flushes the stdio it
+    inherited.  It freezes the objects it inherits, so its collector never
+    runs their finalizers nor copies the pages of their headers.
     """
     affinity = getattr(os, "sched_getaffinity", None)
     threading = sys.modules.get("threading")
@@ -600,8 +591,7 @@ def fork_layer_helper(
         try:
             gc.freeze()
             _close(read_fd, inbox_write)
-            pending = None if inbox_read is None else (inbox_read, inbox)
-            _serve(queue, write_fd, parent, layers[0], n, seed, max_trials, step, on_layer, pending)
+            _serve(queue, write_fd, parent, layers[0], take, None if inbox_read is None else (inbox_read, inbox))
         finally:
             os._exit(0)
     _close(write_fd, inbox_read)
@@ -615,36 +605,23 @@ def _close(*fds: int | None) -> None:
 
 
 def _serve(
-    queue: int,
-    fd: int,
-    parent: int,
-    r: int,
-    n: int,
-    seed: int,
-    max_trials: int,
-    step: Callable[[LayerSubgraph], Any] | None,
-    on_layer: Callable[[int, SearchResult], None] | None = None,
-    pending: tuple[int, int] | None = None,
+    queue: int, fd: int, parent: int, r: int, take: Callable[..., tuple], pending: tuple[int, int] | None = None
 ) -> None:
-    """The helper's loop: find layer r, hand it to on_layer and step, write
-    its record whole to fd, and claim the next layer from queue, while
-    parent is this process's parent.  With pending, (fd, size), step makes
-    the step from the size bytes read from fd before the first on_layer
-    call."""
-    while r is not None and os.getppid() == parent:
-        found = find_good_assignment(n, r, derive_seed(seed, r), max_trials)
-        if pending is not None:
-            step, pending = step(_receive(*pending)), None
+    """The helper's loop: take layer r, write the record of what take
+    returns whole to fd, and claim the next layer from queue, while parent
+    is this process's parent.  ready returns, on its first call, the size
+    bytes read from pending's fd, when pending is (fd, size)."""
+
+    def ready() -> bytearray | None:
+        nonlocal pending
+        data, pending = None if pending is None else _receive(*pending), None
         if os.getppid() != parent:
-            return
-        if on_layer is not None:
-            on_layer(r, found)
-        a = found.assignment
-        stepped = None if step is None else step(found.graph)
-        record = marshal.dumps((r, found.trials, found.edges, a.anchor.bits, tuple(v.bits for v in a.vectors), stepped))
-        del found, a, stepped  # the layer goes before its record is sent
-        _send(fd, record)
-        del record
+            os._exit(0)
+        return data
+
+    while r is not None and os.getppid() == parent:
+        a, trials, edges, stepped = take(r, ready)
+        _send(fd, marshal.dumps((r, trials, edges, a.anchor.bits, tuple(v.bits for v in a.vectors), stepped)))
         r = _claim(queue) if os.getppid() == parent else None
 
 

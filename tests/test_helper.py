@@ -1,14 +1,16 @@
 """The layer queue that density_report_suite shares with its helper.
 
 The suite and the helper it forks claim the odd layers from one queue,
-largest full layer first, and each process finds the layers it claims and
-hands them to on_layer itself, so the tests record each on_layer call in a
-file.  The helper sends back a record of each layer it takes, never the
-graph, and the suite that merges them, class counts and witnesses
-included, is the suite that runs every layer itself.  No output depends on
-the helper: one that dies, raises or runs out of trials leaves them all
-unchanged, and a call that fails at a layer ends as it does on one CPU,
-with no --out file of a layer above it.  The helper never outlives the
+largest full layer first, and each process runs the layers it claims
+through the suite's one take, which hands them to on_layer, so the tests
+record each on_layer call in a file.  The helper calls take, which the
+tests catch as the suite hands it to fork_layer_helper, and sends back a
+record of what take returns, never the graph; the suite that merges them,
+class counts and witnesses included, is the suite that runs every layer
+itself.  No output depends on the helper: one that dies, raises or runs
+out of trials leaves them all unchanged, and a call that fails at a
+layer, out of memory included, ends as it does on one CPU, with no --out
+file of a layer above it.  The helper never outlives the
 suite, and it ends by os._exit, so it never returns into its caller's
 frames nor flushes inherited stdio.  Given a certificate file, the suite
 forks before it reads the file and then sends the helper the checked
@@ -28,6 +30,7 @@ import pickle
 import subprocess
 import sys
 import tempfile
+import weakref
 from pathlib import Path
 
 import pytest
@@ -43,7 +46,7 @@ from qturan.construction import (
     find_good_assignment,
     fork_layer_helper,
 )
-from qturan.cube import LayerId, layer_edge_count
+from qturan.cube import LayerId, cube_edge_count, layer_edge_count
 
 from helpers import format_coloring
 from test_memory import mod3_certificate, traced_peak
@@ -82,6 +85,27 @@ def one_cpu(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     monkeypatch.setattr(construction, "HELPER_MIN_N", 4)
     monkeypatch.setattr(os, "fork", fork)
+
+
+class Caught(Exception):
+    """Raised by suite_take's spy, to end the suite before it takes a layer."""
+
+
+def suite_take(n, seed, **kwargs):
+    """The take and the inbox size that density_report_suite(n, seed,
+    **kwargs) hands fork_layer_helper, caught there, so that the suite
+    takes no layer and its class search is fresh."""
+    caught = []
+
+    def spy(n, layers, take, inbox):
+        caught.append((take, inbox))
+        raise Caught
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(bounds, "fork_layer_helper", spy)
+        with pytest.raises(Caught):
+            density_report_suite(n, seed, **kwargs)
+    return caught[0]
 
 
 def colorings(n):
@@ -158,9 +182,9 @@ class TestTheQueue:
         queued = []
         fork = construction.fork_layer_helper
 
-        def spy(n, seed, layers, *args):
+        def spy(n, layers, *args):
             queued.append(list(layers))
-            return fork(n, seed, layers, *args)
+            return fork(n, layers, *args)
 
         monkeypatch.setattr(bounds, "fork_layer_helper", spy)
         one_cpu(monkeypatch)
@@ -188,14 +212,17 @@ class TestTheQueue:
 class TestShippedLayers:
     def test_each_layer_is_the_search(self, two_cpus, tmp_path):
         """For n = 8..16 and seeds 0..2, a helper left to claim every layer
-        hands on_layer find_good_assignment's result as a Record, by == and
-        by hash, and records its assignment, trials and edges; it claims
-        in queue order, and the layers take both scan routes."""
+        with the suite's take hands on_layer find_good_assignment's result
+        as a Record, by == and by hash, and records its assignment, trials
+        and edges; it claims in queue order, and the layers take both scan
+        routes."""
         routes = set()
         for n in range(8, 17):
             for seed in range(3):
                 log = LayerLog(tmp_path)
-                helper = fork_layer_helper(n, seed, queue_order(n), 512, on_layer=log)
+                take, inbox = suite_take(n, seed, on_layer=log)
+                assert inbox == 0
+                helper = fork_layer_helper(n, queue_order(n), take)
                 records = helper.records()
                 assert log.claims() == {two_cpus[-1]: queue_order(n)}
                 for r, found in log.seen():
@@ -212,12 +239,21 @@ class TestShippedLayers:
     def test_the_class_step_is_the_serial_one(self, two_cpus, n):
         """With a class step, each layer's record holds the counts and
         witnesses that the same _ClassSearch steps give in queue order in
-        this process."""
+        this process.  With a certificate, the suite's take waits for the
+        colors, one byte per edge of Q_n, which this process sends."""
         for name, kwargs in colorings(n).items():
             if not kwargs:
                 continue
-            coloring = _certificate_coloring(kwargs["certificate"], n) if "certificate" in kwargs else COLORING_RULES["rank"](n)
-            records = fork_layer_helper(n, 0, queue_order(n), 512, _ClassSearch(coloring).add).records()
+            take, inbox = suite_take(n, 0, **kwargs)
+            helper = fork_layer_helper(n, queue_order(n), take, inbox)
+            if "certificate" in kwargs:
+                assert inbox == cube_edge_count(n)
+                assert helper.send(memoryview(kwargs["certificate"].colors))
+                coloring = _certificate_coloring(kwargs["certificate"], n)
+            else:
+                assert inbox == 0
+                coloring = COLORING_RULES["rank"](n)
+            records = helper.records()
             local = _ClassSearch(coloring)
             for r in queue_order(n):
                 found = find_good_assignment(n, r, derive_seed(0, r), 512)
@@ -225,7 +261,7 @@ class TestShippedLayers:
         assert_no_child()
 
     def test_claim_after_the_end_is_none(self, two_cpus):
-        helper = fork_layer_helper(8, 0, [5], 512)
+        helper = fork_layer_helper(8, [5], suite_take(8, 0)[0])
         assert list(helper.records()) == [5]
         assert helper.claim() is None
         assert helper.stream is None
@@ -298,7 +334,7 @@ class TestMergedSuite:
 
 def failing_helper(monkeypatch, how, layers=1):
     """Make the helper's layer search after its first layers fail in the
-    given way; the parent's searches, which bounds imported by name, are
+    given way; the parent's searches, told apart by the pid, are
     untouched."""
     parent = os.getpid()
     calls = []
@@ -314,7 +350,7 @@ def failing_helper(monkeypatch, how, layers=1):
                 raise RuntimeError("the helper fails")
         return find_good_assignment(*args)
 
-    monkeypatch.setattr(construction, "find_good_assignment", search)
+    monkeypatch.setattr(bounds, "find_good_assignment", search)
 
 
 class TestNoOutputDependsOnTheHelper:
@@ -467,6 +503,55 @@ class TestAFailingCall:
             + ["assignment_n12_r9.txt", "layer_n12_r9.txt"]
         )
 
+    @pytest.mark.parametrize("where", ["parent", "helper"])
+    def test_out_of_memory_at_a_layer(self, two_cpus, monkeypatch, tmp_path, capfd, where):
+        """With the rank rule, _split_layer runs out of memory at layer r,
+        after on_layer wrote r's files: at r = 5 in the parent alone, while
+        the helper writes its first layer, r = 7, and stops at its next; or
+        at r = 7 in the helper, whose first layer it is, and then in the
+        parent, which writes every other layer and then takes r = 7.  Exit
+        3, the one error line and empty stdout, as on one CPU; the files of
+        r and the layers below it stay, and the others are removed once no
+        frame of the failing layer is alive."""
+
+        class FrameLocal:
+            pass
+
+        self.seed = 0
+        r = {"parent": 5, "helper": 7}[where]
+        parent, split, discard = os.getpid(), bounds._split_layer, cli._LayerWriter.discard_above
+        raised, held, alive = tmp_path / "raised", [], []
+
+        def splitting(g, coloring):
+            if g.layer.r == r and (where == "helper" or os.getpid() == parent):
+                with raised.open("a") as log:
+                    log.write(f"{os.getpid()}\n")
+                frame_local = FrameLocal()
+                held.append(weakref.ref(frame_local))
+                raise MemoryError
+            return split(g, coloring)
+
+        def discarding(writer, below):
+            alive.append(any(ref() is not None for ref in held))
+            discard(writer, below)
+
+        monkeypatch.setattr(bounds, "_split_layer", splitting)
+        monkeypatch.setattr(cli._LayerWriter, "discard_above", discarding)
+        if where == "parent":
+            failing_helper(monkeypatch, "exit")
+        self.writes_logged(monkeypatch, tmp_path / "writes")
+        (code, out, err, files), writes = self.compare(two_cpus, monkeypatch, tmp_path, capfd, "--coloring-rule", "rank")
+        assert (code, out, err) == (3, "", "error: out of memory\n")
+        assert sorted(files) == [f"{kind}_n12_r{k}.txt" for kind in ("assignment", "layer") for k in range(1, r + 1, 2)]
+        assert alive == [False, False]
+        # the two-CPU call's raises, then the one-CPU call's
+        assert list(map(int, raised.read_text().split())) == {"parent": [parent], "helper": [two_cpus[0], parent]}[where] + [parent]
+        assert writes[two_cpus[0]][0] == 7
+        if where == "helper":
+            assert 11 in writes[parent]
+        else:
+            assert 7 not in writes[parent]
+
     def test_capacity_below_n(self, two_cpus, monkeypatch, tmp_path, capsys):
         """QT_CAPACITY below n: exit 3 and no file."""
         self.seed = 0
@@ -589,7 +674,7 @@ from qturan import bounds, construction
 
 construction.HELPER_MIN_N = 4
 os.sched_getaffinity = lambda pid: {0, 1}
-how, parent, search = sys.argv[1], os.getpid(), construction.find_good_assignment
+how, parent, search = sys.argv[1], os.getpid(), bounds.find_good_assignment
 
 def failing(*args):
     if os.getpid() != parent:
@@ -601,7 +686,7 @@ def failing(*args):
             raise KeyboardInterrupt
     return search(*args)
 
-construction.find_good_assignment = failing
+bounds.find_good_assignment = failing
 sys.stdout.write("before\\n")
 try:
     bounds.density_report_suite(10, 0, coloring_rule="rank")
@@ -689,7 +774,7 @@ from qturan import bounds, cli, construction
 
 construction.HELPER_MIN_N = 4
 os.sched_getaffinity = lambda pid: {0, 1}
-when, parent, search, freeze = sys.argv[1], os.getpid(), construction.find_good_assignment, gc.freeze
+when, parent, search, freeze = sys.argv[1], os.getpid(), bounds.find_good_assignment, gc.freeze
 claims = Path("claims")
 
 def printing_fork():
@@ -717,7 +802,7 @@ def parent_search(*args):
     os.kill(parent, 9)
 
 fork, os.fork, gc.freeze = os.fork, printing_fork, late_freeze
-construction.find_good_assignment, bounds.find_good_assignment = helper_search, parent_search
+bounds.find_good_assignment = lambda *args: (parent_search if os.getpid() == parent else helper_search)(*args)
 bounds.density_report_suite(10, 0, on_layer=cli._LayerWriter(Path("out"), 10))
 """
 
@@ -738,14 +823,15 @@ def test_a_parent_killed_after_its_claim_leaves_no_helper(when, tmp_path):
 
 
 def test_the_helper_holds_one_layer_at_a_time():
-    """The helper's loop over every layer of n = 14, given the first and
-    claiming the rest from a queue, writing its records to /dev/null, peaks
-    within 1.25 times the same loop over its first layer alone, r = 7, the
-    largest.  Both
-    peaked at 154 KB; a loop that kept each layer until the next one
-    replaced it peaked at 1.5 times its first layer.  A class step's search
-    maps, which go before the step returns, would hide that."""
+    """The helper's loop over every layer of n = 14 with the suite's take,
+    given the first layer and claiming the rest from a queue, writing its
+    records to /dev/null, peaks within 1.25 times the same loop over its
+    first layer alone, r = 7, the largest.  Both peaked at 154 KB; a loop
+    that kept each layer until the next one replaced it peaked at 1.5
+    times its first layer.  A class step's search maps, which go before
+    the step returns, would hide that."""
     n = 14
+    take = suite_take(n, 0)[0]
     sink = os.open(os.devnull, os.O_WRONLY)
 
     def run(layers):
@@ -753,7 +839,7 @@ def test_the_helper_holds_one_layer_at_a_time():
         os.write(write, bytes(layers[1:]))
         os.close(write)
         try:
-            return traced_peak(lambda: _serve(queue, sink, os.getppid(), layers[0], n, 0, 512, None))
+            return traced_peak(lambda: _serve(queue, sink, os.getppid(), layers[0], take))
         finally:
             os.close(queue)
 
@@ -764,3 +850,32 @@ def test_the_helper_holds_one_layer_at_a_time():
     finally:
         os.close(sink)
     assert whole < 1.25 * one, (whole, one)
+
+
+# Run in a fresh interpreter: the process limits its address space to its
+# size once it has imported qturan.cli, plus 10 MB, which pipeline --n 20
+# --coloring-rule rank outgrows within a few layers, in either process.
+RLIMIT_SCRIPT = """
+import resource, sys
+from qturan import cli
+
+with open("/proc/self/status") as status:
+    size = next(int(line.split()[1]) for line in status if line.startswith("VmSize:")) << 10
+resource.setrlimit(resource.RLIMIT_AS, (size + (10 << 20), resource.RLIM_INFINITY))
+sys.exit(cli.main(["pipeline", "--n", "20", "--seed", "0", "--coloring-rule", "rank", "--out", "out"]))
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmSize from /proc")
+def test_a_call_out_of_memory(tmp_path):
+    """A call that runs out of address space exits 3 with the one error
+    line and empty stdout, and leaves the files of a prefix of the odd
+    layers: none of a layer above the one that failed."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", RLIMIT_SCRIPT], env=env, cwd=tmp_path, capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", "error: out of memory\n")
+    out = tmp_path / "out"
+    names = sorted(p.name for p in out.iterdir()) if out.exists() else []
+    layers = sorted({int(name.rsplit("_r", 1)[1][:-4]) for name in names})
+    assert layers == list(range(1, 2 * len(layers), 2)), names
+    assert len(layers) < 10
