@@ -192,17 +192,7 @@ def make_report(
     _, c_hi = constant_c_enclosure()
     bound_value = c_hi / divisor
     ratio = Fraction(achieved, ambient)
-    return DensityReport(
-        n=n,
-        r=r,
-        scope=scope,
-        achieved_edges=achieved,
-        ambient_edges=ambient,
-        ratio=ratio,
-        bound_name=bound_name,
-        bound_value=bound_value,
-        passed=ratio > bound_value,
-    )
+    return DensityReport(n, r, scope, achieved, ambient, ratio, bound_name, bound_value, ratio > bound_value)
 
 
 def reports_to_csv(reports: list[DensityReport]) -> str:
@@ -499,6 +489,9 @@ def density_report_suite(
                 try:
                     taken[r] = take(r)
                 except Exception as exc:
+                    from traceback import clear_frames
+
+                    clear_frames(exc.__traceback__)  # let the layer's graph go, keep the trace
                     failure = r, exc
             for r, record in helper.records().items():
                 taken[r] = record

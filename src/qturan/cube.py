@@ -23,7 +23,6 @@ edge list followed by a '# layer r=<r>' line and the '# lower' and
 from __future__ import annotations
 
 import os
-from bisect import bisect_left
 from itertools import chain, repeat
 from math import comb
 from operator import ne, or_
@@ -208,12 +207,11 @@ class LayerSubgraph(Record):
     increasing mask order, each with the mask of its edge coordinates.
 
     edge_masks[i] holds bit j exactly when (lower[i], lower[i] | 1 << j) is
-    an edge, so the edges come straight from the masks in (lower, upper)
-    order, with no set lookup.  upper is the surviving upper side in
-    increasing order; it may hold vertices without an edge.  induced checks
-    the two sides and derives the masks; the Record constructor trusts its
-    fields.  A generated layer's upper side is the set of its edge ends,
-    upper_ends.
+    an edge, so the edges come straight from the masks, with no lookup, in
+    (lower, upper) order.  upper is the surviving upper side, ascending; it
+    may hold vertices without an edge.  induced checks the two sides and
+    derives the masks; the Record constructor trusts its fields.  A
+    generated layer's upper side is its set of edge ends, upper_ends.
     """
 
     layer: LayerId
@@ -223,9 +221,10 @@ class LayerSubgraph(Record):
 
     @classmethod
     def induced(cls, layer: LayerId, lower: Iterable[int], upper: Iterable[int]) -> LayerSubgraph:
-        """The subgraph induced on the two sides, given as any iterables of
-        masks, with the edge masks from one walk over the upper side's set
-        bits, each lower end found by bisection in the sorted lower side."""
+        """The subgraph induced on two sides, each any iterable of masks.
+        One walk over the upper side's set bits looks each end up in a dict
+        from each lower vertex, in order, to its edge mask, and fills the
+        mask; no other copy of the lower side is held."""
         n, r = layer.n, layer.r
         lower, upper = frozenset(lower), frozenset(upper)
         for x in lower:
@@ -234,11 +233,11 @@ class LayerSubgraph(Record):
         for y in upper:
             if y >> n or y.bit_count() != r:
                 raise ValueError(f"upper vertex 0x{y:x} is not an r-subset of [{n}]")
-        lows = tuple(sorted(lower))
-        masks = [0] * len(lows)
-        for x, y in upward_pairs(upper, lower):
-            masks[bisect_left(lows, x)] |= x ^ y
-        return cls(layer, lows, tuple(sorted(upper)), tuple(masks))
+        masks = dict.fromkeys(sorted(lower), 0)
+        del lower
+        for x, y in upward_pairs(upper, masks):
+            masks[x] |= x ^ y
+        return cls(layer, tuple(masks), tuple(sorted(upper)), tuple(masks.values()))
 
 
 def edge_count(g: LayerSubgraph) -> int:

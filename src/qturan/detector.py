@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import os
 from bisect import bisect_left
-from itertools import chain
+from itertools import chain, compress
 from typing import Callable, Iterable
 
 from . import cube
@@ -300,25 +300,25 @@ def _first_c6_minus_in_range(
     one; otherwise some later start's path, or None.
 
     The ends of s are the vertices s | b of the graph.  When the graph joins
-    every end to s, a C6- path from s and the edge (s, v5) form a 6-cycle.
-    Its least vertex m has its two cycle neighbors above it and joined to
-    it, so m starts a C6- path too; no start before s has one, so m = s.
-    Such an s therefore has a C6- path exactly when it is the least vertex
-    of a 6-cycle, which _cycle_at decides by meeting in the middle.  Only
-    starts with an end the graph does not join to them, and the start that
-    has a path, run the DFS, so the path is the one a DFS from every start
-    would find.  The unjoined ends are found by one walk over the vertices'
-    set bits (cube.upward_pairs), so the cost follows the sum of their
-    popcounts, not the coordinates used; an induced graph has none, so it
-    runs the DFS only from the start that has a path.
+    every end to s, a C6- path from s and the edge (s, v5) form a 6-cycle
+    whose least vertex m, with its two cycle neighbors above it, starts a
+    C6- path too; no start before s has one, so m = s, and _cycle_at
+    decides s by meeting in the middle.  Only starts with an unjoined end,
+    and the start that has a path, run the DFS, so the path is the one a
+    DFS from every start would find.  The unjoined ends come from one walk
+    (cube.upward_pairs) over the set bits of the vertices whose popcount is
+    one above some vertex's, a layer's upper side, so the cost follows the
+    sum of their popcounts; an induced graph has none.
     """
-    nbrs = _neighbor_map(graph)
+    nbrs, vertices = _neighbor_map(graph), graph.vertices
+    above = {k + 1 for k in {*map(int.bit_count, vertices)}}
+    walked = compress(vertices, map(above.__contains__, map(int.bit_count, vertices)))
     unjoined: dict[int, set[int]] = {}
-    for x, y in cube.upward_pairs(graph.vertices, nbrs):
+    for x, y in cube.upward_pairs(walked, nbrs):
         if y not in nbrs[x]:
             unjoined.setdefault(x, set()).add(y)
     starts = slice(start_lo, start_hi)
-    for s, up in zip(graph.vertices[starts], graph.edge_masks[starts]):
+    for s, up in zip(vertices[starts], graph.edge_masks[starts]):
         joined = nbrs[s][-up.bit_count() :] if up else ()  # the neighbors above s
         if s in unjoined:
             found = _c6_minus_from(nbrs, s, unjoined[s].union(joined))
@@ -391,11 +391,10 @@ def find_c6_minus(graph: CubeSubgraph, workers: int = 1) -> PathWitness | None:
     start being the smaller endpoint.  This is a path search, not a 6-cycle
     search: outside a single layer the two are not equivalent, because the
     closing pair only needs to be a Q_n edge, not an edge of the graph.
-    Where the graph does join every end to its start, the first start with a
-    path is the least vertex of a 6-cycle, so starts whose ends are all
-    joined are decided by the C6 meet-in-the-middle test, and the DFS runs
-    only from the other starts and from the start that has a path.  The
-    answer is identical for every worker count.
+    A start whose ends are all joined to it is decided by the C6
+    meet-in-the-middle test, and the DFS runs only from the other starts
+    and from the start that has a path.  The answer is identical for every
+    worker count.
     """
     if len(graph.vertices) < 6:
         return None

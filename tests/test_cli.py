@@ -793,3 +793,32 @@ class TestCostFollowsTheInput:
             counts.append([0])
             upward_masks_by_probe(lower, Counting(frozenset(upper), counts[-1]))
         assert counts[1][0] >= 3.5 * counts[0][0]
+
+
+class TestTheWalkSkipsTheLowerSide:
+    """On seeded construct layers, the layer parse and the C6- search each
+    walk the set bits of the upper side alone: exactly the sum of its
+    popcounts in membership tests through cube.upward_pairs, and no lower
+    vertex walked, as no vertex of a layer lies one bit below one."""
+
+    @pytest.mark.parametrize("n", range(10, 15))
+    def test_probes_are_the_upper_popcounts(self, monkeypatch, tmp_path, capsys, n):
+        walk = cube.upward_pairs
+        for r in sorted({1, 2, n // 2, n // 2 + 1, n - 1}):
+            assert run(["construct", "--n", str(n), "--r", str(r), "--seed", "0", "--out", str(tmp_path)], capsys)[0] == 0
+            path = tmp_path / f"layer_n{n}_r{r}.txt"
+            upper = cube.parse_layer_graph(path.read_text()).upper
+            calls = []
+
+            def counted(vertices, present):
+                counts, walked = [0], []
+                calls.append((counts, walked))
+                return walk(map(lambda y: walked.append(y) or y, vertices), Counting(present, counts))
+
+            with monkeypatch.context() as m:
+                m.setattr(cube, "upward_pairs", counted)
+                assert run(["verify", str(path), "--target", "c6minus"], capsys) == (0, "c6minus-free\n", "")
+            assert len(calls) == 2, (n, r)  # the parse, then the search
+            for counts, walked in calls:
+                assert sorted(walked) == sorted(upper), (n, r)
+                assert counts == [sum(map(int.bit_count, upper))], (n, r)

@@ -837,6 +837,33 @@ class TestSetBitWalk:
                     outcomes.add((graph is g, found is None))
         assert outcomes == {(True, True), (True, False), (False, True), (False, False)}
 
+    def test_each_start_of_graphs_over_three_or_more_popcounts(self):
+        """Random edge-list graphs of Q_5..Q_7 on three or more popcounts,
+        with a gap among them ({1, 2, 4} and others) or none, with every
+        edge of Q_n between their vertices or some dropped, so that ends
+        the graph does not join exist: the search walks only the vertices
+        one popcount above another's, and each start's witness is still
+        the probes' one."""
+        rng = random.Random(3301)
+        outcomes = set()
+        for trial in range(90):
+            n = 5 + trial % 3
+            if trial % 5 == 0:
+                popcounts = {1, 2, 4}
+            else:
+                popcounts = set(rng.sample(range(n + 1), rng.randint(3, 4)))
+            density = rng.choice([0.5, 0.8, 1.0])
+            verts = [v for v in range(1 << n) if v.bit_count() in popcounts and rng.random() < density]
+            keep = rng.choice([0.6, 0.85, 1.0])
+            edges = [e for e in induced_cube_edges(n, verts) if rng.random() < keep]
+            g = CubeSubgraph.explicit(n, verts, edges)
+            gap = any(k - 1 not in popcounts and k - 2 in popcounts for k in popcounts)
+            for i in range(len(g.vertices)):
+                found = _first_c6_minus_in_range(g, i, i + 1)
+                assert found == first_c6_minus_by_probe(g, i, i + 1), (n, sorted(popcounts), i)
+                outcomes.add((gap, len(edges) < len(induced_cube_edges(n, verts)), found is None))
+        assert outcomes == set(product([False, True], repeat=3))
+
 
 class TestFindC6Structured:
     def test_full_layer_golden_pattern(self):

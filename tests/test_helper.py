@@ -552,6 +552,36 @@ class TestAFailingCall:
         else:
             assert 7 not in writes[parent]
 
+    def test_a_failed_layer_is_let_go_before_the_next_take(self, two_cpus, monkeypatch):
+        """The [parent] case above, in the suite itself: _split_layer runs
+        out of memory at r = 5 in the parent, which claims every layer but
+        the helper's first, r = 7.  The parent goes on to take r = 3 and
+        r = 1 in its claim loop, and when each take starts, the graph of
+        r = 5 is gone, though the suite raises that MemoryError last."""
+        parent, split, search, claim = os.getpid(), bounds._split_layer, bounds.find_good_assignment, construction._claim
+        graphs, taken = [], []
+
+        def splitting(g, coloring):
+            if g.layer.r == 5 and os.getpid() == parent:
+                graphs.append(weakref.ref(g))
+                raise MemoryError
+            return split(g, coloring)
+
+        def searching(n, r, *args):
+            if graphs and os.getpid() == parent:
+                taken.append((r, graphs[0]() is None))
+            return search(n, r, *args)
+
+        monkeypatch.setattr(bounds, "_split_layer", splitting)
+        monkeypatch.setattr(bounds, "find_good_assignment", searching)
+        # the helper claims nothing after its first layer
+        monkeypatch.setattr(construction, "_claim", lambda queue: claim(queue) if os.getpid() == parent else None)
+        with pytest.raises(MemoryError) as raised:
+            density_report_suite(12, 0, coloring_rule="rank")
+        assert raised.value.layer == 5 and len(two_cpus) == 1
+        assert_no_child()
+        assert taken == [(3, True), (1, True)]
+
     def test_capacity_below_n(self, two_cpus, monkeypatch, tmp_path, capsys):
         """QT_CAPACITY below n: exit 3 and no file."""
         self.seed = 0
