@@ -841,9 +841,9 @@ class TestSetBitWalk:
         """Random edge-list graphs of Q_5..Q_7 on three or more popcounts,
         with a gap among them ({1, 2, 4} and others) or none, with every
         edge of Q_n between their vertices or some dropped, so that ends
-        the graph does not join exist: the search walks only the vertices
-        one popcount above another's, and each start's witness is still
-        the probes' one."""
+        the graph does not join exist: each start's witness is the probes'
+        one, though the search walks only the vertices one popcount above
+        another's."""
         rng = random.Random(3301)
         outcomes = set()
         for trial in range(90):
