@@ -7,11 +7,20 @@ the subcommand, its flags and the seed.
 
 Each subcommand imports the modules it runs, so that verify never loads
 the sampler and the density code, nor an uncolored pipeline the detectors.
+
+A call from the command line (python -m qturan.cli, or the qturan script)
+goes through run: once main returns, it runs the exit hooks, flushes
+stdout and stderr and ends the process by os._exit, so the interpreter
+does not tear down the modules it loaded.  It leaves the end to the
+interpreter's normal exit when that could change what the caller sees:
+main raises (argparse's --help and usage errors included), a thread other
+than the main one is alive, python -i asks for a prompt, or a flush fails.
 """
 
 from __future__ import annotations
 
 import argparse
+import atexit
 import os
 import sys
 from math import sqrt
@@ -322,5 +331,21 @@ def main(argv: list[str] | None = None) -> int:
     return EXIT_CAPACITY
 
 
+def run() -> int:
+    """main on the command line, ended as the module docstring says; the
+    exit code, when the normal exit is left to end the process."""
+    code = main()
+    threading = sys.modules.get("threading")
+    if sys.flags.inspect or (threading is not None and threading.active_count() > 1):
+        return code
+    atexit._run_exitfuncs()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except Exception:
+        return code  # the normal exit flushes again and reports the failure as it always has
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())
